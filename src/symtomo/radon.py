@@ -22,7 +22,6 @@ from .errors import ConfigError, DomainError, UnsupportedOperation
 from .grids import (
     Grid1D,
     SampledWavefunction,
-    _trig_resample,
     chirp_multiply,
     hbar_fourier,
     sample_uniform,
@@ -45,6 +44,14 @@ __all__ = [
 
 NEGATIVE_FLOOR = 1e-10
 MIN_ANGLES = 8
+# Filtered back-projection: zero-padding of each projection before the ramp
+# filter, upsampling of the filtered projection before linear interpolation,
+# start of the ramp's raised-cosine rolloff as a fraction of Nyquist, and
+# output samples per back-projection block.
+PAD_FACTOR = 8
+UPSAMPLE = 4
+TAPER_START = 0.8
+GATHER_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -285,7 +292,11 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
         raise ConfigError(f"unknown sweep route {route!r}")
     angles = sweep_angles(n_angles)
     if threads is None:
-        threads = int(os.environ.get("TOMO_THREADS", "1"))
+        raw = os.environ.get("TOMO_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"TOMO_THREADS must be an integer, got {raw!r}") from exc
 
     def one(theta: float) -> Tomogram:
         mu, nu = float(np.cos(theta)), float(np.sin(theta))
@@ -322,44 +333,69 @@ def mix_tomograms(weights, tomograms) -> Tomogram:
                     accuracy_warning=any(t.accuracy_warning for t in tms))
 
 
-def _ramp_filtered(values: np.ndarray, x0: float, dx: float, n: int, hbar: float,
-                   taper_start: float = 0.8, pad_factor: int = 8) -> tuple[np.ndarray, float]:
-    """Apply the |r| ramp in the hbar-frequency domain of X, with a
-    raised-cosine rolloff above ``taper_start`` of the Nyquist frequency.
+def _tapered_ramp(n_pad: int, dx: float, hbar: float) -> np.ndarray:
+    """|r| at the rfft frequencies r_q = q*dr (q = 0..n_pad/2) of a grid with
+    spacing ``dx``, with a raised-cosine rolloff above TAPER_START of the
+    Nyquist frequency.  The rolloff reaches exactly 0 at Nyquist."""
+    dr = 2.0 * np.pi * hbar / (n_pad * dx)
+    r = dr * np.arange(n_pad // 2 + 1)
+    r_max = r[-1]
+    ramp = r.copy()
+    hi = r > TAPER_START * r_max
+    ramp[hi] *= 0.5 * (1 + np.cos(np.pi * (r[hi] - TAPER_START * r_max)
+                                  / ((1 - TAPER_START) * r_max)))
+    return ramp
 
-    The projection is zero-padded by ``pad_factor`` before filtering: the
-    ramp kernel has slowly decaying 1/t^2 tails, and padding both prevents
-    their circular wrap-around and retains them over the wider support that
-    back-projection samples.  Returns (filtered values, padded x0).
-    """
-    n_pad = pad_factor * n
-    lead = (n_pad - n) // 2
-    padded = np.zeros(n_pad, dtype=np.complex128)
-    padded[lead:lead + n] = values
-    grid = Grid1D(x0 - lead * dx, n_pad, dx, hbar)
-    spectrum = hbar_fourier(SampledWavefunction(grid, padded), "inverse")
-    r = spectrum.grid.points
-    r_max = 0.5 * n_pad * spectrum.grid.dx
-    ramp = np.abs(r)
-    hi = np.abs(r) > taper_start * r_max
-    ramp[hi] *= 0.5 * (1 + np.cos(np.pi * (np.abs(r[hi]) - taper_start * r_max)
-                                  / ((1 - taper_start) * r_max)))
-    filtered = hbar_fourier(
-        SampledWavefunction(spectrum.grid, ramp * spectrum.values), "forward")
-    return filtered.values.real, grid.x_min
+
+def _back_project(out: np.ndarray, fine: np.ndarray, ux: np.ndarray, up: np.ndarray):
+    """out[i, j] += linear interpolation of ``fine`` at the fractional index
+    u = ux[i] + up[j]; zero where u falls outside [0, len(fine) - 1].
+
+    Works through row blocks of about GATHER_BLOCK samples, so the
+    temporaries stay in cache whatever the map size."""
+    last = len(fine) - 1
+    slope = np.diff(fine, append=0.0)
+    # u is affine in (i, j), so its extremes over the map are the sums of
+    # the extremes of ux and up.
+    inside = ux.min() + up.min() >= 0.0 and ux.max() + up.max() <= last
+    rows = max(1, GATHER_BLOCK // len(up))
+    for lo in range(0, len(ux), rows):
+        u = np.add.outer(ux[lo:lo + rows], up)
+        if not inside:
+            outside = (u < 0.0) | (u > last)
+            np.clip(u, 0.0, last, out=u)
+        k = np.floor(u)
+        u -= k
+        k = k.astype(np.intp)
+        u *= slope.take(k)
+        u += fine.take(k)
+        if not inside:
+            u[outside] = 0.0
+        out[lo:lo + rows] += u
 
 
 def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = None,
-                  constant_scale: float = 1.0, upsample: int = 4,
-                  pad_factor: int = 8) -> WignerMap:
+                  constant_scale: float = 1.0) -> WignerMap:
     """Filtered back-projection reconstruction of the Wigner map.
+
+    Each tomogram is zero-padded PAD_FACTOR-fold: the ramp kernel has
+    slowly decaying 1/t^2 tails, and padding both prevents their circular
+    wrap-around and retains them over the wider support that
+    back-projection samples.  One real FFT, the tapered |r| ramp (see
+    :func:`_tapered_ramp`) and one inverse real FFT of UPSAMPLE times the
+    length give the filtered projection on a UPSAMPLE-fold finer grid:
+    zero-padding the spectrum evaluates its trigonometric interpolant, and
+    the ramp vanishes at Nyquist, so that interpolant is unambiguous.  The
+    fine samples beyond x0 + (n_pad - 1/2)*dX are zeroed, and the map
+    accumulates their linear interpolation along x*cos(theta) +
+    p*sin(theta), with zero outside the padded window.
 
     Parameters
     ----------
     tomos : TomogramSet
-        At least 8 equispaced angles on [0, pi); accuracy targets assume
-        >= 64.  The common X grid must be centered at zero (FFT layout) and
-        edge-decayed.
+        At least 8 tomograms at the full sweep theta_k = k*pi/A; accuracy
+        targets assume A >= 64.  The common X grid must be centered at zero
+        (FFT layout) and edge-decayed.
     x_grid, p_grid : Grid1D
         Output window.  ``p_grid`` defaults to the alias-free momentum
         window of ``x_grid``.
@@ -367,16 +403,15 @@ def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = No
         Multiplies the analytically derived overall constant
         1/(2*pi*hbar).  Leave at 1; exists as a negative-control hook for
         the self-check suite.
-    upsample : int
-        Band-limited upsampling factor applied to each filtered projection
-        before linear interpolation onto the output window.
-    pad_factor : int
-        Zero-padding factor for the ramp filter (power of two).  Larger
-        values keep more of the filter kernel's 1/t^2 tails, shrinking the
-        slowly decaying haze that otherwise biases the reconstruction.
     """
-    if len(tomos) < MIN_ANGLES:
-        raise DomainError(f"need at least {MIN_ANGLES} angles, got {len(tomos)}")
+    n_angles = len(tomos)
+    if n_angles < MIN_ANGLES:
+        raise DomainError(f"need at least {MIN_ANGLES} angles, got {n_angles}")
+    angles = tomos.angles
+    if not np.allclose(angles, sweep_angles(n_angles), rtol=0, atol=1e-9):
+        raise DomainError(
+            f"back-projection needs the full sweep theta_k = k*pi/{n_angles}; "
+            f"got angles {angles[0]:.6g}..{angles[-1]:.6g}")
     if p_grid is None:
         p_grid = default_momentum_window(x_grid)
     hbar = tomos.hbar
@@ -386,22 +421,25 @@ def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = No
     if abs(x[0] + x[-1] + dX) > 1e-9 * max(1.0, abs(x[0])):
         raise DomainError("tomogram X grid must be centered at zero")
 
-    angles = tomos.angles
-    d_theta = np.pi / len(tomos)
+    n_pad = PAD_FACTOR * n
+    lead = (n_pad - n) // 2
+    n_fine = UPSAMPLE * n_pad
+    fine_dx = dX / UPSAMPLE
+    # irfft onto n_fine points divides by n_fine, not n_pad.
+    ramp = UPSAMPLE * _tapered_ramp(n_pad, dX, hbar)
+    padded = np.zeros(n_pad)
+    # Fractional fine-grid index of a point (x, p) along angle theta:
+    # u = x_idx*cos(theta) + p_idx*sin(theta) - origin.
+    origin = (float(x[0]) - lead * dX) / fine_dx
+    x_idx = x_grid.points / fine_dx
+    p_idx = p_grid.points / fine_dx
 
-    xs, ps = np.meshgrid(x_grid.points, p_grid.points, indexing="ij")
-    out = np.zeros_like(xs)
-    fine_dx = dX / upsample
+    out = np.zeros((x_grid.n_points, p_grid.n_points))
     for theta, t in zip(angles, tomos):
-        filt, pad_x0 = _ramp_filtered(t.values, float(x[0]), dX, n, hbar,
-                                      pad_factor=pad_factor)
-        fine = upsample * len(filt)
-        fine_x = pad_x0 + fine_dx * np.arange(fine)
-        if upsample > 1:
-            filt = _trig_resample(filt.astype(np.complex128), pad_x0, dX,
-                                  pad_x0, fine_dx, fine).real
-        tval = xs * np.cos(theta) + ps * np.sin(theta)
-        out += np.interp(tval, fine_x, filt, left=0.0, right=0.0)
-    out *= constant_scale * d_theta / (2.0 * np.pi * hbar)
+        padded[lead:lead + n] = t.values
+        fine = np.fft.irfft(np.fft.rfft(padded) * ramp, n=n_fine)
+        fine[n_fine - UPSAMPLE // 2 + 1:] = 0.0
+        _back_project(out, fine, x_idx * np.cos(theta) - origin, p_idx * np.sin(theta))
+    out *= constant_scale * (np.pi / n_angles) / (2.0 * np.pi * hbar)
     warn = any(t.accuracy_warning for t in tomos)
     return WignerMap(x_grid, p_grid, out, hbar, accuracy_warning=warn)

@@ -76,6 +76,15 @@ def _grid_to_dict(grid: Grid1D) -> dict:
             "dx": grid.dx, "hbar": grid.hbar}
 
 
+def _read_json(path) -> dict:
+    """Parse a JSON document, reporting malformed text as a ConfigError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def _grid_from_dict(d: dict) -> Grid1D:
     try:
         return Grid1D(float(d["x_min"]), int(d["n_points"]),
@@ -98,8 +107,7 @@ def save_wavefunction_json(psi: SampledWavefunction, path):
 
 
 def load_wavefunction_json(path) -> SampledWavefunction:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if doc.get("format") != WAVEFUNCTION_FORMAT:
         raise ConfigError(f"{path}: not a wavefunction file")
     grid = _grid_from_dict(doc["grid"])
@@ -148,8 +156,7 @@ def save_wigner(w: WignerMap, json_path) -> Path:
 
 def load_wigner(json_path) -> WignerMap:
     json_path = Path(json_path)
-    with open(json_path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(json_path)
     if doc.get("format") != WIGNER_FORMAT:
         raise ConfigError(f"{json_path}: not a Wigner map file")
     x_grid = _grid_from_dict(doc["x_grid"])
@@ -164,16 +171,16 @@ def load_wigner(json_path) -> WignerMap:
 
 
 def save_wigner_csv(w: WignerMap, path):
-    """Long format: one (x, p, w) row per sample."""
-    lines = ["x,p,w"]
-    xs = w.x_grid.points
-    ps = w.p_grid.points
-    for i, xi in enumerate(xs):
-        row = w.values[i]
-        sx = fmt(xi)
-        for pj, val in zip(ps, row):
-            lines.append(f"{sx},{fmt(pj)},{fmt(val)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Long format: one (x, p, w) row per sample.
+
+    Each x and p is formatted once: a template holds the lines of one x row
+    with the p cells filled in and ``%.17g`` (the same digits as
+    :func:`fmt`) for the values."""
+    row_template = "".join(f"{{x}},{fmt(p)},%.17g\n" for p in w.p_grid.points)
+    parts = ["x,p,w\n"]
+    for xi, row in zip(w.x_grid.points, w.values.tolist()):
+        parts.append(row_template.replace("{x}", fmt(xi)) % tuple(row))
+    atomic_write_text(path, "".join(parts))
 
 
 def matrix_to_json(matrix: SymplecticMatrix) -> str:
@@ -237,31 +244,46 @@ def save_tomogram_set(ts: TomogramSet, out_dir, storage: str = "binary",
 
 def load_tomogram_set(manifest_path) -> TomogramSet:
     manifest_path = Path(manifest_path)
-    with open(manifest_path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(manifest_path)
     if doc.get("format") != TOMOGRAM_SET_FORMAT:
         raise ConfigError(f"{manifest_path}: not a tomogram-set manifest")
-    hbar = float(doc["hbar"])
-    angles = np.asarray(doc["angles"], dtype=np.float64)
-    xspec = doc["x"]
-    x = float(xspec["start"]) + float(xspec["step"]) * np.arange(int(xspec["count"]))
+    try:
+        hbar = float(doc["hbar"])
+        n_angles = int(doc["n_angles"])
+        angles = np.asarray(doc["angles"], dtype=np.float64)
+        xspec = doc["x"]
+        x = float(xspec["start"]) + float(xspec["step"]) * np.arange(int(xspec["count"]))
+        storage = doc["storage"]
+        routes = doc.get("routes") or [""] * n_angles
+        lengths = {"angles": len(angles), "routes": len(routes)}
+        if storage == "binary":
+            data_file = doc["data_file"]
+        elif storage == "csv":
+            files = doc["files"]
+            lengths["files"] = len(files)
+    except KeyError as exc:
+        raise ConfigError(f"{manifest_path}: manifest missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{manifest_path}: malformed manifest ({exc})") from exc
+    if any(k != n_angles for k in lengths.values()):
+        raise ConfigError(
+            f"{manifest_path}: n_angles is {n_angles} but the lists have lengths "
+            + ", ".join(f"{key}={k}" for key, k in lengths.items()))
     n_x = len(x)
-    if doc["storage"] == "binary":
-        raw = np.fromfile(manifest_path.parent / doc["data_file"], dtype=np.float64)
-        if raw.size != len(angles) * n_x:
+    if storage == "binary":
+        raw = np.fromfile(manifest_path.parent / data_file, dtype=np.float64)
+        if raw.size != n_angles * n_x:
             raise ConfigError(f"{manifest_path}: binary block size mismatch")
-        rows = raw.reshape(len(angles), n_x)
-    elif doc["storage"] == "csv":
+        rows = raw.reshape(n_angles, n_x)
+    elif storage == "csv":
         rows = []
-        for name in doc["files"]:
+        for name in files:
             data = np.loadtxt(manifest_path.parent / name, delimiter=",", skiprows=1)
             if data.shape != (n_x, 2):
                 raise ConfigError(f"{name}: expected {n_x} rows of x,value")
             rows.append(data[:, 1])
-        rows = np.asarray(rows)
     else:
-        raise ConfigError(f"{manifest_path}: unknown storage {doc['storage']!r}")
-    routes = doc.get("routes") or [""] * len(angles)
+        raise ConfigError(f"{manifest_path}: unknown storage {storage!r}")
     tomograms = tuple(
         Tomogram(float(np.cos(th)), float(np.sin(th)), x, row, hbar, route=route)
         for th, row, route in zip(angles, rows, routes)

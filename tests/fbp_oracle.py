@@ -1,0 +1,86 @@
+"""Reference implementations kept as test oracles.
+
+``inverse_radon_reference`` is the earlier filtered back-projection: a
+per-angle hbar-Fourier ramp filter, a chirp-z (CZT) x4 trigonometric
+upsample and ``np.interp`` onto the output window.  The library's FBP
+computes the same trigonometric interpolant with real FFTs and gathers it
+by affine index, so the two agree to rounding.  ``save_wigner_csv_reference``
+is the earlier one-``fmt``-per-cell CSV writer.
+"""
+
+import numpy as np
+from scipy.signal import czt
+
+from symtomo.grids import Grid1D, SampledWavefunction, hbar_fourier
+from symtomo.serialization import atomic_write_text, fmt
+from symtomo.wigner import WignerMap, default_momentum_window
+
+
+def _trig_resample(values, x0, dx, start, step, count):
+    n = len(values)
+    alpha = 2.0 * np.pi / (n * dx)
+    shift = start - x0
+    fhat = np.fft.fftshift(np.fft.fft(values))
+    q = np.arange(n)
+    d = fhat * np.exp(1j * alpha * q * shift)
+    out = czt(d, m=count, w=np.exp(1j * alpha * step), a=1.0 + 0.0j)
+    k = np.arange(count)
+    out = out * np.exp(-1j * alpha * (n / 2) * (shift + k * step)) / n
+    pts = start + k * step
+    outside = (pts < x0 - 0.5 * dx) | (pts > x0 + (n - 0.5) * dx)
+    if outside.any():
+        out[outside] = 0.0
+    return out
+
+
+def _ramp_filtered(values, x0, dx, n, hbar, taper_start=0.8, pad_factor=8):
+    n_pad = pad_factor * n
+    lead = (n_pad - n) // 2
+    padded = np.zeros(n_pad, dtype=np.complex128)
+    padded[lead:lead + n] = values
+    grid = Grid1D(x0 - lead * dx, n_pad, dx, hbar)
+    spectrum = hbar_fourier(SampledWavefunction(grid, padded), "inverse")
+    r = spectrum.grid.points
+    r_max = 0.5 * n_pad * spectrum.grid.dx
+    ramp = np.abs(r)
+    hi = np.abs(r) > taper_start * r_max
+    ramp[hi] *= 0.5 * (1 + np.cos(np.pi * (np.abs(r[hi]) - taper_start * r_max)
+                                  / ((1 - taper_start) * r_max)))
+    filtered = hbar_fourier(
+        SampledWavefunction(spectrum.grid, ramp * spectrum.values), "forward")
+    return filtered.values.real, grid.x_min
+
+
+def inverse_radon_reference(tomos, x_grid, p_grid=None, upsample=4):
+    if p_grid is None:
+        p_grid = default_momentum_window(x_grid)
+    hbar = tomos.hbar
+    x = tomos.x
+    n = len(x)
+    dX = float(x[1] - x[0])
+    d_theta = np.pi / len(tomos)
+    xs, ps = np.meshgrid(x_grid.points, p_grid.points, indexing="ij")
+    out = np.zeros_like(xs)
+    fine_dx = dX / upsample
+    for theta, t in zip(tomos.angles, tomos):
+        filt, pad_x0 = _ramp_filtered(t.values, float(x[0]), dX, n, hbar)
+        fine = upsample * len(filt)
+        fine_x = pad_x0 + fine_dx * np.arange(fine)
+        filt = _trig_resample(filt.astype(np.complex128), pad_x0, dX,
+                              pad_x0, fine_dx, fine).real
+        tval = xs * np.cos(theta) + ps * np.sin(theta)
+        out += np.interp(tval, fine_x, filt, left=0.0, right=0.0)
+    out *= d_theta / (2.0 * np.pi * hbar)
+    return WignerMap(x_grid, p_grid, out, hbar)
+
+
+def save_wigner_csv_reference(w, path):
+    lines = ["x,p,w"]
+    xs = w.x_grid.points
+    ps = w.p_grid.points
+    for i, xi in enumerate(xs):
+        row = w.values[i]
+        sx = fmt(xi)
+        for pj, val in zip(ps, row):
+            lines.append(f"{sx},{fmt(pj)},{fmt(val)}")
+    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -71,6 +71,11 @@ class TestTomogramCommand:
         assert run(["tomogram", "--grid=-12:12:512", "--state", "gaussian:1,0",
                     "--mu", "0", "--nu", "0", "--out", str(tmp_path)]) == 2
 
+    def test_unparseable_tomo_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TOMO_THREADS", "abc")
+        assert run(["tomogram", "--grid=-12:12:512", "--state", "gaussian:1,0",
+                    "--angles", "8", "--out", str(tmp_path)]) == 2
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -112,6 +117,20 @@ class TestInvertCommand:
     def test_malformed_manifest(self, tmp_path):
         bad = tmp_path / "manifest.json"
         bad.write_text("{}")
+        assert run(["invert", "--set", str(bad), "--out", str(tmp_path / "rec")]) == 2
+
+    def test_manifest_missing_key(self, tmp_path):
+        assert run(["tomogram", "--grid=-12:12:256", "--state", "gaussian:1,0",
+                    "--angles", "8", "--out", str(tmp_path / "set")]) == 0
+        manifest = tmp_path / "set" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["hbar"]
+        manifest.write_text(json.dumps(doc))
+        assert run(["invert", "--set", str(manifest), "--out", str(tmp_path / "rec")]) == 2
+
+    def test_manifest_not_json(self, tmp_path):
+        bad = tmp_path / "manifest.json"
+        bad.write_text("not json")
         assert run(["invert", "--set", str(bad), "--out", str(tmp_path / "rec")]) == 2
 
 

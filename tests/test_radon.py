@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import HBAR, random_direction
+from fbp_oracle import inverse_radon_reference
 
 from symtomo import (
     DomainError,
@@ -266,6 +267,32 @@ class TestInverseRadon:
             for th in np.pi * np.arange(16) / 16
         )
         with pytest.raises(DomainError):
+            inverse_radon(TomogramSet(tms), grid)
+
+    @pytest.mark.parametrize("n, n_angles", [(256, 64), (512, 180)])
+    def test_matches_reference_fbp(self, n, n_angles):
+        grid = make_grid(-12.0, 12.0, n, HBAR)
+        st = GaussianState.from_position_data(0.8, 0.3, HBAR)
+        tomos = compute_tomogram_set(gaussian_wavefunction(st, grid), n_angles)
+        recon = inverse_radon(tomos, grid)
+        ref = inverse_radon_reference(tomos, grid)
+        assert np.max(np.abs(recon.values - ref.values)) <= 1e-8
+
+    def test_p_grid_beyond_padded_window(self):
+        grid = make_grid(-12.0, 12.0, 256, HBAR)
+        st = GaussianState.from_position_data(1.2, -0.2, HBAR)
+        tomos = compute_tomogram_set(gaussian_wavefunction(st, grid), 64)
+        # The ramp filter pads the 24-wide X window eightfold, to |X| <= 96.
+        p_grid = Grid1D(-200.0, 256, 400.0 / 256, HBAR)
+        recon = inverse_radon(tomos, grid, p_grid=p_grid)
+        ref = inverse_radon_reference(tomos, grid, p_grid=p_grid)
+        assert np.max(np.abs(recon.values - ref.values)) <= 1e-8
+        assert np.all(np.isfinite(recon.values))
+
+    def test_partial_arc_rejected(self, psi, grid):
+        tms = tuple(radon_metaplectic(psi, np.cos(th), np.sin(th))
+                    for th in np.linspace(0.0, 0.7, 8))
+        with pytest.raises(DomainError, match="full sweep"):
             inverse_radon(TomogramSet(tms), grid)
 
     def test_wrong_constant_breaks_round_trip(self, ground, grid):

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import HBAR
+from fbp_oracle import save_wigner_csv_reference
 
-from symtomo import ConfigError, GaussianState, gaussian_wavefunction, wigner_transform
+from symtomo import (
+    ConfigError,
+    GaussianState,
+    gaussian_wavefunction,
+    make_grid,
+    wigner_transform,
+)
 from symtomo.radon import compute_tomogram_set
 from symtomo.serialization import (
     fmt,
@@ -20,6 +27,7 @@ from symtomo.serialization import (
     save_wigner,
     save_wigner_csv,
 )
+from symtomo.wigner import WignerMap, default_momentum_window
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +77,17 @@ def test_wigner_csv_layout(psi, tmp_path):
     assert len(lines) == 1 + w.x_grid.n_points * w.p_grid.n_points
 
 
+def test_wigner_csv_matches_reference_writer(tmp_path):
+    grid = make_grid(-4.0, 4.0, 16, HBAR)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((16, 16)) * 10.0 ** rng.uniform(-320, 3, (16, 16))
+    values[0, :4] = [0.1, -0.1, -0.0, 5e-324]
+    w = WignerMap(grid, default_momentum_window(grid), values, HBAR)
+    save_wigner_csv(w, tmp_path / "new.csv")
+    save_wigner_csv_reference(w, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_tomogram_csv(psi, tmp_path):
     from symtomo import radon_metaplectic
 
@@ -104,6 +123,40 @@ def test_malformed_manifest_rejected(tmp_path):
     bad = tmp_path / "manifest.json"
     bad.write_text(json.dumps({"format": "other"}))
     with pytest.raises(ConfigError):
+        load_tomogram_set(bad)
+
+
+def _edit_manifest(psi, tmp_path, storage, edit):
+    manifest = save_tomogram_set(compute_tomogram_set(psi, 16), tmp_path, storage=storage)
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
+
+@pytest.mark.parametrize("storage, edit", [
+    ("binary", lambda d: d.update(routes=d["routes"][:10])),
+    ("binary", lambda d: d.update(angles=d["angles"][:10])),
+    ("binary", lambda d: d.update(n_angles=10)),
+    ("csv", lambda d: d.update(files=d["files"][:10])),
+], ids=["routes", "angles", "n_angles", "files"])
+def test_manifest_list_length_mismatch_rejected(psi, tmp_path, storage, edit):
+    manifest = _edit_manifest(psi, tmp_path, storage, edit)
+    with pytest.raises(ConfigError, match="lengths"):
+        load_tomogram_set(manifest)
+
+
+@pytest.mark.parametrize("key", ["hbar", "n_angles", "x", "storage", "data_file"])
+def test_manifest_missing_key_rejected(psi, tmp_path, key):
+    manifest = _edit_manifest(psi, tmp_path, "binary", lambda d: d.pop(key))
+    with pytest.raises(ConfigError, match="missing key"):
+        load_tomogram_set(manifest)
+
+
+def test_manifest_not_json_rejected(tmp_path):
+    bad = tmp_path / "manifest.json"
+    bad.write_text('{"format": "symtomo.tomogram_set.v1", ')
+    with pytest.raises(ConfigError, match="not valid JSON"):
         load_tomogram_set(bad)
 
 
