@@ -59,6 +59,8 @@ class GaussianState:
     hbar: float = 1.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.sigma_xx, self.sigma_pp, self.sigma_xp, self.hbar])):
+            raise ConfigError("covariances and hbar must be finite")
         if self.sigma_xx <= 0 or self.sigma_pp <= 0:
             raise ConfigError("sigma_xx and sigma_pp must be positive")
         if self.hbar <= 0:

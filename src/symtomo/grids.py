@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import czt
+import scipy.fft
 
 from .errors import ConfigError, DomainError
 
@@ -26,6 +26,9 @@ __all__ = [
     "scale",
     "sample_uniform",
     "resample_onto",
+    "bluestein_czt",
+    "cis",
+    "chirp_fourier_rows",
     "inner_product",
 ]
 
@@ -53,10 +56,12 @@ class Grid1D:
             raise ConfigError(
                 f"n_points must be a power of two >= 8, got {self.n_points}"
             )
-        if not self.dx > 0:
-            raise ConfigError(f"dx must be positive, got {self.dx}")
-        if not self.hbar > 0:
-            raise ConfigError(f"hbar must be positive, got {self.hbar}")
+        if not np.isfinite(self.x_min):
+            raise ConfigError(f"x_min must be finite, got {self.x_min}")
+        if not 0 < self.dx < np.inf:
+            raise ConfigError(f"dx must be positive and finite, got {self.dx}")
+        if not 0 < self.hbar < np.inf:
+            raise ConfigError(f"hbar must be positive and finite, got {self.hbar}")
 
     @property
     def x_max(self) -> float:
@@ -187,25 +192,78 @@ def scale(psi: SampledWavefunction, s: float) -> SampledWavefunction:
     return SampledWavefunction(g, vals)
 
 
-def _trig_resample(values: np.ndarray, x0: float, dx: float,
-                   start: float, step: float, count: int) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of uniform samples at
-    ``start + k*step`` (k = 0..count-1).  Points outside the sample window
-    evaluate to zero.  Exact for band-limited content; O((n+count) log)."""
-    n = len(values)
-    alpha = 2.0 * np.pi / (n * dx)
-    shift = start - x0
-    fhat = np.fft.fftshift(np.fft.fft(values))
-    q = np.arange(n)
-    d = fhat * np.exp(1j * alpha * q * shift)
-    out = czt(d, m=count, w=np.exp(1j * alpha * step), a=1.0 + 0.0j)
-    k = np.arange(count)
-    out = out * np.exp(-1j * alpha * (n / 2) * (shift + k * step)) / n
-    pts = start + k * step
-    outside = (pts < x0 - 0.5 * dx) | (pts > x0 + (n - 0.5) * dx)
-    if outside.any():
-        out[outside] = 0.0
+def cis(phase) -> np.ndarray:
+    """exp(1j*phase) of a real array, by one cosine and one sine (the
+    complex exp would also evaluate exp(0) for every element)."""
+    phase = np.asarray(phase, dtype=np.float64)
+    out = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
     return out
+
+
+def bluestein_czt(x: np.ndarray, m: int, beta) -> np.ndarray:
+    """Chirp z-transform y[..., k] = sum_j x[..., j] * exp(1j*beta*j*k),
+    k = 0..m-1, of the rows (last axis) of ``x``.
+
+    ``beta`` is a scalar or has one entry per row (the shape of
+    ``x.shape[:-1]``).  Bluestein's identity j*k = (j^2 + k^2 - (k-j)^2)/2
+    turns the sum into a linear convolution with the chirp
+    exp(0.5j*beta*j^2), done by power-of-two FFTs of length >= n + m - 1
+    (Rabiner, Schafer & Rader, 1969).  The chirp is the exponential of a
+    real phase, so its error grows only with the rounding of beta*j^2.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    n = x.shape[-1]
+    beta = np.asarray(beta, dtype=np.float64)[..., None]
+    nfft = 1 << int(n + m - 2).bit_length()
+    j = np.arange(max(n, m), dtype=np.float64)
+    chirp = cis(0.5 * beta * j * j)
+    kernel = np.zeros(chirp.shape[:-1] + (nfft,), dtype=np.complex128)
+    kernel[..., :m] = chirp[..., :m].conj()
+    kernel[..., nfft - n + 1:] = chirp[..., n - 1:0:-1].conj()
+    # scipy.fft is numpy's pocketfft; its overwrite_x lets the inverse
+    # transform reuse the (rows, nfft) buffer instead of allocating another.
+    y = scipy.fft.fft(x * chirp[..., :n], nfft)
+    y *= scipy.fft.fft(kernel)
+    y = scipy.fft.ifft(y, overwrite_x=True)
+    return y[..., :m] * chirp[..., :m]
+
+
+def _trig_resample(values: np.ndarray, x0: float, dx: float,
+                   start, step, count: int) -> np.ndarray:
+    """Evaluate the trigonometric interpolant of the uniform samples in each
+    row (last axis) of ``values`` at ``start + k*step`` (k = 0..count-1).
+
+    ``start`` and ``step`` are scalars or have one entry per row.  Points
+    outside the sample window evaluate to zero.  Exact for band-limited
+    content; O((n+count) log) per row.  A row sampled at its own grid
+    (start == x0, step == dx, count == n) is copied, because the
+    interpolant at the samples is the samples."""
+    values = np.asarray(values, dtype=np.complex128)
+    lead, n = values.shape[:-1], values.shape[-1]
+    rows = values.reshape(-1, n)
+    start = np.broadcast_to(np.asarray(start, dtype=np.float64), lead).reshape(-1)
+    step = np.broadcast_to(np.asarray(step, dtype=np.float64), lead).reshape(-1)
+    out = np.empty((len(rows), count), dtype=np.complex128)
+    same = (start == x0) & (step == dx) & (count == n)
+    if same.any():
+        out[same] = rows[same]
+    todo = ~same
+    if todo.any():
+        shift = (start[todo] - x0)[:, None]
+        st = step[todo][:, None]
+        alpha = 2.0 * np.pi / (n * dx)
+        fhat = np.fft.fftshift(np.fft.fft(rows[todo]), axes=-1)
+        q = np.arange(n)
+        d = fhat * cis(alpha * q * shift)
+        res = bluestein_czt(d, count, alpha * st[:, 0])
+        k = np.arange(count)
+        res *= cis(-alpha * (n / 2) * (shift + k * st)) / n
+        pts = start[todo][:, None] + k * st
+        res[(pts < x0 - 0.5 * dx) | (pts > x0 + (n - 0.5) * dx)] = 0.0
+        out[todo] = res
+    return out.reshape(lead + (count,))
 
 
 def sample_uniform(psi: SampledWavefunction, start: float, step: float, count: int) -> np.ndarray:
@@ -213,6 +271,34 @@ def sample_uniform(psi: SampledWavefunction, start: float, step: float, count: i
     if step == 0.0:
         raise DomainError("sample step must be nonzero")
     return _trig_resample(psi.values, psi.grid.x_min, psi.grid.dx, start, step, count)
+
+
+def chirp_fourier_rows(values: np.ndarray, grid: Grid1D, c, start, step,
+                       count: int) -> np.ndarray:
+    """Rows of F[exp(i*c*x^2/(2*hbar)) * values] at p = start + k*step
+    (k = 0..count-1), zero outside the window of the dual grid.
+
+    This is the chirp -> hbar-Fourier -> rescale core that the chirp-FFT
+    tomogram route and the quadratic Fourier transforms share.  ``values``
+    is one state (n,) or a stack of rows (R, n) on ``grid``; ``c``,
+    ``start`` and ``step`` are scalars or have one entry per output row.
+    The Fourier sum (2*pi*hbar)**(-1/2) * dx * sum_m f(x_m) exp(-i*p*x_m/hbar)
+    is evaluated at the p samples as one chirp-z transform per row; for a
+    state that has decayed at the grid edges this is the band-limited
+    interpolant of :func:`hbar_fourier` at p.  The result has shape
+    (R, count), or (count,) when every input is one row.
+    """
+    c, start, step = (np.asarray(a, dtype=np.float64)[..., None] for a in (c, start, step))
+    g, hbar = grid, grid.hbar
+    p = start + step * np.arange(count)
+    # p*x_m = p*x_min + start*m*dx + (k*m)*step*dx; the last term is the chirp-z kernel.
+    pre = cis((c * g.points**2 / 2.0 - start * g.dx * np.arange(g.n_points)) / hbar)
+    out = bluestein_czt(values * pre, count, -step[..., 0] * g.dx / hbar)
+    out *= cis(-p * g.x_min / hbar) * (g.dx / np.sqrt(2.0 * np.pi * hbar))
+    dual = g.momentum_grid()
+    outside = (p < dual.x_min - 0.5 * dual.dx) | (p > dual.x_max - 0.5 * dual.dx)
+    out[np.broadcast_to(outside, out.shape)] = 0.0
+    return out
 
 
 def resample_onto(psi: SampledWavefunction, grid: Grid1D) -> SampledWavefunction:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NotFreeError, UnsupportedOperation
-from .grids import SampledWavefunction, chirp_multiply, hbar_fourier, sample_uniform
+from .grids import Grid1D, SampledWavefunction, chirp_fourier_rows, cis
 
 __all__ = [
     "CheckResult",
@@ -29,6 +29,9 @@ __all__ = [
     "matrix_from_generating_form",
     "quadratic_fourier",
     "metaplectic_rotation",
+    "rotation_form",
+    "rotate_rows",
+    "quarter_turn",
 ]
 
 
@@ -206,13 +209,27 @@ def matrix_from_generating_form(P, L, Q) -> SymplecticMatrix:
     return SymplecticMatrix.from_blocks(A, B, C, D)
 
 
+def _quadratic_fourier_rows(values: np.ndarray, grid: Grid1D, P, L, Q, maslov) -> np.ndarray:
+    """Quadratic Fourier transforms of ``values`` ((n,) or (R, n)) for the
+    generating data P, L, Q and Maslov indices given per row: chirp(Q) ->
+    hbar-Fourier -> sample at L*x -> chirp(P), times
+    sqrt(|L|) * i**(m - 1/2).  Returns (R, n) rows on ``grid``."""
+    P, L, Q, maslov = (np.atleast_1d(np.asarray(a, dtype=np.float64))
+                       for a in (P, L, Q, maslov))
+    g = grid
+    vals = np.sqrt(np.abs(L))[:, None] * chirp_fourier_rows(
+        values, g, Q, L * g.x_min, L * g.dx, g.n_points)
+    phase = (np.pi / 2) * maslov - np.pi / 4
+    return vals * cis(P[:, None] * (g.points**2 / (2.0 * g.hbar)) + phase[:, None])
+
+
 def quadratic_fourier(psi: SampledWavefunction, s: FreeSymplectic) -> SampledWavefunction:
     """Unitary integral operator generated by a free symplectic matrix (n = 1).
 
     Realized as chirp(Q) -> hbar-Fourier -> scale(L) -> chirp(P), with the
     constant i**(m - 1/2) * sqrt(|det B^-1|) absorbed in the pipeline.  The
-    scale-and-chirp tail is evaluated directly on the input grid by
-    band-limited sampling of the transformed state at L*x, so the output
+    Fourier transform is evaluated directly at L*x on the input grid (one
+    chirp-z transform, see :func:`chirp_fourier_rows`), so the output
     shares the input grid and subsequent operators compose without loss.
     Accuracy requires the chirped input (coefficient Q) and the chirped
     output (coefficient P) to stay below the grid Nyquist rate over their
@@ -222,39 +239,75 @@ def quadratic_fourier(psi: SampledWavefunction, s: FreeSymplectic) -> SampledWav
     """
     if s.base.n != 1:
         raise UnsupportedOperation("quadratic Fourier transforms are implemented for n = 1 only")
-    P = float(s.P[0, 0])
-    L = float(s.L[0, 0])
-    Q = float(s.Q[0, 0])
-    transformed = hbar_fourier(chirp_multiply(psi, Q), "forward")
-    g = psi.grid
-    vals = np.sqrt(abs(L)) * sample_uniform(transformed, L * g.x_min, L * g.dx, g.n_points)
-    phase = np.exp(1j * np.pi * s.maslov_index / 2) * np.exp(-1j * np.pi / 4)
-    vals = vals * np.exp(1j * P * g.points**2 / (2.0 * g.hbar)) * phase
-    return SampledWavefunction(g, vals)
+    rows = _quadratic_fourier_rows(psi.values, psi.grid, s.P[0, 0], s.L[0, 0], s.Q[0, 0],
+                                   s.maslov_index)
+    return SampledWavefunction(psi.grid, rows[0])
 
 
-def _free_rotation(mu: float, nu: float) -> FreeSymplectic:
-    return FreeSymplectic.from_matrix(rotation_from_mu_nu(mu, nu))
+def rotation_form(mu, nu) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Generating data (P, L, Q, maslov_index) of the rotations
+    [[mu, nu], [-nu, mu]] / lambda, in closed form for arrays of directions.
+
+    With c = mu/lambda and s = nu/lambda the B block is s, so L = 1/s and
+    P = Q = c/s; the Maslov index is the parity of the sign of 1/s.  The
+    checks :meth:`FreeSymplectic.from_matrix` makes (symplectic within
+    1e-10, B not singular) run once over all the directions.
+    """
+    mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
+    nu = np.atleast_1d(np.asarray(nu, dtype=np.float64))
+    lam = np.hypot(mu, nu)
+    c, s = mu / lam, nu / lam
+    if not np.all(np.abs(c * c + s * s - 1.0) <= 1e-10):
+        raise DomainError("rotation matrix is not symplectic")
+    if not np.all(np.abs(s) >= 1e-12):
+        raise NotFreeError("upper-right block B is singular; matrix is not free")
+    inv_b = 1.0 / s
+    pq = c * inv_b
+    return pq, inv_b, pq, np.where(inv_b > 0, 0, 1)
 
 
-def metaplectic_rotation(psi: SampledWavefunction, params: RotationParams) -> SampledWavefunction:
-    """Unitary operator covering the phase-space rotation U_(mu,nu).
+def quarter_turn(psi: SampledWavefunction) -> np.ndarray:
+    """Values of U_(0,1) psi, the quarter turn that split rotations share."""
+    return _quadratic_fourier_rows(psi.values, psi.grid, *rotation_form(0.0, 1.0))[0]
 
-    For |nu| >= |mu| this is the quadratic Fourier transform of the rotation
-    matrix itself.  For 0 < |nu| < |mu| the rotation is split as
+
+def rotate_rows(psi: SampledWavefunction, mu, nu, quarter: np.ndarray | None = None) -> np.ndarray:
+    """Rows U_(mu_r, nu_r) psi, shape (R, n), for arrays of directions.
+
+    For |nu| >= |mu| each row is the quadratic Fourier transform of the
+    rotation matrix itself.  For 0 < |nu| < |mu| the rotation is split as
     U_(mu,nu) = U_(nu,-mu) . U_(0,1) and both factors are realized as
     well-conditioned quadratic Fourier transforms; the composition covers
     the same rotation up to an overall sign (the double-cover ambiguity),
-    which is immaterial for every |.|^2-based quantity.  For nu = 0 the
-    operator is the identity (mu > 0) or parity (mu < 0) up to phase.
+    which is immaterial for every |.|^2-based quantity.  The quarter turn
+    U_(0,1) psi is computed once (or passed in as ``quarter``) and shared by
+    all split rows.  For nu = 0 the operator is the identity (mu > 0) or
+    parity (mu < 0) up to phase.
     """
-    mu, nu = params.mu, params.nu
-    if nu == 0.0:
-        if mu > 0:
-            return SampledWavefunction(psi.grid, psi.values)
-        # parity on an FFT-convention grid: index j -> (n - j) mod n
-        return SampledWavefunction(psi.grid, np.roll(psi.values[::-1], 1))
-    if abs(nu) >= abs(mu):
-        return quadratic_fourier(psi, _free_rotation(mu, nu))
-    quarter_turn = quadratic_fourier(psi, _free_rotation(0.0, 1.0))
-    return quadratic_fourier(quarter_turn, _free_rotation(nu, -mu))
+    mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
+    nu = np.atleast_1d(np.asarray(nu, dtype=np.float64))
+    if not np.all(np.hypot(mu, nu) > 0):
+        raise DomainError("every direction (mu, nu) must be nonzero")
+    g = psi.grid
+    out = np.empty((len(mu), g.n_points), dtype=np.complex128)
+    axis = nu == 0.0
+    out[axis & (mu > 0)] = psi.values
+    # parity on an FFT-convention grid: index j -> (n - j) mod n
+    out[axis & (mu < 0)] = np.roll(psi.values[::-1], 1)
+    direct = ~axis & (np.abs(nu) >= np.abs(mu))
+    if direct.any():
+        out[direct] = _quadratic_fourier_rows(
+            psi.values, g, *rotation_form(mu[direct], nu[direct]))
+    split = ~axis & ~direct
+    if split.any():
+        if quarter is None:
+            quarter = quarter_turn(psi)
+        out[split] = _quadratic_fourier_rows(
+            quarter, g, *rotation_form(nu[split], -mu[split]))
+    return out
+
+
+def metaplectic_rotation(psi: SampledWavefunction, params: RotationParams) -> SampledWavefunction:
+    """Unitary operator covering the phase-space rotation U_(mu,nu); the
+    one-direction case of :func:`rotate_rows`."""
+    return SampledWavefunction(psi.grid, rotate_rows(psi, params.mu, params.nu)[0])

@@ -19,14 +19,9 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import ConfigError, DomainError, UnsupportedOperation
-from .grids import (
-    Grid1D,
-    SampledWavefunction,
-    chirp_multiply,
-    hbar_fourier,
-    sample_uniform,
-)
-from .metaplectic import RotationParams, metaplectic_rotation
+from .grids import Grid1D, SampledWavefunction, _trig_resample, chirp_fourier_rows
+from .grids import hbar_fourier  # noqa: F401  (perfbench's tracer patches it here too)
+from .metaplectic import RotationParams, quarter_turn, rotate_rows
 from .wigner import WignerMap, default_momentum_window
 
 __all__ = [
@@ -44,6 +39,8 @@ __all__ = [
 
 NEGATIVE_FLOOR = 1e-10
 MIN_ANGLES = 8
+# Angles per row block of a sweep: bounds the (rows, 2n) CZT temporaries.
+ROW_BLOCK = 32
 # Filtered back-projection: zero-padding of each projection before the ramp
 # filter, upsampling of the filtered projection before linear interpolation,
 # start of the ramp's raised-cosine rolloff as a fraction of Nyquist, and
@@ -67,22 +64,9 @@ class Tomogram:
     accuracy_warning: bool = False
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        v = np.asarray(self.values, dtype=np.float64)
-        if x.ndim != 1 or x.shape != v.shape:
+        if np.ndim(self.values) != 1:
             raise ConfigError("x and values must be 1-d arrays of equal length")
-        if len(x) > 1:
-            steps = np.diff(x)
-            if not np.allclose(steps, steps[0], rtol=1e-12, atol=0):
-                raise ConfigError("tomogram X grid must be uniform")
-        floor = -NEGATIVE_FLOOR * max(1.0, float(np.max(v, initial=0.0)))
-        if float(v.min(initial=0.0)) < floor:
-            raise DomainError(
-                f"tomogram values dip to {v.min():.3e}, below the numerical floor"
-            )
-        v = np.clip(v, 0.0, None)
-        x.setflags(write=False)
-        v.setflags(write=False)
+        x, v = _checked_samples(self.x, self.values)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", v)
 
@@ -114,6 +98,32 @@ class Tomogram:
         return mean, var
 
 
+def _checked_samples(x, values) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float copies of an X grid and of the densities on it (the
+    last axis of ``values``), after the rules every tomogram obeys: finite
+    samples, a uniform X grid, and no value below -NEGATIVE_FLOOR times
+    max(1, the row's peak).  Values in that floor are clipped to 0."""
+    x = np.array(x, dtype=np.float64)
+    v = np.array(values, dtype=np.float64)
+    if x.ndim != 1 or v.shape[-1:] != x.shape:
+        raise ConfigError("x and values must be 1-d arrays of equal length")
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        raise ConfigError("tomogram X grid and values must be finite")
+    if len(x) > 1:
+        steps = np.diff(x)
+        if not np.allclose(steps, steps[0], rtol=1e-12, atol=0):
+            raise ConfigError("tomogram X grid must be uniform")
+    low = v.min(axis=-1, initial=0.0)
+    dips = low < -NEGATIVE_FLOOR * np.maximum(1.0, v.max(axis=-1, initial=0.0))
+    if np.any(dips):
+        raise DomainError(
+            f"tomogram values dip to {np.min(low):.3e}, below the numerical floor")
+    np.clip(v, 0.0, None, out=v)
+    x.setflags(write=False)
+    v.setflags(write=False)
+    return x, v
+
+
 def _resolve_x_grid(x_grid, lam: float, base: Grid1D) -> tuple[float, float, int]:
     """Normalize an X-grid spec to (start, step, count).
 
@@ -133,23 +143,44 @@ def _resolve_x_grid(x_grid, lam: float, base: Grid1D) -> tuple[float, float, int
     return float(pts[0]), float(steps[0]), len(pts)
 
 
+def _metaplectic_rows(psi: SampledWavefunction, mu: np.ndarray, nu: np.ndarray,
+                      start: float, step: float, count: int,
+                      quarter: np.ndarray | None = None) -> np.ndarray:
+    """Densities R(X) = |U_(mu,nu) psi(X/lambda)|^2 / lambda at
+    X = start + k*step, one row per direction; ``quarter`` as in
+    :func:`rotate_rows`."""
+    lam = np.hypot(mu, nu)
+    g = psi.grid
+    vals = _trig_resample(rotate_rows(psi, mu, nu, quarter), g.x_min, g.dx,
+                          start / lam, step / lam, count)
+    return np.abs(vals) ** 2 / lam[:, None]
+
+
+def _chirp_rows(psi: SampledWavefunction, mu: np.ndarray, nu: np.ndarray,
+                start: float, step: float, count: int) -> np.ndarray:
+    """Densities R(X) = |F[exp(i*mu*x'^2/(2*hbar*nu)) psi](X/nu)|^2 / |nu|
+    at X = start + k*step, one row per direction (nu != 0)."""
+    vals = chirp_fourier_rows(psi.values, psi.grid, mu / nu, start / nu, step / nu, count)
+    return np.abs(vals) ** 2 / np.abs(nu)[:, None]
+
+
 def radon_metaplectic(psi: SampledWavefunction, mu: float, nu: float,
                       x_grid=None) -> Tomogram:
     """Tomogram via the rotation-operator identity
     R(X) = |U_(mu,nu) psi(X/lambda)|^2 / lambda."""
     params = RotationParams(mu, nu)
-    lam = params.lam
-    rotated = metaplectic_rotation(psi, params)
-    start, step, count = _resolve_x_grid(x_grid, lam, psi.grid)
-    vals = sample_uniform(rotated, start / lam, step / lam, count)
-    return Tomogram(mu, nu, start + step * np.arange(count),
-                    np.abs(vals) ** 2 / lam, psi.grid.hbar, route="metaplectic")
+    start, step, count = _resolve_x_grid(x_grid, params.lam, psi.grid)
+    values = _metaplectic_rows(psi, np.array([mu], dtype=np.float64),
+                               np.array([nu], dtype=np.float64), start, step, count)
+    return Tomogram(mu, nu, start + step * np.arange(count), values[0],
+                    psi.grid.hbar, route="metaplectic")
 
 
 def chirp_resolvable(psi: SampledWavefunction, mu: float, nu: float,
                      safety: float = 0.9) -> bool:
     """Whether the chirp exp(i*mu*x^2/(2*hbar*nu)) stays below the Nyquist
-    rate of the state grid over the grid extent."""
+    rate of the state grid over the grid extent (elementwise for arrays of
+    directions)."""
     g = psi.grid
     x_edge = max(abs(g.x_min), abs(g.x_max))
     return abs(mu / nu) * x_edge / g.hbar <= safety * np.pi / g.dx
@@ -168,15 +199,12 @@ def radon_chirp_fft(psi: SampledWavefunction, mu: float, nu: float,
     if nu == 0.0:
         raise UnsupportedOperation("chirp-FFT route requires nu != 0; use radon_metaplectic")
     params = RotationParams(mu, nu)
-    lam = params.lam
     warn = not chirp_resolvable(psi, mu, nu)
-    chirped = chirp_multiply(psi, mu / nu)
-    transformed = hbar_fourier(chirped, "forward")
-    start, step, count = _resolve_x_grid(x_grid, lam, psi.grid)
-    vals = sample_uniform(transformed, start / nu, step / nu, count)
-    return Tomogram(mu, nu, start + step * np.arange(count),
-                    np.abs(vals) ** 2 / abs(nu), psi.grid.hbar,
-                    route="chirp-fft", accuracy_warning=warn)
+    start, step, count = _resolve_x_grid(x_grid, params.lam, psi.grid)
+    values = _chirp_rows(psi, np.array([mu], dtype=np.float64),
+                         np.array([nu], dtype=np.float64), start, step, count)
+    return Tomogram(mu, nu, start + step * np.arange(count), values[0],
+                    psi.grid.hbar, route="chirp-fft", accuracy_warning=warn)
 
 
 def radon_line_integral(w: WignerMap, mu: float, nu: float, x_grid=None,
@@ -218,56 +246,86 @@ def radon_line_integral(w: WignerMap, mu: float, nu: float, x_grid=None,
                     route="line-integral", accuracy_warning=warn)
 
 
+def _check_shared_grid(tms, error: type[Exception]):
+    """Raise ``error`` unless all tomograms share the first one's X grid and hbar."""
+    first = tms[0]
+    for t in tms[1:]:
+        if t.x.shape != first.x.shape or not np.allclose(t.x, first.x, rtol=0, atol=1e-12):
+            raise error("tomograms must share one X grid")
+        if abs(t.hbar - first.hbar) > 1e-12 * first.hbar:
+            raise error("tomograms must share hbar")
+
+
 @dataclass(frozen=True)
 class TomogramSet:
-    """Tomograms at strictly increasing, equispaced angles in [0, pi) with
-    (mu, nu) = (cos theta, sin theta) and a common X grid."""
+    """Tomograms at strictly increasing, equispaced angles theta in [0, pi)
+    with (mu, nu) = (cos theta, sin theta), stored as arrays: ``values[k]``
+    is the density over the common X grid ``x`` at ``angles[k]``, computed
+    by ``routes[k]`` and flagged by ``warnings[k]``.  Indexing and iteration
+    yield :class:`Tomogram` slices; :meth:`from_tomograms` builds a set from
+    them.  Every row obeys the :class:`Tomogram` rules."""
 
-    tomograms: tuple[Tomogram, ...]
+    angles: np.ndarray
+    x: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    hbar: float = 1.0
+    routes: tuple[str, ...] | None = None
+    warnings: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        tms = tuple(self.tomograms)
-        if not tms:
+        angles = np.array(self.angles, dtype=np.float64)
+        if angles.ndim != 1 or len(angles) == 0:
             raise ConfigError("empty tomogram set")
-        first = tms[0]
-        angles = []
-        for t in tms:
-            if abs(t.lam - 1.0) > 1e-12:
-                raise ConfigError("tomogram set entries must have unit (mu, nu)")
-            if t.x.shape != first.x.shape or not np.allclose(t.x, first.x, rtol=0, atol=1e-12):
-                raise ConfigError("tomogram set entries must share one X grid")
-            if abs(t.hbar - first.hbar) > 1e-12 * first.hbar:
-                raise ConfigError("tomogram set entries must share hbar")
-            theta = np.arctan2(t.nu, t.mu)
-            if theta < -1e-12 or theta >= np.pi - 1e-12:
-                raise ConfigError("tomogram angles must lie in [0, pi)")
-            angles.append(theta)
-        angles = np.asarray(angles)
-        if len(angles) > 1:
+        n_angles = len(angles)
+        if np.ndim(self.values) != 2 or len(self.values) != n_angles:
+            raise ConfigError(f"values must hold one row for each of the {n_angles} angles")
+        x, values = _checked_samples(self.x, self.values)
+        if not 0 < self.hbar < np.inf:
+            raise ConfigError(f"hbar must be positive and finite, got {self.hbar}")
+        if not np.all((angles >= -1e-12) & (angles < np.pi - 1e-12)):
+            raise ConfigError("tomogram angles must lie in [0, pi)")
+        if n_angles > 1:
             d = np.diff(angles)
             if np.any(d <= 0):
                 raise ConfigError("tomogram angles must be strictly increasing")
             if not np.allclose(d, d[0], rtol=1e-9, atol=1e-12):
                 raise ConfigError("tomogram angles must be equispaced")
-        object.__setattr__(self, "tomograms", tms)
+        routes = ("",) * n_angles if self.routes is None else tuple(self.routes)
+        warnings = (np.zeros(n_angles, dtype=bool) if self.warnings is None
+                    else np.array(self.warnings, dtype=bool))
+        if len(routes) != n_angles or warnings.shape != (n_angles,):
+            raise ConfigError(f"need one route and one warning for each of the {n_angles} angles")
+        angles.setflags(write=False)
+        warnings.setflags(write=False)
+        for name, value in (("angles", angles), ("x", x), ("values", values),
+                            ("hbar", float(self.hbar)), ("routes", routes),
+                            ("warnings", warnings)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_tomograms(cls, tomograms) -> "TomogramSet":
+        """Set of per-angle tomograms with unit (mu, nu), one X grid and one hbar."""
+        tms = tuple(tomograms)
+        if not tms:
+            raise ConfigError("empty tomogram set")
+        if any(abs(t.lam - 1.0) > 1e-12 for t in tms):
+            raise ConfigError("tomogram set entries must have unit (mu, nu)")
+        _check_shared_grid(tms, ConfigError)
+        return cls(np.array([np.arctan2(t.nu, t.mu) for t in tms]), tms[0].x,
+                   np.stack([t.values for t in tms]), tms[0].hbar,
+                   tuple(t.route for t in tms), [t.accuracy_warning for t in tms])
 
     def __len__(self) -> int:
-        return len(self.tomograms)
+        return len(self.angles)
+
+    def __getitem__(self, k: int) -> Tomogram:
+        theta = self.angles[k]
+        return Tomogram(float(np.cos(theta)), float(np.sin(theta)), self.x, self.values[k],
+                        self.hbar, route=self.routes[k],
+                        accuracy_warning=bool(self.warnings[k]))
 
     def __iter__(self):
-        return iter(self.tomograms)
-
-    @property
-    def angles(self) -> np.ndarray:
-        return np.array([np.arctan2(t.nu, t.mu) for t in self.tomograms])
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.tomograms[0].x
-
-    @property
-    def hbar(self) -> float:
-        return self.tomograms[0].hbar
+        return (self[k] for k in range(len(self)))
 
 
 def sweep_angles(n_angles: int) -> np.ndarray:
@@ -284,9 +342,14 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
 
     ``route`` selects the forward algorithm; the chirp-FFT route falls back
     to the rotation-operator route for angles where it is undefined
-    (nu = 0) or where the chirp would exceed the grid Nyquist rate.
-    ``threads`` defaults to the TOMO_THREADS environment variable (1 if
-    unset); tomograms at different angles are computed independently.
+    (nu = 0) or where the chirp would exceed the grid Nyquist rate.  The
+    angles of each route run in blocks of ROW_BLOCK rows through the same
+    row kernels as :func:`radon_chirp_fft` and :func:`radon_metaplectic`;
+    the split rotations share one quarter turn of the state.  ``x_grid``
+    is the common X grid (default: the state grid).  ``threads`` defaults
+    to the TOMO_THREADS environment variable (1 if unset); with more than
+    one, worker threads take whole blocks, so the result does not depend
+    on the thread count.
     """
     if route not in ("metaplectic", "chirp-fft"):
         raise ConfigError(f"unknown sweep route {route!r}")
@@ -297,19 +360,34 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
             threads = int(raw)
         except ValueError as exc:
             raise ConfigError(f"TOMO_THREADS must be an integer, got {raw!r}") from exc
+    mu, nu = np.cos(angles), np.sin(angles)
+    start, step, count = _resolve_x_grid(x_grid, 1.0, psi.grid)
+    chirp = np.zeros(n_angles, dtype=bool)
+    if route == "chirp-fft":
+        off_axis = nu != 0.0
+        chirp[off_axis] = chirp_resolvable(psi, mu[off_axis], nu[off_axis])
+    quarter = None if chirp.all() else quarter_turn(psi)
 
-    def one(theta: float) -> Tomogram:
-        mu, nu = float(np.cos(theta)), float(np.sin(theta))
-        if route == "chirp-fft" and nu != 0.0 and chirp_resolvable(psi, mu, nu):
-            return radon_chirp_fft(psi, mu, nu, x_grid=x_grid)
-        return radon_metaplectic(psi, mu, nu, x_grid=x_grid)
+    def run(block):
+        rows, is_chirp = block
+        if is_chirp:
+            return _chirp_rows(psi, mu[rows], nu[rows], start, step, count)
+        return _metaplectic_rows(psi, mu[rows], nu[rows], start, step, count, quarter)
 
+    blocks = []
+    for is_chirp in (True, False):
+        rows = np.flatnonzero(chirp == is_chirp)
+        blocks += [(rows[lo:lo + ROW_BLOCK], is_chirp) for lo in range(0, len(rows), ROW_BLOCK)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            tms = list(pool.map(one, angles))
+            results = list(pool.map(run, blocks))
     else:
-        tms = [one(t) for t in angles]
-    return TomogramSet(tuple(tms))
+        results = [run(b) for b in blocks]
+    values = np.empty((n_angles, count))
+    for (rows, _), block_values in zip(blocks, results):
+        values[rows] = block_values
+    routes = tuple("chirp-fft" if c else "metaplectic" for c in chirp)
+    return TomogramSet(angles, start + step * np.arange(count), values, psi.grid.hbar, routes)
 
 
 def mix_tomograms(weights, tomograms) -> Tomogram:
@@ -321,13 +399,9 @@ def mix_tomograms(weights, tomograms) -> Tomogram:
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
         raise DomainError("weights must be nonnegative and sum to 1")
     first = tms[0]
-    for t in tms[1:]:
-        if abs(t.mu - first.mu) > 1e-12 or abs(t.nu - first.nu) > 1e-12:
-            raise DomainError("tomograms must share (mu, nu)")
-        if t.x.shape != first.x.shape or not np.allclose(t.x, first.x, rtol=0, atol=1e-12):
-            raise DomainError("tomograms must share the X grid")
-        if abs(t.hbar - first.hbar) > 1e-12 * first.hbar:
-            raise DomainError("tomograms must share hbar")
+    if any(abs(t.mu - first.mu) > 1e-12 or abs(t.nu - first.nu) > 1e-12 for t in tms):
+        raise DomainError("tomograms must share (mu, nu)")
+    _check_shared_grid(tms, DomainError)
     values = sum(w * t.values for w, t in zip(weights, tms))
     return Tomogram(first.mu, first.nu, first.x, values, first.hbar, route="mixture",
                     accuracy_warning=any(t.accuracy_warning for t in tms))
@@ -435,11 +509,11 @@ def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = No
     p_idx = p_grid.points / fine_dx
 
     out = np.zeros((x_grid.n_points, p_grid.n_points))
-    for theta, t in zip(angles, tomos):
-        padded[lead:lead + n] = t.values
+    for theta, row in zip(angles, tomos.values):
+        padded[lead:lead + n] = row
         fine = np.fft.irfft(np.fft.rfft(padded) * ramp, n=n_fine)
         fine[n_fine - UPSAMPLE // 2 + 1:] = 0.0
         _back_project(out, fine, x_idx * np.cos(theta) - origin, p_idx * np.sin(theta))
     out *= constant_scale * (np.pi / n_angles) / (2.0 * np.pi * hbar)
-    warn = any(t.accuracy_warning for t in tomos)
+    warn = bool(tomos.warnings.any())
     return WignerMap(x_grid, p_grid, out, hbar, accuracy_warning=warn)

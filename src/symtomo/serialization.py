@@ -159,14 +159,21 @@ def load_wigner(json_path) -> WignerMap:
     doc = _read_json(json_path)
     if doc.get("format") != WIGNER_FORMAT:
         raise ConfigError(f"{json_path}: not a Wigner map file")
-    x_grid = _grid_from_dict(doc["x_grid"])
-    p_grid = _grid_from_dict(doc["p_grid"])
-    raw = np.fromfile(json_path.parent / doc["data_file"], dtype=np.float64)
+    try:
+        x_grid = _grid_from_dict(doc["x_grid"])
+        p_grid = _grid_from_dict(doc["p_grid"])
+        data_file = doc["data_file"]
+        hbar = float(doc["hbar"])
+    except KeyError as exc:
+        raise ConfigError(f"{json_path}: Wigner header missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{json_path}: malformed Wigner header ({exc})") from exc
+    raw = np.fromfile(json_path.parent / data_file, dtype=np.float64)
     expected = x_grid.n_points * p_grid.n_points
     if raw.size != expected:
         raise ConfigError(f"{json_path}: binary block has {raw.size} values, expected {expected}")
     values = raw.reshape(x_grid.n_points, p_grid.n_points)
-    return WignerMap(x_grid, p_grid, values, float(doc["hbar"]),
+    return WignerMap(x_grid, p_grid, values, hbar,
                      accuracy_warning=bool(doc.get("accuracy_warning", False)))
 
 
@@ -223,13 +230,12 @@ def save_tomogram_set(ts: TomogramSet, out_dir, storage: str = "binary",
         "n_angles": len(ts),
         "angles": ts.angles.tolist(),
         "x": {"start": float(x[0]), "step": float(x[1] - x[0]), "count": len(x)},
-        "routes": [t.route for t in ts],
+        "routes": list(ts.routes),
         "storage": storage,
     }
     if storage == "binary":
-        block = np.stack([t.values for t in ts]).astype(np.float64)
         doc["data_file"] = "tomograms.bin"
-        atomic_write_bytes(out_dir / "tomograms.bin", block.tobytes())
+        atomic_write_bytes(out_dir / "tomograms.bin", ts.values.tobytes())
     else:
         names = []
         for k, t in enumerate(ts):
@@ -276,16 +282,18 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
             raise ConfigError(f"{manifest_path}: binary block size mismatch")
         rows = raw.reshape(n_angles, n_x)
     elif storage == "csv":
-        rows = []
-        for name in files:
-            data = np.loadtxt(manifest_path.parent / name, delimiter=",", skiprows=1)
+        rows = np.empty((n_angles, n_x))
+        for k, name in enumerate(files):
+            try:
+                data = np.loadtxt(manifest_path.parent / name, delimiter=",", skiprows=1,
+                                  ndmin=2)
+            except ValueError as exc:
+                raise ConfigError(f"{name}: not a CSV of numbers ({exc})") from exc
             if data.shape != (n_x, 2):
                 raise ConfigError(f"{name}: expected {n_x} rows of x,value")
-            rows.append(data[:, 1])
+            if not np.allclose(data[:, 0], x, rtol=1e-12, atol=1e-12):
+                raise ConfigError(f"{name}: x column differs from the manifest's X grid")
+            rows[k] = data[:, 1]
     else:
         raise ConfigError(f"{manifest_path}: unknown storage {storage!r}")
-    tomograms = tuple(
-        Tomogram(float(np.cos(th)), float(np.sin(th)), x, row, hbar, route=route)
-        for th, row, route in zip(angles, rows, routes)
-    )
-    return TomogramSet(tomograms)
+    return TomogramSet(angles, x, rows, hbar, tuple(routes))

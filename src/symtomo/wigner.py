@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import czt
 
 from .errors import ConfigError
-from .grids import Grid1D, SampledWavefunction
+from .grids import Grid1D, SampledWavefunction, bluestein_czt
 
 __all__ = ["WignerMap", "wigner_transform", "marginals", "default_momentum_window"]
 
@@ -104,16 +103,10 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
     acorr = _autocorrelation(psi.values)
     m = np.arange(n)
     pre = np.exp(-2j * p_grid.x_min * m * dx / hbar)
-    w = czt(
-        acorr * pre[None, :],
-        m=p_grid.n_points,
-        w=np.exp(-2j * p_grid.dx * dx / hbar),
-        a=1.0 + 0.0j,
-        axis=1,
-    )
+    w = bluestein_czt(acorr * pre[None, :], p_grid.n_points, -2.0 * p_grid.dx * dx / hbar)
     # phase from u_m = (m - n/2)*dx starting at -n/2*dx
     post = np.exp(1j * p_grid.points * n * dx / hbar)
-    w = w * post[None, :] * (dx / (np.pi * hbar))
+    w *= post * (dx / (np.pi * hbar))
     max_imag = float(np.max(np.abs(w.imag)))
     return WignerMap(g, p_grid, w.real, hbar, accuracy_warning=warn, max_imag=max_imag)
 

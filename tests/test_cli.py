@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from symtomo.cli import main
 
@@ -67,6 +68,11 @@ class TestTomogramCommand:
                     "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["gaussian:nan,0", "gaussian:1,nan", "gaussian:1,0,inf"])
+    def test_non_finite_state_rejected(self, tmp_path, spec):
+        assert run(["tomogram", "--grid=-12:12:256", "--state", spec,
+                    "--angles", "8", "--out", str(tmp_path)]) == 2
+
     def test_zero_direction(self, tmp_path):
         assert run(["tomogram", "--grid=-12:12:512", "--state", "gaussian:1,0",
                     "--mu", "0", "--nu", "0", "--out", str(tmp_path)]) == 2
@@ -132,6 +138,27 @@ class TestInvertCommand:
         bad = tmp_path / "manifest.json"
         bad.write_text("not json")
         assert run(["invert", "--set", str(bad), "--out", str(tmp_path / "rec")]) == 2
+
+    def test_csv_set_with_non_numeric_cell(self, tmp_path):
+        assert run(["tomogram", "--grid=-12:12:256", "--state", "gaussian:1,0",
+                    "--angles", "8", "--storage", "csv", "--out", str(tmp_path / "set")]) == 0
+        with open(tmp_path / "set" / "tomogram_0003.csv", "a") as fh:
+            fh.write("garbage,row\n")
+        assert run(["invert", "--set", str(tmp_path / "set" / "manifest.json"),
+                    "--out", str(tmp_path / "rec")]) == 2
+
+    @pytest.mark.parametrize("key", ["data_file", "hbar", "x_grid", "p_grid"])
+    def test_reference_missing_key(self, tmp_path, key):
+        assert run(["wigner", "--grid=-12:12:256", "--state", "gaussian:0.5,0",
+                    "--out", str(tmp_path / "ref")]) == 0
+        assert run(["tomogram", "--grid=-12:12:256", "--state", "gaussian:0.5,0",
+                    "--angles", "8", "--out", str(tmp_path / "set")]) == 0
+        ref = tmp_path / "ref" / "wigner.json"
+        doc = json.loads(ref.read_text())
+        del doc[key]
+        ref.write_text(json.dumps(doc))
+        assert run(["invert", "--set", str(tmp_path / "set" / "manifest.json"),
+                    "--reference", str(ref), "--out", str(tmp_path / "rec")]) == 2
 
 
 class TestPauliDemoCommand:

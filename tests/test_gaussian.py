@@ -32,6 +32,18 @@ class TestGaussianState:
         with pytest.raises(ModelMismatchError):
             GaussianState(1.0, 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_rejected(self, slot, bad):
+        args = [1.0, 0.25, 0.0, 1.0]
+        args[slot] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            GaussianState(*args)
+        if slot in (0, 2):
+            with pytest.raises(ConfigError, match="finite"):
+                GaussianState.from_position_data(bad if slot == 0 else 1.0,
+                                                 bad if slot == 2 else 0.0)
+
     def test_from_position_data(self):
         st = GaussianState.from_position_data(1.0, 0.3, 1.0)
         assert np.isclose(st.sigma_pp, 0.34)

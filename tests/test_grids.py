@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtomo import (
     ConfigError,
@@ -12,6 +14,7 @@ from symtomo import (
     sample_uniform,
     scale,
 )
+from symtomo.grids import Grid1D, _trig_resample, bluestein_czt
 
 HBAR = 1.0
 
@@ -42,6 +45,13 @@ class TestMakeGrid:
             make_grid(1, 0, 16, 1.0)
         with pytest.raises(ConfigError):
             make_grid(0, 1, 16, -1.0)
+
+    @pytest.mark.parametrize("field", ["x_min", "dx", "hbar"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, bad):
+        args = {"x_min": -1.0, "n_points": 16, "dx": 0.125, "hbar": 1.0, field: bad}
+        with pytest.raises(ConfigError, match="finite"):
+            Grid1D(**args)
 
     def test_momentum_grid_centered(self):
         g = make_grid(-16, 16, 1024, 1.0)
@@ -156,6 +166,39 @@ class TestSampleUniform:
     def test_outside_window_is_zero(self, ground):
         got = sample_uniform(ground, 20.0, 1.0, 5)
         assert np.all(got == 0)
+
+    def test_own_grid_is_a_copy(self, ground):
+        g = ground.grid
+        got = sample_uniform(ground, g.x_min, g.dx, g.n_points)
+        assert np.array_equal(got, ground.values) and got is not ground.values
+
+    def test_rows_match_one_row_calls(self, grid):
+        rng = np.random.default_rng(5)
+        rows = np.exp(-(grid.points[None, :] - rng.uniform(-2, 2, (3, 1))) ** 2)
+        start = np.array([grid.x_min, -3.0, 1.5])
+        step = np.array([grid.dx, 0.02, -0.01])
+        n = grid.n_points
+        got = _trig_resample(rows, grid.x_min, grid.dx, start, step, n)
+        for r in range(3):
+            one = _trig_resample(rows[r], grid.x_min, grid.dx, start[r], step[r], n)
+            assert np.max(np.abs(got[r] - one)) <= 1e-15
+        assert np.array_equal(got[0], rows[0])  # its own grid: copied
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 48), m=st.integers(1, 48), rows=st.integers(1, 4),
+       beta=st.floats(-np.pi, np.pi), per_row=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_bluestein_czt_matches_direct_sum(n, m, rows, beta, per_row, seed):
+    """y[r, k] = sum_j x[r, j] exp(1j*beta_r*j*k), to 1e-12 of sum_j |x[r, j]|."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+    betas = beta * rng.uniform(-1.0, 1.0, rows) if per_row else np.full(rows, beta)
+    got = bluestein_czt(x, m, betas if per_row else beta)
+    jk = np.outer(np.arange(n), np.arange(m))
+    want = np.stack([x[r] @ np.exp(1j * betas[r] * jk) for r in range(rows)])
+    scale_ = np.abs(x).sum(axis=1, keepdims=True)
+    assert got.shape == (rows, m)
+    assert np.max(np.abs(got - want) / scale_) <= 1e-12
 
 
 def test_inner_product_across_grids(ground):

@@ -27,6 +27,7 @@ from symtomo import (
     standard_symplectic_form,
     wigner_transform,
 )
+from symtomo.metaplectic import rotation_form
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -96,6 +97,20 @@ class TestGeneratingForm:
     def test_not_free(self):
         with pytest.raises(NotFreeError):
             FreeSymplectic.from_matrix(np.eye(2))
+
+    def test_closed_form_rotation_data_matches_matrix_route(self):
+        rng = np.random.default_rng(8)
+        theta = np.r_[rng.uniform(-np.pi, np.pi, 40), 0.5 * np.pi, -0.5 * np.pi, np.pi / 4]
+        lam = rng.uniform(0.3, 3.0, len(theta))
+        mu, nu = lam * np.cos(theta), lam * np.sin(theta)
+        P, L, Q, maslov = rotation_form(mu, nu)
+        for k in range(len(theta)):
+            fs = FreeSymplectic.from_matrix(rotation_from_mu_nu(mu[k], nu[k]))
+            assert np.allclose([P[k], L[k], Q[k]], [fs.P[0, 0], fs.L[0, 0], fs.Q[0, 0]],
+                               rtol=1e-14, atol=1e-14)
+            assert maslov[k] == fs.maslov_index
+        with pytest.raises(NotFreeError):
+            rotation_form([1.0, 0.5], [0.3, 0.0])
 
     def test_gradient_relations_reconstruct_matrix(self):
         # oracle: push random (x', p') through the gradient relations

@@ -205,12 +205,12 @@ class TestTomogramSet:
         t1 = radon_metaplectic(psi, np.cos(0.3), np.sin(0.3))
         t2 = radon_metaplectic(psi, np.cos(1.5), np.sin(1.5))
         with pytest.raises(Exception):
-            TomogramSet((t0, t1, t2))
+            TomogramSet.from_tomograms((t0, t1, t2))
 
     def test_rejects_non_unit_direction(self, psi):
         t0 = radon_metaplectic(psi, 2.0, 0.0)
         with pytest.raises(Exception):
-            TomogramSet((t0,))
+            TomogramSet.from_tomograms((t0,))
 
     def test_chirp_route_falls_back_near_axis(self, psi):
         ts = compute_tomogram_set(psi, 180, route="chirp-fft")
@@ -248,7 +248,7 @@ class TestInverseRadon:
         n_ang = 180
         ta = compute_tomogram_set(a, n_ang)
         tb = compute_tomogram_set(b, n_ang)
-        mixed = TomogramSet(tuple(
+        mixed = TomogramSet.from_tomograms(tuple(
             mix_tomograms([0.5, 0.5], [x, y]) for x, y in zip(ta, tb)))
         recon = inverse_radon(mixed, grid)
         ra = inverse_radon(ta, grid)
@@ -267,7 +267,7 @@ class TestInverseRadon:
             for th in np.pi * np.arange(16) / 16
         )
         with pytest.raises(DomainError):
-            inverse_radon(TomogramSet(tms), grid)
+            inverse_radon(TomogramSet.from_tomograms(tms), grid)
 
     @pytest.mark.parametrize("n, n_angles", [(256, 64), (512, 180)])
     def test_matches_reference_fbp(self, n, n_angles):
@@ -293,7 +293,7 @@ class TestInverseRadon:
         tms = tuple(radon_metaplectic(psi, np.cos(th), np.sin(th))
                     for th in np.linspace(0.0, 0.7, 8))
         with pytest.raises(DomainError, match="full sweep"):
-            inverse_radon(TomogramSet(tms), grid)
+            inverse_radon(TomogramSet.from_tomograms(tms), grid)
 
     def test_wrong_constant_breaks_round_trip(self, ground, grid):
         tomos = compute_tomogram_set(ground, 90)

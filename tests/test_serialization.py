@@ -153,6 +153,16 @@ def test_manifest_missing_key_rejected(psi, tmp_path, key):
         load_tomogram_set(manifest)
 
 
+def test_csv_x_column_must_match_manifest(psi, tmp_path):
+    manifest = save_tomogram_set(compute_tomogram_set(psi, 8), tmp_path, storage="csv")
+    path = tmp_path / "tomogram_0003.csv"
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    data[:, 0] += 5.0
+    np.savetxt(path, data, delimiter=",", header="x,value", comments="", fmt="%.17g")
+    with pytest.raises(ConfigError, match="x column"):
+        load_tomogram_set(manifest)
+
+
 def test_manifest_not_json_rejected(tmp_path):
     bad = tmp_path / "manifest.json"
     bad.write_text('{"format": "symtomo.tomogram_set.v1", ')

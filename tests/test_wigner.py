@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from conftest import HBAR, random_gaussian_state
 
@@ -119,3 +120,26 @@ def test_edge_decay_warning():
     ok = wigner_transform(gaussian_wavefunction(GaussianState.ground_state(HBAR),
                                                 make_grid(-16, 16, 1024, HBAR)))
     assert not ok.accuracy_warning
+
+
+def _wigner_scipy_czt(psi, p_grid):
+    """The map as computed with ``scipy.signal.czt`` before the library
+    had its own Bluestein transform."""
+    from scipy.signal import czt
+
+    from symtomo.wigner import _autocorrelation
+
+    g = psi.grid
+    n, dx, hbar = g.n_points, g.dx, g.hbar
+    pre = np.exp(-2j * p_grid.x_min * np.arange(n) * dx / hbar)
+    w = czt(_autocorrelation(psi.values) * pre[None, :], m=p_grid.n_points,
+            w=np.exp(-2j * p_grid.dx * dx / hbar), a=1.0 + 0.0j, axis=1)
+    post = np.exp(1j * p_grid.points * n * dx / hbar)
+    return (w * post[None, :] * (dx / (np.pi * hbar))).real
+
+
+@pytest.mark.parametrize("window", ["default", "square"])
+def test_matches_scipy_czt_map(grid, window):
+    psi = gaussian_wavefunction(GaussianState.from_position_data(1.3, -0.4, HBAR), grid)
+    w = wigner_transform(psi, p_grid=None if window == "default" else grid)
+    assert np.max(np.abs(w.values - _wigner_scipy_czt(psi, w.p_grid))) <= 1e-10
