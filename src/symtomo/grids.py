@@ -117,6 +117,8 @@ class SampledWavefunction:
             raise ConfigError(
                 f"values shape {v.shape} does not match grid ({self.grid.n_points},)"
             )
+        if not np.isfinite(v).all():
+            raise ConfigError("wavefunction samples must be finite")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

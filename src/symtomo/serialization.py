@@ -231,6 +231,7 @@ def save_tomogram_set(ts: TomogramSet, out_dir, storage: str = "binary",
         "angles": ts.angles.tolist(),
         "x": {"start": float(x[0]), "step": float(x[1] - x[0]), "count": len(x)},
         "routes": list(ts.routes),
+        "warnings": ts.warnings.tolist(),
         "storage": storage,
     }
     if storage == "binary":
@@ -261,7 +262,9 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
         x = float(xspec["start"]) + float(xspec["step"]) * np.arange(int(xspec["count"]))
         storage = doc["storage"]
         routes = doc.get("routes") or [""] * n_angles
-        lengths = {"angles": len(angles), "routes": len(routes)}
+        # Manifests written before the flags were stored carry no key.
+        warnings = doc.get("warnings", [False] * n_angles)
+        lengths = {"angles": len(angles), "routes": len(routes), "warnings": len(warnings)}
         if storage == "binary":
             data_file = doc["data_file"]
         elif storage == "csv":
@@ -271,6 +274,8 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
         raise ConfigError(f"{manifest_path}: manifest missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{manifest_path}: malformed manifest ({exc})") from exc
+    if not all(isinstance(flag, bool) for flag in warnings):
+        raise ConfigError(f"{manifest_path}: warnings must be a list of true/false flags")
     if any(k != n_angles for k in lengths.values()):
         raise ConfigError(
             f"{manifest_path}: n_angles is {n_angles} but the lists have lengths "
@@ -296,4 +301,4 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
             rows[k] = data[:, 1]
     else:
         raise ConfigError(f"{manifest_path}: unknown storage {storage!r}")
-    return TomogramSet(angles, x, rows, hbar, tuple(routes))
+    return TomogramSet(angles, x, rows, hbar, tuple(routes), warnings)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 from .grids import Grid1D, SampledWavefunction, bluestein_czt
@@ -67,16 +69,25 @@ def default_momentum_window(grid: Grid1D) -> Grid1D:
 
 
 def _autocorrelation(values: np.ndarray) -> np.ndarray:
-    """A[j, m] = psi[j + (m - n/2)] * conj(psi[j - (m - n/2)]), zero off-grid."""
+    """A[j, m] = psi[j + (m - n/2)] * conj(psi[j - (m - n/2)]), zero off-grid.
+
+    Both factors are strided windows of ``padded``, psi with n//2 zeros in
+    front and zeros behind: row j of the first is padded[j : j+n], and row
+    j of the second is padded[j+lag : j+lag+n] read backwards (lag = 1 for
+    even n).  The off-grid products meet a padding zero, and no index array
+    is built."""
     n = len(values)
-    j = np.arange(n)
-    off = j[None, :] - n // 2
-    idx1 = j[:, None] + off
-    idx2 = j[:, None] - off
-    ok = (idx1 >= 0) & (idx1 < n) & (idx2 >= 0) & (idx2 < n)
-    return np.where(
-        ok, values[idx1.clip(0, n - 1)] * np.conj(values[idx2.clip(0, n - 1)]), 0.0
-    )
+    half = n // 2
+    padded = np.zeros(2 * n, dtype=np.complex128)
+    padded[half:half + n] = values
+    windows = sliding_window_view(padded, n)
+    lag = 2 * half - n + 1
+    # A contiguous first factor keeps numpy on its contiguous multiply loop,
+    # which rounds like the product of the two factors gathered by index
+    # (the loop for overlapping rows fuses differently in the last bit).
+    acorr = windows[:n].copy()
+    acorr *= np.conj(windows[lag:lag + n, ::-1])
+    return acorr
 
 
 def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> WignerMap:
@@ -91,6 +102,12 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
         Momentum window.  Defaults to :func:`default_momentum_window`; any
         uniform window inside the alias-free band |p| <= pi*hbar/(2*dx) is
         valid and is evaluated by chirp-z quadrature of the y-integral.
+
+    Each position row is one chirp-z transform of its autocorrelation
+    slice (see :func:`_autocorrelation`) with kernel exp(i*beta*j*k),
+    beta = -2*dp*dx/hbar.  For the default window, n points at
+    dp = pi*hbar/(n*dx), beta is -2*pi/n and the transform is a plain
+    length-n FFT; every other window goes through :func:`bluestein_czt`.
     """
     g = psi.grid
     n, dx, hbar = g.n_points, g.dx, g.hbar
@@ -102,8 +119,13 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
 
     acorr = _autocorrelation(psi.values)
     m = np.arange(n)
-    pre = np.exp(-2j * p_grid.x_min * m * dx / hbar)
-    w = bluestein_czt(acorr * pre[None, :], p_grid.n_points, -2.0 * p_grid.dx * dx / hbar)
+    acorr *= np.exp(-2j * p_grid.x_min * m * dx / hbar)
+    beta = -2.0 * p_grid.dx * dx / hbar
+    # The default window has beta = -2*pi/n up to rounding: a plain DFT.
+    if p_grid.n_points == n and abs(beta * n / (2.0 * np.pi) + 1.0) < 1e-14:
+        w = scipy.fft.fft(acorr, axis=1, overwrite_x=True)
+    else:
+        w = bluestein_czt(acorr, p_grid.n_points, beta)
     # phase from u_m = (m - n/2)*dx starting at -n/2*dx
     post = np.exp(1j * p_grid.points * n * dx / hbar)
     w *= post * (dx / (np.pi * hbar))

@@ -5,8 +5,11 @@ from scipy.linalg import expm
 from symtomo import (
     FreeSymplectic,
     GaussianState,
+    TomogramSet,
     gaussian_wavefunction,
     make_grid,
+    radon_chirp_fft,
+    radon_metaplectic,
     standard_symplectic_form,
 )
 
@@ -21,6 +24,17 @@ def grid():
 @pytest.fixture(scope="session")
 def ground(grid):
     return gaussian_wavefunction(GaussianState.ground_state(HBAR), grid)
+
+
+def flagged_chirp_set():
+    """Eight angles on a 64-point grid with warnings [F, T, F, F, F, F, F, T]:
+    the chirp of the two angles nearest the x axis exceeds the Nyquist
+    rate, so the chirp-FFT route flags them (theta = 0 is taken by the
+    rotation route, which needs no chirp)."""
+    psi = gaussian_wavefunction(GaussianState.ground_state(HBAR), make_grid(-8, 8, 64, HBAR))
+    tms = [radon_metaplectic(psi, 1.0, 0.0)]
+    tms += [radon_chirp_fft(psi, np.cos(t), np.sin(t)) for t in np.pi * np.arange(1, 8) / 8]
+    return TomogramSet.from_tomograms(tms)
 
 
 def random_gaussian_state(rng, sxp_min=0.0):

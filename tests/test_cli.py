@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import flagged_chirp_set
+
+from symtomo import GaussianState, gaussian_wavefunction, make_grid
 from symtomo.cli import main
+from symtomo.serialization import save_tomogram_set, save_wavefunction_json
 
 
 def run(args):
@@ -27,6 +31,17 @@ class TestWignerCommand:
     def test_non_power_of_two_grid(self, tmp_path):
         assert run(["wigner", "--grid=-12:12:1000", "--state", "gaussian:1,0",
                     "--out", str(tmp_path)]) == 2
+
+    def test_non_finite_state_file(self, tmp_path):
+        path = tmp_path / "psi.json"
+        save_wavefunction_json(gaussian_wavefunction(GaussianState.ground_state(1.0),
+                                                     make_grid(-8, 8, 64, 1.0)), path)
+        doc = json.loads(path.read_text())
+        doc["values"][40] = float("nan")
+        path.write_text(json.dumps(doc))
+        assert run(["wigner", "--grid=-8:8:64", "--state", f"file:{path}",
+                    "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out" / "wigner.json").exists()
 
     def test_bad_grid_spec(self, tmp_path):
         assert run(["wigner", "--grid=nonsense", "--state", "gaussian:1,0",
@@ -104,6 +119,13 @@ class TestInvertCommand:
         assert code == 0
         report = json.loads((tmp_path / "rec" / "report.json").read_text())
         assert report["linf_residual"] <= 1e-3
+
+    def test_flags_survive_the_set_file(self, tmp_path):
+        save_tomogram_set(flagged_chirp_set(), tmp_path / "set")
+        assert run(["invert", "--set", str(tmp_path / "set" / "manifest.json"),
+                    "--out", str(tmp_path / "rec")]) == 0
+        doc = json.loads((tmp_path / "rec" / "reconstruction.json").read_text())
+        assert doc["accuracy_warning"] is True
 
     def test_too_few_angles(self, tmp_path):
         assert run(["tomogram", "--grid=-12:12:512", "--state", "gaussian:1,0",

@@ -74,6 +74,13 @@ class TestWavefunction:
         with pytest.raises(ConfigError):
             SampledWavefunction(grid, np.zeros(10))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_samples(self, grid, bad):
+        values = np.exp(-grid.points**2).astype(np.complex128)
+        values[100] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            SampledWavefunction(grid, values)
+
 
 class TestHbarFourier:
     def test_gaussian_fixed_point(self, ground):

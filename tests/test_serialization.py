@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import HBAR
+from conftest import HBAR, flagged_chirp_set
 from fbp_oracle import save_wigner_csv_reference
 
 from symtomo import (
@@ -109,6 +109,33 @@ def test_tomogram_set_round_trip(psi, tmp_path, storage):
         assert np.array_equal(a.x, b.x)
 
 
+@pytest.mark.parametrize("storage", ["binary", "csv"])
+def test_tomogram_set_round_trip_keeps_warnings(tmp_path, storage):
+    ts = flagged_chirp_set()
+    assert ts.warnings.tolist() == [False, True, False, False, False, False, False, True]
+    back = load_tomogram_set(save_tomogram_set(ts, tmp_path, storage=storage))
+    assert np.array_equal(back.warnings, ts.warnings)
+    assert back.routes == ts.routes
+
+
+def test_manifest_without_warnings_loads_unflagged(tmp_path):
+    manifest = save_tomogram_set(flagged_chirp_set(), tmp_path)
+    doc = json.loads(manifest.read_text())
+    del doc["warnings"]
+    manifest.write_text(json.dumps(doc))
+    assert not load_tomogram_set(manifest).warnings.any()
+
+
+@pytest.mark.parametrize("warnings", [["yes"] * 8, 3], ids=["not-bools", "not-a-list"])
+def test_manifest_bad_warnings_rejected(tmp_path, warnings):
+    manifest = save_tomogram_set(flagged_chirp_set(), tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["warnings"] = warnings
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        load_tomogram_set(manifest)
+
+
 def test_manifest_contents(psi, tmp_path):
     ts = compute_tomogram_set(psi, 8)
     manifest = save_tomogram_set(ts, tmp_path, storage="binary")
@@ -138,8 +165,9 @@ def _edit_manifest(psi, tmp_path, storage, edit):
     ("binary", lambda d: d.update(routes=d["routes"][:10])),
     ("binary", lambda d: d.update(angles=d["angles"][:10])),
     ("binary", lambda d: d.update(n_angles=10)),
+    ("binary", lambda d: d.update(warnings=d["warnings"][:10])),
     ("csv", lambda d: d.update(files=d["files"][:10])),
-], ids=["routes", "angles", "n_angles", "files"])
+], ids=["routes", "angles", "n_angles", "warnings", "files"])
 def test_manifest_list_length_mismatch_rejected(psi, tmp_path, storage, edit):
     manifest = _edit_manifest(psi, tmp_path, storage, edit)
     with pytest.raises(ConfigError, match="lengths"):

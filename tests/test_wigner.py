@@ -6,6 +6,7 @@ from conftest import HBAR, random_gaussian_state
 from symtomo import (
     GaussianState,
     SampledWavefunction,
+    default_momentum_window,
     gaussian_wavefunction,
     hbar_fourier,
     make_grid,
@@ -143,3 +144,58 @@ def test_matches_scipy_czt_map(grid, window):
     psi = gaussian_wavefunction(GaussianState.from_position_data(1.3, -0.4, HBAR), grid)
     w = wigner_transform(psi, p_grid=None if window == "default" else grid)
     assert np.max(np.abs(w.values - _wigner_scipy_czt(psi, w.p_grid))) <= 1e-10
+
+
+def _autocorrelation_by_index(values):
+    """The autocorrelation gathered by fancy indexing, as the library built
+    it before it used strided windows."""
+    n = len(values)
+    j = np.arange(n)
+    off = j[None, :] - n // 2
+    idx1 = j[:, None] + off
+    idx2 = j[:, None] - off
+    ok = (idx1 >= 0) & (idx1 < n) & (idx2 >= 0) & (idx2 < n)
+    return np.where(
+        ok, values[idx1.clip(0, n - 1)] * np.conj(values[idx2.clip(0, n - 1)]), 0.0
+    )
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_autocorrelation_matches_index_gather(n):
+    from symtomo.wigner import _autocorrelation
+
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    assert np.array_equal(_autocorrelation(values), _autocorrelation_by_index(values))
+    for odd in (values[:-1], values[:-3]):
+        assert np.array_equal(_autocorrelation(odd), _autocorrelation_by_index(odd))
+
+
+def _wigner_bluestein(psi, p_grid):
+    """The map with every window evaluated by ``bluestein_czt``."""
+    from symtomo.grids import bluestein_czt
+    from symtomo.wigner import _autocorrelation
+
+    g = psi.grid
+    n, dx, hbar = g.n_points, g.dx, g.hbar
+    pre = np.exp(-2j * p_grid.x_min * np.arange(n) * dx / hbar)
+    w = bluestein_czt(_autocorrelation(psi.values) * pre, p_grid.n_points,
+                      -2.0 * p_grid.dx * dx / hbar)
+    post = np.exp(1j * p_grid.points * n * dx / hbar)
+    return (w * post * (dx / (np.pi * hbar))).real
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_default_window_fft_matches_bluestein(n, monkeypatch):
+    import symtomo.wigner
+
+    g = make_grid(-16.0, 16.0, n, HBAR)
+    psi = gaussian_wavefunction(GaussianState.from_position_data(1.3, -0.4, HBAR), g)
+    want = _wigner_bluestein(psi, default_momentum_window(g))
+
+    def no_czt(*args):
+        raise AssertionError("the default window must not need a chirp-z transform")
+
+    monkeypatch.setattr(symtomo.wigner, "bluestein_czt", no_czt)
+    w = wigner_transform(psi)
+    assert np.max(np.abs(w.values - want)) <= 1e-12
