@@ -147,12 +147,8 @@ def gaussian_wigner(state: GaussianState, x_grid: Grid1D,
     matrix (total mass 1, peak 1/(pi*hbar))."""
     if p_grid is None:
         p_grid = default_momentum_window(x_grid)
-    cov_inv = np.linalg.inv(state.covariance_matrix)
     xs, ps = np.meshgrid(x_grid.points, p_grid.points, indexing="ij")
-    quad = cov_inv[0, 0] * xs**2 + 2 * cov_inv[0, 1] * xs * ps + cov_inv[1, 1] * ps**2
-    det = np.linalg.det(state.covariance_matrix)
-    values = np.exp(-0.5 * quad) / (2 * np.pi * np.sqrt(det))
-    return WignerMap(x_grid, p_grid, values, state.hbar)
+    return WignerMap(x_grid, p_grid, gaussian_wigner_at(state, xs, ps), state.hbar)
 
 
 def gaussian_wigner_at(state: GaussianState, x, p) -> np.ndarray:

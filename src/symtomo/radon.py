@@ -37,16 +37,24 @@ __all__ = [
 ]
 
 NEGATIVE_FLOOR = 1e-10
+# Edge decay (border over peak) above which a route flags its tomogram: of
+# the Wigner map for the line integral, of psi for the rotation route.
+EDGE_DECAY_FLAG = 1e-10
 MIN_ANGLES = 8
 # Angles per row block of a sweep: bounds the (rows, 2n) CZT temporaries.
-ROW_BLOCK = 32
+# At 32 rows (about 5 MB of them for n = 1024) the allocator could return
+# a block's memory to the OS and fault it in again for the next block:
+# 15.8k page faults per 360-angle sweep against 2.1k at 16 rows.
+ROW_BLOCK = 16
 # Filtered back-projection: zero-padding of each projection before the ramp
 # filter, upsampling of the filtered projection before linear interpolation,
 # start of the ramp's raised-cosine rolloff as a fraction of Nyquist, and
-# output samples per back-projection block.
+# angle pairs filtered and gathered together.  GATHER_BLOCK is the number of
+# real samples per row block of a gather (half as many complex ones).
 PAD_FACTOR = 8
 UPSAMPLE = 4
 TAPER_START = 0.8
+PAIR_CHUNK = 4
 GATHER_BLOCK = 32768
 
 
@@ -166,13 +174,17 @@ def _chirp_rows(psi: SampledWavefunction, mu: np.ndarray, nu: np.ndarray,
 def radon_metaplectic(psi: SampledWavefunction, mu: float, nu: float,
                       x_grid=None) -> Tomogram:
     """Tomogram via the rotation-operator identity
-    R(X) = |U_(mu,nu) psi(X/lambda)|^2 / lambda."""
+    R(X) = |U_(mu,nu) psi(X/lambda)|^2 / lambda.
+
+    Flagged (``accuracy_warning``) when psi's edge decay exceeds
+    EDGE_DECAY_FLAG: the rotation treats the sampled state as periodic."""
     params = RotationParams(mu, nu)
     start, step, count = _resolve_x_grid(x_grid, params.lam, psi.grid)
     values = _metaplectic_rows(psi, np.array([mu], dtype=np.float64),
                                np.array([nu], dtype=np.float64), start, step, count)
     return Tomogram(mu, nu, start + step * np.arange(count), values[0],
-                    psi.grid.hbar, route="metaplectic")
+                    psi.grid.hbar, route="metaplectic",
+                    accuracy_warning=psi.edge_decay() > EDGE_DECAY_FLAG)
 
 
 def chirp_resolvable(psi: SampledWavefunction, mu: float, nu: float,
@@ -230,7 +242,10 @@ def radon_line_integral(w: WignerMap, mu: float, nu: float, x_grid=None,
     spacing, and summed by the composite trapezoid rule.  The samples are
     bilinear interpolants of the map, zero outside its window, so expect
     agreement with the operator routes at the ~(grid spacing)^2 level
-    rather than at spectral accuracy.
+    rather than at spectral accuracy.  A map that is flagged, or whose
+    edge decay exceeds EDGE_DECAY_FLAG, gives a flagged tomogram with its
+    negative truncation ripples clipped to zero; on any other map a dip
+    below the tomogram floor raises DomainError.
 
     The fractional map indices of a sample are affine in (X, s):
     i = (mu*X/lambda^2 - nu*s/lambda - x_min)/dx and
@@ -298,7 +313,11 @@ def radon_line_integral(w: WignerMap, mu: float, nu: float, x_grid=None,
         np.copyto(top, 0.0, where=outside)
         values[lo:lo + rows] = top @ weights[ka:kb]
     values /= lam
-    warn = w.accuracy_warning or w.edge_decay() > 1e-10
+    warn = w.accuracy_warning or w.edge_decay() > EDGE_DECAY_FLAG
+    if warn:
+        # A flagged map carries truncation ripples that may dip below the
+        # negative floor; the flag already marks the values as approximate.
+        np.clip(values, 0.0, None, out=values)
     return Tomogram(mu, nu, x_out, values, w.hbar,
                     route="line-integral", accuracy_warning=warn)
 
@@ -406,7 +425,9 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
     is the common X grid (default: the state grid).  ``threads`` defaults
     to the TOMO_THREADS environment variable (1 if unset); with more than
     one, worker threads take whole blocks, so the result does not depend
-    on the thread count.
+    on the thread count.  The rotation-route rows carry the flag of
+    :func:`radon_metaplectic`, and the chirp-FFT rows, all resolvable,
+    carry none.
     """
     if route not in ("metaplectic", "chirp-fft"):
         raise ConfigError(f"unknown sweep route {route!r}")
@@ -444,7 +465,9 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
     for (rows, _), block_values in zip(blocks, results):
         values[rows] = block_values
     routes = tuple("chirp-fft" if c else "metaplectic" for c in chirp)
-    return TomogramSet(angles, start + step * np.arange(count), values, psi.grid.hbar, routes)
+    warnings = ~chirp & (psi.edge_decay() > EDGE_DECAY_FLAG)
+    return TomogramSet(angles, start + step * np.arange(count), values, psi.grid.hbar,
+                       routes, warnings)
 
 
 def mix_tomograms(weights, tomograms) -> Tomogram:
@@ -478,31 +501,43 @@ def _tapered_ramp(n_pad: int, dx: float, hbar: float) -> np.ndarray:
     return ramp
 
 
-def _back_project(out: np.ndarray, fine: np.ndarray, ux: np.ndarray, up: np.ndarray):
-    """out[i, j] += linear interpolation of ``fine`` at the fractional index
-    u = ux[i] + up[j]; zero where u falls outside [0, len(fine) - 1].
+def _back_project_pairs(acc: np.ndarray, tables: np.ndarray, ux: np.ndarray,
+                        up: np.ndarray, lo: int, hi: int):
+    """For each table g: acc[0, i, j] += linear interpolation of tables[g]
+    at the fractional index u = ux[g, i] + up[g, j], and acc[1, i, j] +=
+    that of the reversed table at the same u.  Each is zero where u falls
+    outside the range its values come from: [lo, hi] for the table, and the
+    mirror image of that range for the reversed table.
 
-    Works through row blocks of about GATHER_BLOCK samples, so the
-    temporaries stay in cache whatever the map size."""
-    last = len(fine) - 1
-    slope = np.diff(fine, append=0.0)
+    Works through row blocks of about GATHER_BLOCK/2 complex samples; each
+    block takes every table while its slice of ``acc`` stays in cache."""
+    last = tables.shape[1] - 1
+    with_slopes = [(values, np.diff(values, axis=1, append=0.0))
+                   for values in (tables, tables[:, ::-1].copy())]
+    valid = ((lo, hi), (last - hi, last - lo))
     # u is affine in (i, j), so its extremes over the map are the sums of
     # the extremes of ux and up.
-    inside = ux.min() + up.min() >= 0.0 and ux.max() + up.max() <= last
-    rows = max(1, GATHER_BLOCK // len(up))
-    for lo in range(0, len(ux), rows):
-        u = np.add.outer(ux[lo:lo + rows], up)
-        if not inside:
-            outside = (u < 0.0) | (u > last)
-            np.clip(u, 0.0, last, out=u)
-        k = np.floor(u)
-        u -= k
-        k = k.astype(np.intp)
-        u *= slope.take(k)
-        u += fine.take(k)
-        if not inside:
-            u[outside] = 0.0
-        out[lo:lo + rows] += u
+    u_min, u_max = ux.min(axis=1) + up.min(axis=1), ux.max(axis=1) + up.max(axis=1)
+    inside = np.all([(a <= u_min) & (u_max <= b) for a, b in valid], axis=0)
+    rows = max(1, GATHER_BLOCK // (2 * up.shape[1]))
+    for start in range(0, ux.shape[1], rows):
+        block = slice(start, start + rows)
+        block_acc = acc[:, block]
+        for g in range(len(tables)):
+            u = np.add.outer(ux[g, block], up[g])
+            if not inside[g]:
+                outside = [(u < a) | (u > b) for a, b in valid]
+                np.clip(u, 0.0, last, out=u)
+            k = np.floor(u)
+            u -= k
+            k = k.astype(np.intp)
+            for j, (values, slope) in enumerate(with_slopes):
+                v = slope[g].take(k)
+                v *= u
+                v += values[g].take(k)
+                if not inside[g]:
+                    v[outside[j]] = 0.0
+                block_acc[j] += v
 
 
 def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = None,
@@ -521,6 +556,16 @@ def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = No
     accumulates their linear interpolation along x*cos(theta) +
     p*sin(theta), with zero outside the padded window.
 
+    The gather uses the symmetries of the line set: x -> -x maps the line
+    of theta onto that of pi - theta, and (x, p) -> (-x, -p) maps X to -X.
+    Angles theta and pi - theta are filtered together, PAIR_CHUNK pairs per
+    FFT call, into one complex table f_theta + i*f_(pi-theta) that spans
+    only the X range the map reaches.  Over the half plane p >= 0 of the
+    rows x and -x, one fractional index and two complex interpolations
+    (the table and its reversal) give the samples at (x, p), (-x, p),
+    (-x, -p) and (x, -p); two half-plane accumulators fold into the map
+    once at the end.
+
     Parameters
     ----------
     tomos : TomogramSet
@@ -528,8 +573,10 @@ def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = No
         targets assume A >= 64.  The common X grid must be centered at zero
         (FFT layout) and edge-decayed.
     x_grid, p_grid : Grid1D
-        Output window.  ``p_grid`` defaults to the alias-free momentum
-        window of ``x_grid``.
+        Output window, each mirror-symmetric about zero (x_min = -n*dx/2,
+        as from ``make_grid(-L, L, n)``); DomainError otherwise.
+        ``p_grid`` defaults to the alias-free momentum window of
+        ``x_grid``.
     constant_scale : float
         Multiplies the analytically derived overall constant
         1/(2*pi*hbar).  Leave at 1; exists as a negative-control hook for
@@ -545,6 +592,10 @@ def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = No
             f"got angles {angles[0]:.6g}..{angles[-1]:.6g}")
     if p_grid is None:
         p_grid = default_momentum_window(x_grid)
+    for name, g in (("x_grid", x_grid), ("p_grid", p_grid)):
+        if abs(g.x_min + g.x_max) > 1e-9 * max(1.0, abs(g.x_min)):
+            raise DomainError(f"{name} must be centered at zero (x_min = -n*dx/2), "
+                              f"got [{g.x_min:.6g}, {g.x_max:.6g})")
     hbar = tomos.hbar
     x = tomos.x
     n = len(x)
@@ -558,19 +609,52 @@ def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = No
     fine_dx = dX / UPSAMPLE
     # irfft onto n_fine points divides by n_fine, not n_pad.
     ramp = UPSAMPLE * _tapered_ramp(n_pad, dX, hbar)
-    padded = np.zeros(n_pad)
-    # Fractional fine-grid index of a point (x, p) along angle theta:
-    # u = x_idx*cos(theta) + p_idx*sin(theta) - origin.
-    origin = (float(x[0]) - lead * dX) / fine_dx
-    x_idx = x_grid.points / fine_dx
-    p_idx = p_grid.points / fine_dx
+    # Rows x_r = (r - nx/2)*dx, r = 0..nx, hold x and -x of every map row;
+    # columns p_c = c*dp, c = 0..hp, span the half plane p >= 0.
+    nx, hp = x_grid.n_points, p_grid.n_points // 2
+    x_idx = (np.arange(nx + 1) - nx // 2) * (x_grid.dx / fine_dx)
+    p_idx = np.arange(hp + 1) * (p_grid.dx / fine_dx)
+    # Fine sample m sits at X = (m - centre)*fine_dx, an integer centre for
+    # a centered X grid.  The table holds X/fine_dx in [-width, width] at
+    # index width + X/fine_dx, zero off the fine grid, so X -> -X is its
+    # reversal.  The width covers |x*cos(theta) + p*sin(theta)| <=
+    # hypot(x, p) over the map, or the whole fine grid when the map reaches
+    # past the fine samples or their mirror images.
+    centre = UPSAMPLE // 2 * (n + 2 * lead)
+    reach = float(np.hypot(np.abs(x_idx).max(), p_idx.max()))
+    if reach < min(centre, n_fine - 1 - centre):
+        width = int(reach) + 2
+    else:
+        width = max(centre, n_fine - 1 - centre)
+    first = width - centre
+    lo, hi = max(0, first), min(2 * width, first + n_fine - 1)
 
-    out = np.zeros((x_grid.n_points, p_grid.n_points))
-    for theta, row in zip(angles, tomos.values):
-        padded[lead:lead + n] = row
+    acc = np.zeros((2, nx + 1, hp + 1), dtype=np.complex128)
+    # Angle k pairs with pi - theta_k, which is angle n_angles - k;
+    # theta = 0 and pi/2 stand alone.
+    pairs = np.arange(n_angles // 2 + 1)
+    for chunk in range(0, len(pairs), PAIR_CHUNK):
+        ks = pairs[chunk:chunk + PAIR_CHUNK]
+        partners = n_angles - ks
+        paired = (ks < partners) & (partners < n_angles)
+        padded = np.zeros((len(ks), 2, n_pad))
+        padded[:, 0, lead:lead + n] = tomos.values[ks]
+        padded[paired, 1, lead:lead + n] = tomos.values[partners[paired]]
         fine = np.fft.irfft(np.fft.rfft(padded) * ramp, n=n_fine)
-        fine[n_fine - UPSAMPLE // 2 + 1:] = 0.0
-        _back_project(out, fine, x_idx * np.cos(theta) - origin, p_idx * np.sin(theta))
+        fine[..., n_fine - UPSAMPLE // 2 + 1:] = 0.0
+        tables = np.zeros((len(ks), 2 * width + 1), dtype=np.complex128)
+        tables.real[:, lo:hi + 1] = fine[:, 0, lo - first:hi + 1 - first]
+        tables.imag[:, lo:hi + 1] = fine[:, 1, lo - first:hi + 1 - first]
+        theta = angles[ks]
+        _back_project_pairs(acc, tables, np.outer(np.cos(theta), x_idx) + width,
+                            np.outer(np.sin(theta), p_idx), lo, hi)
+    # Table t = f_theta + i*f_(pi-theta) at u = x*cos(theta) + p*sin(theta)
+    # feeds (x, p) and (-x, p); its reversal, t at -u, feeds (-x, -p) and
+    # (x, -p).  The p = 0 column takes only t.
+    t, r = acc
+    out = np.empty((nx, 2 * hp))
+    out[:, hp:] = t.real[:nx, :hp] + t.imag[nx:0:-1, :hp]
+    out[:, :hp] = r.real[nx:0:-1, hp:0:-1] + r.imag[:nx, hp:0:-1]
     out *= constant_scale * (np.pi / n_angles) / (2.0 * np.pi * hbar)
     warn = bool(tomos.warnings.any())
     return WignerMap(x_grid, p_grid, out, hbar, accuracy_warning=warn)

@@ -2,16 +2,20 @@
 
 ``inverse_radon_reference`` is the earlier filtered back-projection: a
 per-angle hbar-Fourier ramp filter, a chirp-z (CZT) x4 trigonometric
-upsample and ``np.interp`` onto the output window.  The library's FBP
-computes the same trigonometric interpolant with real FFTs and gathers it
-by affine index, so the two agree to rounding.  ``save_wigner_csv_reference``
-is the earlier one-``fmt``-per-cell CSV writer.
+upsample and ``np.interp`` onto the output window.  ``inverse_radon_affine``
+computes the same trigonometric interpolant with one real FFT pair per
+angle and gathers it by affine index, one angle and one full map at a
+time.  The library's FBP shares one index between four samples (angles
+theta and pi - theta, points +-(x, p)), so it agrees with the affine
+oracle to rounding.  ``save_wigner_csv_reference`` is the earlier
+one-``fmt``-per-cell CSV writer.
 """
 
 import numpy as np
 from scipy.signal import czt
 
 from symtomo.grids import Grid1D, SampledWavefunction, hbar_fourier
+from symtomo.radon import GATHER_BLOCK, PAD_FACTOR, UPSAMPLE, _tapered_ramp
 from symtomo.serialization import atomic_write_text, fmt
 from symtomo.wigner import WignerMap, default_momentum_window
 
@@ -71,6 +75,57 @@ def inverse_radon_reference(tomos, x_grid, p_grid=None, upsample=4):
         tval = xs * np.cos(theta) + ps * np.sin(theta)
         out += np.interp(tval, fine_x, filt, left=0.0, right=0.0)
     out *= d_theta / (2.0 * np.pi * hbar)
+    return WignerMap(x_grid, p_grid, out, hbar)
+
+
+def _back_project(out, fine, ux, up):
+    """out[i, j] += linear interpolation of ``fine`` at the fractional index
+    u = ux[i] + up[j]; zero where u falls outside [0, len(fine) - 1]."""
+    last = len(fine) - 1
+    slope = np.diff(fine, append=0.0)
+    inside = ux.min() + up.min() >= 0.0 and ux.max() + up.max() <= last
+    rows = max(1, GATHER_BLOCK // len(up))
+    for lo in range(0, len(ux), rows):
+        u = np.add.outer(ux[lo:lo + rows], up)
+        if not inside:
+            outside = (u < 0.0) | (u > last)
+            np.clip(u, 0.0, last, out=u)
+        k = np.floor(u)
+        u -= k
+        k = k.astype(np.intp)
+        u *= slope.take(k)
+        u += fine.take(k)
+        if not inside:
+            u[outside] = 0.0
+        out[lo:lo + rows] += u
+
+
+def inverse_radon_affine(tomos, x_grid, p_grid=None):
+    """Per-angle FBP: ramp filter on the PAD_FACTOR-fold padded row, the
+    UPSAMPLE-fold fine grid, and linear interpolation by affine index over
+    the whole output window, which may be any uniform window."""
+    if p_grid is None:
+        p_grid = default_momentum_window(x_grid)
+    hbar = tomos.hbar
+    x = tomos.x
+    n = len(x)
+    dX = float(x[1] - x[0])
+    n_pad = PAD_FACTOR * n
+    lead = (n_pad - n) // 2
+    n_fine = UPSAMPLE * n_pad
+    fine_dx = dX / UPSAMPLE
+    ramp = UPSAMPLE * _tapered_ramp(n_pad, dX, hbar)
+    padded = np.zeros(n_pad)
+    origin = (float(x[0]) - lead * dX) / fine_dx
+    x_idx = x_grid.points / fine_dx
+    p_idx = p_grid.points / fine_dx
+    out = np.zeros((x_grid.n_points, p_grid.n_points))
+    for theta, row in zip(tomos.angles, tomos.values):
+        padded[lead:lead + n] = row
+        fine = np.fft.irfft(np.fft.rfft(padded) * ramp, n=n_fine)
+        fine[n_fine - UPSAMPLE // 2 + 1:] = 0.0
+        _back_project(out, fine, x_idx * np.cos(theta) - origin, p_idx * np.sin(theta))
+    out *= (np.pi / len(tomos)) / (2.0 * np.pi * hbar)
     return WignerMap(x_grid, p_grid, out, hbar)
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import flagged_chirp_set
 
-from symtomo import GaussianState, gaussian_wavefunction, make_grid
+from symtomo import GaussianState, gaussian_wavefunction, make_grid, wigner_transform
 from symtomo.cli import main
-from symtomo.serialization import save_tomogram_set, save_wavefunction_json
+from symtomo.serialization import save_tomogram_set, save_wavefunction_json, save_wigner
 
 
 def run(args):
@@ -168,6 +168,18 @@ class TestInvertCommand:
             fh.write("garbage,row\n")
         assert run(["invert", "--set", str(tmp_path / "set" / "manifest.json"),
                     "--out", str(tmp_path / "rec")]) == 2
+
+    def test_reference_with_off_centre_p_grid(self, tmp_path):
+        grid = make_grid(-12.0, 12.0, 256)
+        psi = gaussian_wavefunction(GaussianState.from_position_data(0.5, 0.0), grid)
+        save_wigner(wigner_transform(psi, p_grid=make_grid(-2.0, 4.0, 128)),
+                    tmp_path / "ref" / "wigner.json")
+        assert run(["tomogram", "--grid=-12:12:256", "--state", "gaussian:0.5,0",
+                    "--angles", "8", "--out", str(tmp_path / "set")]) == 0
+        assert run(["invert", "--set", str(tmp_path / "set" / "manifest.json"),
+                    "--reference", str(tmp_path / "ref" / "wigner.json"),
+                    "--out", str(tmp_path / "rec")]) == 2
+        assert not (tmp_path / "rec").exists()
 
     @pytest.mark.parametrize("key", ["data_file", "hbar", "x_grid", "p_grid"])
     def test_reference_missing_key(self, tmp_path, key):

@@ -135,6 +135,18 @@ class TestGaussianWigner:
         ref = gaussian_wigner(st, grid, num.p_grid)
         assert np.max(np.abs(num.values - ref.values)) < 1e-6
 
+    def test_map_is_the_pointwise_form_on_the_mesh(self, grid):
+        # The quadratic form of the map as written out before it evaluated
+        # through gaussian_wigner_at; the two must agree bit for bit.
+        st = GaussianState.from_position_data(1.3, -0.4, HBAR)
+        p_grid = make_grid(-3.0, 5.0, 256, HBAR)
+        w = gaussian_wigner(st, grid, p_grid)
+        cov_inv = np.linalg.inv(st.covariance_matrix)
+        xs, ps = np.meshgrid(grid.points, p_grid.points, indexing="ij")
+        quad = cov_inv[0, 0] * xs**2 + 2 * cov_inv[0, 1] * xs * ps + cov_inv[1, 1] * ps**2
+        det = np.linalg.det(st.covariance_matrix)
+        assert np.array_equal(w.values, np.exp(-0.5 * quad) / (2 * np.pi * np.sqrt(det)))
+
     def test_marginal_variances(self, grid):
         st = GaussianState.from_position_data(1.1, 0.25, HBAR)
         w = gaussian_wigner(st, grid)

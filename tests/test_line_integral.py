@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from line_oracle import radon_line_integral_reference
 
 from symtomo import (
+    DomainError,
     GaussianState,
     Grid1D,
+    WignerMap,
     gaussian_wavefunction,
     make_grid,
     radon_line_integral,
@@ -63,6 +65,28 @@ def test_off_centre_grid(window):
         got = radon_line_integral(w, mu, nu)
         want = radon_line_integral_reference(w, mu, nu).values
         assert np.max(np.abs(got.values - want)) <= ORACLE_TOL, (mu, nu)
+
+
+def test_flagged_map_gives_flagged_tomogram():
+    # A state cut at the grid edge (psi edge decay 1.4e-8): its map is
+    # flagged and carries truncation ripples that dip below the tomogram
+    # floor along this line.
+    grid = make_grid(-12.0, 12.0, 64, HBAR)
+    psi = gaussian_wavefunction(random_gaussian_state(np.random.default_rng(3927)), grid)
+    w = wigner_transform(psi, p_grid=grid)
+    assert w.accuracy_warning
+    t = radon_line_integral(w, np.cos(2.0), np.sin(2.0))
+    assert t.accuracy_warning
+    assert t.values.min() == 0.0
+
+
+def test_unflagged_map_below_the_floor_rejected():
+    grid = make_grid(-12.0, 12.0, 64, HBAR)
+    xs, ps = np.meshgrid(grid.points, grid.points, indexing="ij")
+    w = WignerMap(grid, grid, -np.exp(-(xs**2 + ps**2)), HBAR)
+    assert w.edge_decay() < 1e-10
+    with pytest.raises(DomainError, match="below the numerical floor"):
+        radon_line_integral(w, 1.0, 0.0)
 
 
 @settings(max_examples=25, deadline=None)

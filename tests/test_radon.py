@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import HBAR, random_direction
-from fbp_oracle import inverse_radon_reference
+from fbp_oracle import inverse_radon_affine, inverse_radon_reference
 
 from symtomo import (
     DomainError,
@@ -288,6 +288,17 @@ class TestInverseRadon:
         ref = inverse_radon_reference(tomos, grid, p_grid=p_grid)
         assert np.max(np.abs(recon.values - ref.values)) <= 1e-8
         assert np.all(np.isfinite(recon.values))
+        affine = inverse_radon_affine(tomos, grid, p_grid=p_grid)
+        assert np.max(np.abs(recon.values - affine.values)) <= 1e-12
+
+    @pytest.mark.parametrize("window", ["x", "p"])
+    def test_off_centre_window_rejected(self, window):
+        grid = make_grid(-12.0, 12.0, 64, HBAR)
+        tomos = compute_tomogram_set(gaussian_wavefunction(GaussianState.ground_state(HBAR), grid), 16)
+        shifted = make_grid(-10.0, 14.0, 64, HBAR)
+        x_grid, p_grid = (shifted, None) if window == "x" else (grid, shifted)
+        with pytest.raises(DomainError, match="centered at zero"):
+            inverse_radon(tomos, x_grid, p_grid=p_grid)
 
     def test_partial_arc_rejected(self, psi, grid):
         tms = tuple(radon_metaplectic(psi, np.cos(th), np.sin(th))

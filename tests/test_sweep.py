@@ -42,6 +42,19 @@ def test_sweep_matches_per_angle_oracle_and_closed_form(sweep_case, route):
     assert np.max(np.abs(ts.values - closed)) <= 1e-12
 
 
+@pytest.mark.parametrize("half_width, flagged", [(12.0, False), (4.0, True)])
+def test_edge_decay_flags_match_single_angles(half_width, flagged):
+    # On [-4, 4) the state's edge decay is about 2e-2, above EDGE_DECAY_FLAG.
+    grid = make_grid(-half_width, half_width, 64, HBAR)
+    psi = gaussian_wavefunction(GaussianState.from_position_data(1.0, 0.3, HBAR), grid)
+    for route in ("metaplectic", "chirp-fft"):
+        ts = compute_tomogram_set(psi, 16, route=route)
+        for k, t in enumerate(ts):
+            single = radon_metaplectic if t.route == "metaplectic" else radon_chirp_fft
+            assert ts.warnings[k] == single(psi, t.mu, t.nu).accuracy_warning
+            assert ts.warnings[k] == (flagged and t.route == "metaplectic")
+
+
 @pytest.fixture(scope="module")
 def psi(grid):
     return gaussian_wavefunction(GaussianState.from_position_data(1.0, 0.3, HBAR), grid)
