@@ -35,23 +35,17 @@ from .gaussian import (
 from .grids import (
     Grid1D,
     SampledWavefunction,
-    chirp_multiply,
-    hbar_fourier,
     inner_product,
     make_grid,
-    resample_onto,
-    sample_uniform,
     scale,
 )
-from .lagrangian import FramePair, is_lagrangian_frame, is_symplectic_nd
+from .lagrangian import FramePair, is_lagrangian_frame
 from .metaplectic import (
     CheckResult,
     FreeSymplectic,
     RotationParams,
     SymplecticMatrix,
-    generating_form,
     is_symplectic,
-    matrix_from_generating_form,
     metaplectic_rotation,
     quadratic_fourier,
     rotation_from_mu_nu,
@@ -63,7 +57,6 @@ from .radon import (
     chirp_resolvable,
     compute_tomogram_set,
     inverse_radon,
-    mix_tomograms,
     radon_chirp_fft,
     radon_line_integral,
     radon_metaplectic,
@@ -95,7 +88,6 @@ __all__ = [
     "TomogramSet",
     "UnsupportedOperation",
     "WignerMap",
-    "chirp_multiply",
     "chirp_resolvable",
     "chord_matches_tomogram_variance",
     "compute_tomogram_set",
@@ -105,26 +97,19 @@ __all__ = [
     "gaussian_wavefunction",
     "gaussian_wigner",
     "gaussian_wigner_at",
-    "generating_form",
-    "hbar_fourier",
     "inner_product",
     "inverse_radon",
     "is_lagrangian_frame",
     "is_symplectic",
-    "is_symplectic_nd",
     "make_grid",
     "marginals",
-    "matrix_from_generating_form",
     "metaplectic_rotation",
-    "mix_tomograms",
     "pauli_reconstruct",
     "quadratic_fourier",
     "radon_chirp_fft",
     "radon_line_integral",
     "radon_metaplectic",
-    "resample_onto",
     "rotation_from_mu_nu",
-    "sample_uniform",
     "scale",
     "standard_symplectic_form",
     "sweep_angles",

@@ -1,6 +1,6 @@
-"""Validators for the n-dimensional setting: symplectic block conditions and
-Lagrangian-frame admissibility of (A, B) pairs defining affine hyperplanes
-A x + B p = X."""
+"""Lagrangian-frame admissibility of (A, B) pairs defining affine
+hyperplanes A x + B p = X in any dimension (the symplectic block
+conditions are :func:`symtomo.metaplectic.is_symplectic`)."""
 
 from __future__ import annotations
 
@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .metaplectic import CheckResult, symplectic_block_conditions
+from .metaplectic import CheckResult
 
-__all__ = ["FramePair", "is_lagrangian_frame", "is_symplectic_nd"]
+__all__ = ["FramePair", "is_lagrangian_frame"]
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,3 @@ def is_lagrangian_frame(frame: FramePair, tol: float = 1e-10) -> CheckResult:
         failures.append("rank")
     return CheckResult(not failures, tuple(failures), residuals)
 
-
-def is_symplectic_nd(matrix: np.ndarray, tol: float = 1e-10) -> CheckResult:
-    """Blockwise symplectic test for 2n x 2n matrices (both condition sets)."""
-    return symplectic_block_conditions(np.asarray(matrix, dtype=np.float64), tol)

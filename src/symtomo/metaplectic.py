@@ -23,9 +23,7 @@ __all__ = [
     "FreeSymplectic",
     "RotationParams",
     "is_symplectic",
-    "symplectic_block_conditions",
     "rotation_from_mu_nu",
-    "generating_form",
     "matrix_from_generating_form",
     "quadratic_fourier",
     "metaplectic_rotation",
@@ -84,11 +82,6 @@ class SymplecticMatrix:
     def D(self) -> np.ndarray:
         return self.matrix[self.n:, self.n:]
 
-    @classmethod
-    def from_blocks(cls, A, B, C, D) -> "SymplecticMatrix":
-        return cls(np.block([[np.atleast_2d(A), np.atleast_2d(B)],
-                             [np.atleast_2d(C), np.atleast_2d(D)]]))
-
 
 def standard_symplectic_form(n: int) -> np.ndarray:
     """J = [[0, I], [-I, 0]]."""
@@ -97,8 +90,9 @@ def standard_symplectic_form(n: int) -> np.ndarray:
     return np.block([[zero, eye], [-eye, zero]])
 
 
-def symplectic_block_conditions(matrix: np.ndarray, tol: float) -> CheckResult:
-    """Check both equivalent block condition sets for membership in Sp(n).
+def is_symplectic(matrix: np.ndarray, tol: float) -> CheckResult:
+    """Whether a 2n x 2n matrix is in Sp(n): both equivalent block condition
+    sets hold within ``tol``.
 
     Set 1: A^T C and B^T D symmetric, A^T D - C^T B = I.
     Set 2: A B^T and C D^T symmetric, A D^T - B C^T = I.
@@ -116,11 +110,6 @@ def symplectic_block_conditions(matrix: np.ndarray, tol: float) -> CheckResult:
     }
     failures = tuple(k for k, v in residuals.items() if v > tol)
     return CheckResult(not failures, failures, residuals)
-
-
-def is_symplectic(matrix: np.ndarray, tol: float = 1e-12) -> CheckResult:
-    """True iff the matrix satisfies both block condition sets within tol."""
-    return symplectic_block_conditions(matrix, tol)
 
 
 @dataclass(frozen=True)
@@ -176,6 +165,8 @@ class FreeSymplectic:
             )
         return cls(base, maslov_index % 4)
 
+    # Generating-form coefficients: p = P x - L^T x' and p' = L x - Q x'
+    # reproduce the action (x', p') -> (x, p); P and Q are symmetric.
     @property
     def P(self) -> np.ndarray:
         return self.base.D @ np.linalg.inv(self.base.B)
@@ -189,16 +180,6 @@ class FreeSymplectic:
         return np.linalg.inv(self.base.B) @ self.base.A
 
 
-def generating_form(s: FreeSymplectic) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients (P, L, Q) of the generating quadratic form.
-
-    They satisfy the gradient relations p = P x - L^T x',
-    p' = L x - Q x', which reproduce the matrix action
-    (x', p') -> (x, p).  P and Q are symmetric for symplectic input.
-    """
-    return s.P, s.L, s.Q
-
-
 def matrix_from_generating_form(P, L, Q) -> SymplecticMatrix:
     """Reconstruct the free symplectic matrix from (P, L, Q)."""
     P, L, Q = np.atleast_2d(P), np.atleast_2d(L), np.atleast_2d(Q)
@@ -206,7 +187,7 @@ def matrix_from_generating_form(P, L, Q) -> SymplecticMatrix:
     A = B @ Q
     D = P @ B
     C = P @ A - L.T
-    return SymplecticMatrix.from_blocks(A, B, C, D)
+    return SymplecticMatrix(np.block([[A, B], [C, D]]))
 
 
 def _quadratic_fourier_rows(values: np.ndarray, grid: Grid1D, P, L, Q, maslov) -> np.ndarray:

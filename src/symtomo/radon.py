@@ -423,9 +423,10 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
     row kernels as :func:`radon_chirp_fft` and :func:`radon_metaplectic`;
     the split rotations share one quarter turn of the state.  ``x_grid``
     is the common X grid (default: the state grid).  ``threads`` defaults
-    to the TOMO_THREADS environment variable (1 if unset); with more than
-    one, worker threads take whole blocks, so the result does not depend
-    on the thread count.  The rotation-route rows carry the flag of
+    to the TOMO_THREADS environment variable (1 if unset) and must be at
+    least 1 (ConfigError otherwise); with more than one, worker threads
+    take whole blocks, so the result does not depend on the thread count.
+    The rotation-route rows carry the flag of
     :func:`radon_metaplectic`, and the chirp-FFT rows, all resolvable,
     carry none.
     """
@@ -438,6 +439,8 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
             threads = int(raw)
         except ValueError as exc:
             raise ConfigError(f"TOMO_THREADS must be an integer, got {raw!r}") from exc
+    if threads < 1:
+        raise ConfigError(f"the thread count must be at least 1, got {threads}")
     mu, nu = np.cos(angles), np.sin(angles)
     start, step, count = _resolve_x_grid(x_grid, 1.0, psi.grid)
     chirp = np.zeros(n_angles, dtype=bool)

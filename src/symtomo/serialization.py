@@ -7,6 +7,7 @@ rename).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -16,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import Grid1D, SampledWavefunction
-from .metaplectic import SymplecticMatrix
 from .radon import Tomogram, TomogramSet
 from .wigner import WignerMap
 
@@ -31,8 +31,6 @@ __all__ = [
     "save_tomogram_csv",
     "save_tomogram_set",
     "load_tomogram_set",
-    "matrix_to_json",
-    "matrix_from_json",
     "atomic_write_text",
     "atomic_write_bytes",
     "fmt",
@@ -41,7 +39,6 @@ __all__ = [
 WAVEFUNCTION_FORMAT = "symtomo.wavefunction.v1"
 WIGNER_FORMAT = "symtomo.wigner.v1"
 TOMOGRAM_SET_FORMAT = "symtomo.tomogram_set.v1"
-MATRIX_FORMAT = "symtomo.matrix.v1"
 
 
 def fmt(value: float) -> str:
@@ -49,13 +46,15 @@ def fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _atomic_write(path, data, mode: str):
+def _atomic_write(path, chunks, mode: str):
+    """Write the iterable ``chunks`` to a temp file beside ``path``, then
+    rename it over ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, mode) as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -64,11 +63,11 @@ def _atomic_write(path, data, mode: str):
 
 
 def atomic_write_text(path, text: str):
-    _atomic_write(path, text, "w")
+    _atomic_write(path, (text,), "w")
 
 
 def atomic_write_bytes(path, data: bytes):
-    _atomic_write(path, data, "wb")
+    _atomic_write(path, (data,), "wb")
 
 
 def _grid_to_dict(grid: Grid1D) -> dict:
@@ -118,11 +117,9 @@ def load_wavefunction_json(path) -> SampledWavefunction:
 
 
 def save_wavefunction_csv(psi: SampledWavefunction, path):
-    lines = ["x,re,im"]
-    x = psi.grid.points
-    for xi, v in zip(x, psi.values):
-        lines.append(f"{fmt(xi)},{fmt(v.real)},{fmt(v.imag)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (f"{fmt(xi)},{fmt(v.real)},{fmt(v.imag)}\n"
+            for xi, v in zip(psi.grid.points, psi.values))
+    _atomic_write(path, itertools.chain(["x,re,im\n"], rows), "w")
 
 
 def load_wavefunction_csv(path, hbar: float = 1.0) -> SampledWavefunction:
@@ -182,38 +179,18 @@ def save_wigner_csv(w: WignerMap, path):
 
     Each x and p is formatted once: a template holds the lines of one x row
     with the p cells filled in and ``%.17g`` (the same digits as
-    :func:`fmt`) for the values."""
+    :func:`fmt`) for the values.  The file is written one x row at a time,
+    so memory stays bounded by one row's text."""
     row_template = "".join(f"{{x}},{fmt(p)},%.17g\n" for p in w.p_grid.points)
-    parts = ["x,p,w\n"]
-    for xi, row in zip(w.x_grid.points, w.values.tolist()):
-        parts.append(row_template.replace("{x}", fmt(xi)) % tuple(row))
-    atomic_write_text(path, "".join(parts))
 
-
-def matrix_to_json(matrix: SymplecticMatrix) -> str:
-    """Row-major JSON encoding of a block matrix."""
-    m = matrix.matrix
-    return json.dumps({
-        "format": MATRIX_FORMAT,
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "values": m.reshape(-1).tolist(),
-    })
-
-
-def matrix_from_json(text: str) -> SymplecticMatrix:
-    doc = json.loads(text)
-    if doc.get("format") != MATRIX_FORMAT:
-        raise ConfigError("not a matrix document")
-    values = np.asarray(doc["values"], dtype=np.float64)
-    return SymplecticMatrix(values.reshape(int(doc["rows"]), int(doc["cols"])))
+    rows = (row_template.replace("{x}", fmt(xi)) % tuple(row.tolist())
+            for xi, row in zip(w.x_grid.points, w.values))
+    _atomic_write(path, itertools.chain(["x,p,w\n"], rows), "w")
 
 
 def save_tomogram_csv(t: Tomogram, path):
-    lines = ["x,value"]
-    for xi, v in zip(t.x, t.values):
-        lines.append(f"{fmt(xi)},{fmt(v)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (f"{fmt(xi)},{fmt(v)}\n" for xi, v in zip(t.x, t.values))
+    _atomic_write(path, itertools.chain(["x,value\n"], rows), "w")
 
 
 def save_tomogram_set(ts: TomogramSet, out_dir, storage: str = "binary",

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from symtomo import (
-    FreeSymplectic,
     GaussianState,
     TomogramSet,
     gaussian_wavefunction,
     make_grid,
     radon_chirp_fft,
     radon_metaplectic,
-    standard_symplectic_form,
 )
+# The draw helpers that ``symtomo check`` uses too, re-exported for the tests.
+from symtomo.checks import random_direction, random_free_symplectic  # noqa: F401
 
 HBAR = 1.0
 
@@ -43,25 +42,6 @@ def random_gaussian_state(rng, sxp_min=0.0):
     mag = rng.uniform(sxp_min, 0.6)
     sigma_xp = float(rng.choice([-1.0, 1.0]) * mag)
     return GaussianState.from_position_data(sigma_xx, sigma_xp, HBAR)
-
-
-def random_direction(rng, min_angle=0.2, lam_range=(0.5, 2.0)):
-    """(mu, nu) with the angle bounded away from the axes so every forward
-    route stays inside its conditioning envelope on the session grid."""
-    theta = rng.uniform(min_angle, np.pi - min_angle)
-    lam = rng.uniform(*lam_range)
-    return float(lam * np.cos(theta)), float(lam * np.sin(theta))
-
-
-def random_free_symplectic(rng, cov, b_range=(0.4, 2.5), spread_limit=2.6):
-    """Free symplectic matrix keeping S cov S^T representable on the grid."""
-    while True:
-        h = rng.uniform(-0.8, 0.8, size=(2, 2))
-        h = 0.5 * (h + h.T)
-        s = expm(standard_symplectic_form(1) @ h)
-        c = s @ cov @ s.T
-        if b_range[0] <= abs(s[0, 1]) <= b_range[1] and max(c[0, 0], c[1, 1]) <= spread_limit:
-            return FreeSymplectic.from_matrix(s)
 
 
 def random_free_pair(rng, cov):

@@ -1,16 +1,17 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines and timings.  All tolerances are pinned here; random draws use fixed
-seeds and stay inside the documented conditioning envelope of each route
-(angles bounded away from the axes where a route requires it, covariances
-within the window the 1024-point grid resolves).
+lines and timings.  Every tolerance and measurement comes from the contract
+table ``symtomo.checks.CONTRACT`` that ``symtomo check`` runs too; this
+suite draws more inputs, from its own fixed seeds, inside the documented
+conditioning envelope of each route (angles bounded away from the axes
+where a route requires it, covariances within the window the 1024-point
+grid resolves).
 """
 
 import time
 
 import numpy as np
-import pytest
 
 from conftest import (
     HBAR,
@@ -20,42 +21,28 @@ from conftest import (
 )
 
 from symtomo import (
-    FramePair,
     FreeSymplectic,
     GaussianState,
-    RotationParams,
-    chord_matches_tomogram_variance,
-    compute_tomogram_set,
     gaussian_wavefunction,
-    gaussian_wigner_at,
-    inner_product,
-    inverse_radon,
-    is_lagrangian_frame,
-    is_symplectic_nd,
-    make_grid,
+    gaussian_wigner,
     marginals,
-    metaplectic_rotation,
-    pauli_reconstruct,
-    quadratic_fourier,
     radon_chirp_fft,
-    radon_line_integral,
     radon_metaplectic,
-    rotation_from_mu_nu,
-    standard_symplectic_form,
-    tomogram_variance,
     wigner_transform,
 )
+from symtomo.checks import CONTRACT, random_symplectic
 
 
-def report(name: str, worst: float, tol: float, extra: str = ""):
+def measure(name: str, *inputs) -> float:
+    return CONTRACT[name].measure(*inputs)
+
+
+def report(label: str, name: str, worst: float, extra: str = ""):
+    """Print and assert ``worst`` against the tolerance of invariant ``name``."""
+    tol = CONTRACT[name].tol
     status = "PASS" if worst <= tol else "FAIL"
-    print(f"[{status}] {name}: worst {worst:.3e} vs tolerance {tol:.1e}{extra}")
+    print(f"[{status}] {label}: worst {worst:.3e} vs tolerance {tol:.1e}{extra}")
     assert worst <= tol
-
-
-def closed_form_wigner_error(recon, state):
-    xs, ps = np.meshgrid(recon.x_grid.points, recon.p_grid.points, indexing="ij")
-    return float(np.max(np.abs(recon.values - gaussian_wigner_at(state, xs, ps))))
 
 
 def test_criterion_01_marginal_identities(grid):
@@ -65,14 +52,9 @@ def test_criterion_01_marginal_identities(grid):
         state = random_gaussian_state(rng)
         psi = gaussian_wavefunction(state, grid)
         w = wigner_transform(psi)
-        pos, mom = marginals(w)
-        pos_want = psi.probability_density()
-        mom_want = (2 * np.pi * state.sigma_pp) ** (-0.5) * np.exp(
-            -w.p_grid.points**2 / (2 * state.sigma_pp))
-        worst = max(worst,
-                    float(np.max(np.abs(pos - pos_want))),
-                    float(np.max(np.abs(mom - mom_want))))
-    report("criterion 1 (marginal identities, 10 states)", worst, 1e-7)
+        worst = max(worst, measure("wigner_marginals", psi, state, *marginals(w),
+                                   w.p_grid.points))
+    report("criterion 1 (marginal identities, 10 states)", "wigner_marginals", worst)
 
 
 def test_criterion_02_symplectic_covariance(grid):
@@ -81,12 +63,10 @@ def test_criterion_02_symplectic_covariance(grid):
     for _ in range(20):
         state = random_gaussian_state(rng)
         psi = gaussian_wavefunction(state, grid)
-        mu, nu = random_direction(rng, min_angle=0.0)
-        rotated = metaplectic_rotation(psi, RotationParams(mu, nu))
-        w = wigner_transform(rotated)
-        ref_state = state.rotated(rotation_from_mu_nu(mu, nu).matrix)
-        worst = max(worst, closed_form_wigner_error(w, ref_state))
-    report("criterion 2 (symplectic covariance, 20 directions)", worst, 1e-6)
+        worst = max(worst, measure("symplectic_covariance", psi, state,
+                                   *random_direction(rng, min_angle=0.0)))
+    report("criterion 2 (symplectic covariance, 20 directions)", "symplectic_covariance",
+           worst)
 
 
 def test_criterion_03_three_route_equivalence(grid):
@@ -94,44 +74,36 @@ def test_criterion_03_three_route_equivalence(grid):
     worst_pair = 0.0
     worst_line = 0.0
     for _ in range(4):
-        state = random_gaussian_state(rng)
-        psi = gaussian_wavefunction(state, grid)
+        psi = gaussian_wavefunction(random_gaussian_state(rng), grid)
         w_square = wigner_transform(psi, p_grid=grid)
         for _ in range(5):
             mu, nu = random_direction(rng)
-            a = radon_metaplectic(psi, mu, nu)
-            b = radon_chirp_fft(psi, mu, nu)
-            c = radon_line_integral(w_square, mu, nu)
-            worst_pair = max(worst_pair, float(np.max(np.abs(a.values - b.values))))
-            worst_line = max(worst_line,
-                             float(np.max(np.abs(a.values - c.values))),
-                             float(np.max(np.abs(b.values - c.values))))
+            worst_pair = max(worst_pair, measure("route_equivalence_chirp_fft", psi, mu, nu))
+            # the line integral against both operator routes
+            worst_line = max(worst_line, measure(
+                "route_equivalence_line_integral", w_square, mu, nu,
+                radon_metaplectic(psi, mu, nu), radon_chirp_fft(psi, mu, nu)))
     state = random_gaussian_state(rng)
     psi = gaussian_wavefunction(state, grid)
     t_x = radon_metaplectic(psi, 1.0, 0.0)
-    worst_axis = float(np.max(np.abs(t_x.values - psi.probability_density())))
     t_p = radon_metaplectic(psi, 0.0, 1.0)
-    p_want = (2 * np.pi * state.sigma_pp) ** (-0.5) * np.exp(
-        -t_p.x**2 / (2 * state.sigma_pp))
-    worst_axis = max(worst_axis, float(np.max(np.abs(t_p.values - p_want))))
-    report("criterion 3a (metaplectic vs chirp-FFT, 20 directions)", worst_pair, 1e-7)
-    report("criterion 3b (operator routes vs line integral)", worst_line, 5e-4)
-    report("criterion 3c (axis tomograms reproduce marginals)", worst_axis, 1e-7)
+    worst_axis = measure("wigner_marginals", psi, state, t_x.values, t_p.values, t_p.x)
+    report("criterion 3a (metaplectic vs chirp-FFT, 20 directions)",
+           "route_equivalence_chirp_fft", worst_pair)
+    report("criterion 3b (operator routes vs line integral)",
+           "route_equivalence_line_integral", worst_line)
+    report("criterion 3c (axis tomograms reproduce marginals)", "wigner_marginals", worst_axis)
 
 
 def test_criterion_04_homogeneity(grid):
     rng = np.random.default_rng(104)
-    state = random_gaussian_state(rng)
-    psi = gaussian_wavefunction(state, grid)
+    psi = gaussian_wavefunction(random_gaussian_state(rng), grid)
     worst = 0.0
     for _ in range(5):
-        mu, nu = random_direction(rng, min_angle=0.0)
-        base = radon_metaplectic(psi, mu, nu)
-        for s in (0.5, 2.0, 3.0):
-            scaled = radon_metaplectic(psi, s * mu, s * nu)
-            assert np.allclose(scaled.x, s * base.x, rtol=0, atol=1e-12)
-            worst = max(worst, float(np.max(np.abs(scaled.values - base.values / s))))
-    report("criterion 4 (tomogram homogeneity, s in {0.5, 2, 3})", worst, 1e-7)
+        worst = max(worst, measure("tomogram_homogeneity", psi,
+                                   *random_direction(rng, min_angle=0.0)))
+    report("criterion 4 (tomogram homogeneity, s in {0.5, 2, 3})", "tomogram_homogeneity",
+           worst)
 
 
 def test_criterion_05_inversion_round_trip(grid):
@@ -141,13 +113,13 @@ def test_criterion_05_inversion_round_trip(grid):
     for _ in range(5):
         state = random_gaussian_state(rng)
         psi = gaussian_wavefunction(state, grid)
+        # the closed-form map is the reference here; symtomo check uses the
+        # numerical Wigner transform of the same samples
+        reference = gaussian_wigner(state, grid)
         start = time.perf_counter()
-        tomos = compute_tomogram_set(psi, 360)
-        recon = inverse_radon(tomos, grid)
-        elapsed = time.perf_counter() - start
-        slowest = max(slowest, elapsed)
-        worst = max(worst, closed_form_wigner_error(recon, state))
-    report("criterion 5 (FBP round trip, 5 states, 360 angles)", worst, 1e-3,
+        worst = max(worst, measure("fbp_round_trip", psi, reference, 1.0))
+        slowest = max(slowest, time.perf_counter() - start)
+    report("criterion 5 (FBP round trip, 5 states, 360 angles)", "fbp_round_trip", worst,
            extra=f"; slowest state {slowest:.1f}s (limit 60s)")
     assert slowest <= 60.0
 
@@ -158,11 +130,10 @@ def test_criterion_06_gaussian_tomogram_variance(grid):
     for _ in range(50):
         state = random_gaussian_state(rng)
         psi = gaussian_wavefunction(state, grid)
-        mu, nu = random_direction(rng)
-        measured = radon_chirp_fft(psi, mu, nu).moments()[1]
-        want = tomogram_variance(state, mu, nu)
-        worst = max(worst, abs(measured - want) / want)
-    report("criterion 6 (closed-form vs measured variance, 50 draws)", worst, 1e-6)
+        worst = max(worst, measure("gaussian_tomogram_variance", psi, state,
+                                   *random_direction(rng)))
+    report("criterion 6 (closed-form vs measured variance, 50 draws)",
+           "gaussian_tomogram_variance", worst)
 
 
 def test_criterion_07_pauli_reconstruction(grid):
@@ -171,17 +142,10 @@ def test_criterion_07_pauli_reconstruction(grid):
     for _ in range(100):
         state = random_gaussian_state(rng, sxp_min=0.05)
         psi = gaussian_wavefunction(state, grid)
-        mu, nu = random_direction(rng, min_angle=0.35)
-        rec = pauli_reconstruct(
-            radon_metaplectic(psi, 1.0, 0.0),
-            radon_metaplectic(psi, 0.0, 1.0),
-            radon_chirp_fft(psi, mu, nu),
-        ).state
-        worst = max(worst,
-                    abs(rec.sigma_xx - state.sigma_xx),
-                    abs(rec.sigma_pp - state.sigma_pp),
-                    abs(rec.sigma_xp - state.sigma_xp))
-    # sign-ambiguity witness: twins share the axis tomograms exactly
+        worst = max(worst, measure("pauli_round_trip", psi, state,
+                                   *random_direction(rng, min_angle=0.35)))
+    # sign-ambiguity witness: twins share the axis tomograms to rounding,
+    # the floor that tomogram_nonnegativity also holds tomograms to
     state = GaussianState.from_position_data(1.1, 0.45, HBAR)
     twin = GaussianState(state.sigma_xx, state.sigma_pp, -state.sigma_xp, HBAR)
     twin_gap = 0.0
@@ -189,20 +153,17 @@ def test_criterion_07_pauli_reconstruction(grid):
         a = radon_metaplectic(gaussian_wavefunction(state, grid), mu, nu)
         b = radon_metaplectic(gaussian_wavefunction(twin, grid), mu, nu)
         twin_gap = max(twin_gap, float(np.max(np.abs(a.values - b.values))))
-    report("criterion 7a (covariance recovery, 100 states)", worst, 1e-4)
-    report("criterion 7b (sign twins share axis tomograms)", twin_gap, 1e-10)
+    report("criterion 7a (covariance recovery, 100 states)", "pauli_round_trip", worst)
+    report("criterion 7b (sign twins share axis tomograms)", "tomogram_nonnegativity",
+           twin_gap)
 
 
 def test_criterion_08_chord_variance_link():
     rng = np.random.default_rng(108)
-    bad = 0
-    for _ in range(100):
-        state = random_gaussian_state(rng)
-        mu, nu = random_direction(rng)
-        if not chord_matches_tomogram_variance(state, mu, nu, tol=1e-12):
-            bad += 1
+    draws = [(random_gaussian_state(rng), *random_direction(rng)) for _ in range(100)]
+    bad = measure("chord_variance_link", draws)
     report("criterion 8 (chord coefficient = variance/nu^2, 100 states)",
-           float(bad), 0.0, extra=f"; {bad} violations at 1e-12")
+           "chord_variance_link", bad, extra=f"; {bad:.0f} violations at 1e-12")
 
 
 def test_criterion_09_metaplectic_composition(grid):
@@ -213,32 +174,21 @@ def test_criterion_09_metaplectic_composition(grid):
     worst_proj = 0.0
     for _ in range(20):
         s1, s2 = random_free_pair(rng, state.covariance_matrix)
-        direct = quadratic_fourier(
-            psi, FreeSymplectic.from_matrix(s1.base.matrix @ s2.base.matrix))
-        composed = quadratic_fourier(quadratic_fourier(psi, s2), s1)
-        worst_norm = max(worst_norm,
-                         abs(composed.norm() - psi.norm()),
-                         abs(direct.norm() - psi.norm()))
-        worst_proj = max(worst_proj, abs(abs(inner_product(direct, composed)) - 1.0))
-    report("criterion 9a (metaplectic unitarity, 20 pairs)", worst_norm, 1e-8)
-    report("criterion 9b (projective composition, 20 pairs)", worst_proj, 1e-7)
+        product = FreeSymplectic.from_matrix(s1.base.matrix @ s2.base.matrix)
+        # the norm of the direct operator as well as of the composition
+        worst_norm = max(worst_norm, measure("metaplectic_unitarity", psi, s1, s2),
+                         measure("metaplectic_unitarity", psi, product))
+        worst_proj = max(worst_proj, measure("metaplectic_projective_composition", psi, s1, s2))
+    report("criterion 9a (metaplectic unitarity, 20 pairs)", "metaplectic_unitarity",
+           worst_norm)
+    report("criterion 9b (projective composition, 20 pairs)",
+           "metaplectic_projective_composition", worst_proj)
 
 
 def test_criterion_10_lagrangian_frames():
     rng = np.random.default_rng(110)
-    from scipy.linalg import expm
-
-    disagreements = 0
-    for _ in range(200):
-        n = int(rng.integers(1, 4))
-        h = rng.uniform(-1, 1, size=(2 * n, 2 * n))
-        h = 0.5 * (h + h.T)
-        s = expm(standard_symplectic_form(n) @ h)
-        j = standard_symplectic_form(n)
-        oracle = bool(np.max(np.abs(s @ j @ s.T - j)) <= 1e-8)
-        agrees = (bool(is_symplectic_nd(s, tol=1e-8)) == oracle and
-                  bool(is_lagrangian_frame(FramePair(s[:n, :n], s[:n, n:]))) == oracle)
-        if not agrees:
-            disagreements += 1
+    # validators against the S J S^T oracle's verdict (symtomo check expects
+    # every verdict, the oracle's included, to be true)
+    bad = measure("lagrangian_frame_oracle", [random_symplectic(rng) for _ in range(200)], None)
     report("criterion 10 (frame validator vs SJS^T oracle, 200 draws)",
-           float(disagreements), 0.0, extra=f"; {disagreements} disagreements")
+           "lagrangian_frame_oracle", bad, extra=f"; {bad:.0f} disagreements")

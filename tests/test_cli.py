@@ -6,6 +6,7 @@ import pytest
 from conftest import flagged_chirp_set
 
 from symtomo import GaussianState, gaussian_wavefunction, make_grid, wigner_transform
+from symtomo.checks import CONTRACT
 from symtomo.cli import main
 from symtomo.serialization import save_tomogram_set, save_wavefunction_json, save_wigner
 
@@ -93,9 +94,13 @@ class TestTomogramCommand:
                     "--mu", "0", "--nu", "0", "--out", str(tmp_path)]) == 2
 
     def test_unparseable_tomo_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TOMO_THREADS", "abc")
-        assert run(["tomogram", "--grid=-12:12:512", "--state", "gaussian:1,0",
-                    "--angles", "8", "--out", str(tmp_path)]) == 2
+        sweep = ["tomogram", "--grid=-12:12:512", "--state", "gaussian:1,0",
+                 "--angles", "8", "--out", str(tmp_path)]
+        for raw in ("abc", "0", "-2"):
+            monkeypatch.setenv("TOMO_THREADS", raw)
+            assert run(sweep) == 2, raw
+        monkeypatch.delenv("TOMO_THREADS")
+        assert run(sweep + ["--threads", "-1"]) == 2
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -233,7 +238,7 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert code == 0
         lines = [l for l in out.splitlines() if "PASS" in l or "FAIL" in l]
-        assert len(lines) >= 12
+        assert [l.split()[0] for l in lines] == list(CONTRACT)
         assert all("PASS" in l for l in lines)
 
     def test_seed_determinism(self, capsys):

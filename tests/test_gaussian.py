@@ -16,7 +16,6 @@ from symtomo import (
     gaussian_tomogram,
     gaussian_wavefunction,
     gaussian_wigner,
-    hbar_fourier,
     make_grid,
     marginals,
     pauli_reconstruct,
@@ -25,6 +24,7 @@ from symtomo import (
     tomogram_variance,
     wigner_transform,
 )
+from symtomo.grids import hbar_fourier
 
 
 class TestGaussianState:

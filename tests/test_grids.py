@@ -7,14 +7,18 @@ from symtomo import (
     ConfigError,
     DomainError,
     SampledWavefunction,
-    chirp_multiply,
-    hbar_fourier,
     inner_product,
     make_grid,
-    sample_uniform,
     scale,
 )
-from symtomo.grids import Grid1D, _trig_resample, bluestein_czt
+from symtomo.grids import (
+    Grid1D,
+    _trig_resample,
+    bluestein_czt,
+    chirp_multiply,
+    hbar_fourier,
+    sample_uniform,
+)
 
 HBAR = 1.0
 

@@ -5,6 +5,7 @@ from conftest import HBAR, random_direction
 from fbp_oracle import inverse_radon_affine, inverse_radon_reference
 
 from symtomo import (
+    ConfigError,
     DomainError,
     GaussianState,
     Grid1D,
@@ -16,12 +17,12 @@ from symtomo import (
     gaussian_wigner_at,
     inverse_radon,
     make_grid,
-    mix_tomograms,
     radon_chirp_fft,
     radon_line_integral,
     radon_metaplectic,
     wigner_transform,
 )
+from symtomo.radon import mix_tomograms
 
 
 def closed_form_density(x, state, mu, nu):
@@ -224,6 +225,10 @@ class TestTomogramSet:
         b = compute_tomogram_set(psi, 12, threads=4)
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.values, tb.values)
+
+    def test_thread_count_below_one_rejected(self, psi):
+        with pytest.raises(ConfigError, match="at least 1"):
+            compute_tomogram_set(psi, 12, threads=0)
 
 
 class TestInverseRadon:

@@ -82,10 +82,14 @@ def test_wigner_csv_matches_reference_writer(tmp_path):
     rng = np.random.default_rng(5)
     values = rng.standard_normal((16, 16)) * 10.0 ** rng.uniform(-320, 3, (16, 16))
     values[0, :4] = [0.1, -0.1, -0.0, 5e-324]
-    w = WignerMap(grid, default_momentum_window(grid), values, HBAR)
-    save_wigner_csv(w, tmp_path / "new.csv")
-    save_wigner_csv_reference(w, tmp_path / "ref.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # the row-by-row writer against the per-cell reference, on a square map
+    # and on one with more p columns than x rows
+    p_wide = make_grid(-1.0, 1.0, 32, HBAR)
+    for w in (WignerMap(grid, default_momentum_window(grid), values, HBAR),
+              WignerMap(make_grid(-2.0, 2.0, 8, HBAR), p_wide, values.reshape(8, 32), HBAR)):
+        save_wigner_csv(w, tmp_path / "new.csv")
+        save_wigner_csv_reference(w, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_tomogram_csv(psi, tmp_path):
@@ -196,17 +200,6 @@ def test_manifest_not_json_rejected(tmp_path):
     bad.write_text('{"format": "symtomo.tomogram_set.v1", ')
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_tomogram_set(bad)
-
-
-def test_matrix_json_round_trip():
-    from symtomo import rotation_from_mu_nu
-    from symtomo.serialization import matrix_from_json, matrix_to_json
-
-    m = rotation_from_mu_nu(3.0, 4.0)
-    back = matrix_from_json(matrix_to_json(m))
-    assert np.array_equal(back.matrix, m.matrix)
-    doc = json.loads(matrix_to_json(m))
-    assert doc["values"][1] == m.matrix[0, 1]  # row-major layout
 
 
 def test_fmt_round_trip():

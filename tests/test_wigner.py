@@ -8,12 +8,11 @@ from symtomo import (
     SampledWavefunction,
     default_momentum_window,
     gaussian_wavefunction,
-    hbar_fourier,
     make_grid,
     marginals,
-    sample_uniform,
     wigner_transform,
 )
+from symtomo.grids import hbar_fourier, sample_uniform
 
 
 def test_ground_state_closed_form(ground):
