@@ -106,10 +106,12 @@ def gaussian_wavefunction(state: GaussianState, grid: Grid1D) -> SampledWavefunc
     amp = (2 * np.pi * state.sigma_xx) ** (-0.25) * np.exp(-x**2 / (4 * state.sigma_xx))
     phase = np.exp(1j * state.sigma_xp * x**2 / (2 * state.hbar * state.sigma_xx))
     psi = SampledWavefunction(grid, amp * phase)
-    span = min(abs(grid.x_min - grid.center), abs(grid.x_max - grid.center))
-    if span < 4 * np.sqrt(state.sigma_xx):  # < 8 sigma total width
+    # Distance from the state's centre x = 0 to the nearer grid edge
+    # (negative when the grid misses x = 0).
+    reach = min(-grid.x_min, grid.x_max)
+    if reach < 4 * np.sqrt(state.sigma_xx):
         warnings.warn(
-            "grid spans less than 8 sqrt(sigma_xx); sampled state is truncated",
+            "grid reaches less than 4 sqrt(sigma_xx) from x = 0; sampled state is truncated",
             AccuracyWarning,
             stacklevel=2,
         )

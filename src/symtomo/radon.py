@@ -16,9 +16,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .errors import ConfigError, DomainError, UnsupportedOperation
-from .grids import Grid1D, SampledWavefunction, _trig_resample, chirp_fourier_rows
+from .grids import (Grid1D, SampledWavefunction, _trig_resample, bluestein_czt,
+                    chirp_fourier_rows, cis)
 from .grids import hbar_fourier  # noqa: F401  (perfbench's tracer patches it here too)
 from .metaplectic import RotationParams, quarter_turn, rotate_rows
 from .wigner import WignerMap, default_momentum_window
@@ -218,101 +220,69 @@ def radon_chirp_fft(psi: SampledWavefunction, mu: float, nu: float,
                     psi.grid.hbar, route="chirp-fft", accuracy_warning=warn)
 
 
-def _inside_range(first: np.ndarray, slope: float, last: int, n_s: int):
-    """Per row, the inclusive range [lo, hi] of k in [0, n_s) that holds
-    every k with 0 <= first + slope*k <= last, widened by one index against
-    rounding; lo > hi where no k does."""
-    if slope == 0.0:
-        ok = (first >= 0.0) & (first <= last)
-        return np.where(ok, 0, n_s), np.where(ok, n_s - 1, -1)
-    with np.errstate(over="ignore"):  # a tiny slope sends the bounds to +-inf
-        k0, k1 = -first / slope, (last - first) / slope
-    lo = np.clip(np.floor(np.minimum(k0, k1)) - 1, 0, n_s)
-    hi = np.clip(np.ceil(np.maximum(k0, k1)) + 1, -1, n_s - 1)
-    return lo.astype(np.intp), hi.astype(np.intp)
-
-
 def radon_line_integral(w: WignerMap, mu: float, nu: float, x_grid=None,
                         step_fraction: float = 0.5) -> Tomogram:
-    """Tomogram as 1/lambda times the unit-speed line integral of the Wigner
-    map along mu*x + nu*p = X.
+    """Tomogram R(X) = integral of W over the line mu*x + nu*p = X (1/lambda
+    times its unit-speed line integral), by the Fourier slice theorem: R's
+    characteristic function is the map's 2-D Fourier transform along
+    k*(mu, nu), R^(k) = dx*dp * sum_ij W_ij exp(-i*k*(mu*x_i + nu*p_j)).
 
-    Each line is sampled at s = -h + k*ds (k = 0..n_s-1), where h is half
-    the map's diagonal and ds about ``step_fraction`` times the finer grid
-    spacing, and summed by the composite trapezoid rule.  The samples are
-    bilinear interpolants of the map, zero outside its window, so expect
-    agreement with the operator routes at the ~(grid spacing)^2 level
-    rather than at spectral accuracy.  A map that is flagged, or whose
-    edge decay exceeds EDGE_DECAY_FLAG, gives a flagged tomogram with its
-    negative truncation ripples clipped to zero; on any other map a dip
-    below the tomogram floor raises DomainError.
+    b is the coefficient of the axis along which the line advances fastest
+    in index units (nu when |nu|*dp >= |mu|*dx, else mu), with spacing d_b
+    and first point b_0; a is the other one, with points y_i and spacing
+    d_a.  One real FFT F of the rows along b, zero-padded to n_pad points,
+    holds k_q = q*dk (q = 0..n_pad/2, dk = 2*pi/(|b|*n_pad*d_b)), where
+    |k_q*a| stays below the a axis's Nyquist rate.  Then R^(k_q) =
+    d_a*d_b*exp(-i*k_q*b*b_0) * sum_i exp(-i*k_q*a*y_i)*F_iq (F conjugated
+    for b < 0), and one chirp-z transform gives R(X) =
+    (dk/pi)*Re sum_q R^(k_q)*exp(i*k_q*X), half weight at q = 0 and
+    Nyquist.  That sums each row's trigonometric interpolant where the line
+    crosses it: the line integral to rounding on a map resolved on its
+    grid.  Its period |b|*n_pad*d_b in X covers the projected support
+    [lo, hi] of the map's samples; X outside it is exactly 0.
+    ``step_fraction`` is ignored.
 
-    The fractional map indices of a sample are affine in (X, s):
-    i = (mu*X/lambda^2 - nu*s/lambda - x_min)/dx and
-    j = (nu*X/lambda^2 + mu*s/lambda - p_min)/dp.  The lines run in row
-    blocks of about GATHER_BLOCK samples: each block takes the floor of
-    (i, j), gathers the four stencil corners from the map padded with one
-    zero row and column, interpolates, zeroes the samples outside
-    [0, n-1] and applies the trapezoid weights as a dot product.  A block
-    only visits the k where some of its lines can fall inside the map,
-    a range that follows in closed form from the affine indices; the
-    samples it skips are zero.
+    A map that is flagged, or whose edge decay exceeds EDGE_DECAY_FLAG,
+    gives a flagged tomogram with its negative truncation ripples clipped
+    to zero; on any other map a dip below the tomogram floor raises
+    DomainError.
     """
-    params = RotationParams(mu, nu)
-    lam = params.lam
+    lam = RotationParams(mu, nu).lam
     gx, gp = w.x_grid, w.p_grid
     base = Grid1D(gx.x_min, gx.n_points, gx.dx, w.hbar)
     start, step, count = _resolve_x_grid(x_grid, lam, base)
     x_out = start + step * np.arange(count)
-
-    ds = step_fraction * min(gx.dx, gp.dx)
-    half_diag = 0.5 * np.hypot(gx.x_max - gx.x_min, gp.x_max - gp.x_min)
-    n_s = int(np.ceil(2 * half_diag / ds)) + 1
-    s = np.linspace(-half_diag, half_diag, n_s)
-    ds = s[1] - s[0]
-    weights = np.full(n_s, ds)
-    weights[[0, -1]] *= 0.5
-
-    last_i, last_j = gx.n_points - 1, gp.n_points - 1
-    stride = gp.n_points + 1
-    padded = np.zeros((gx.n_points + 1, stride))
-    padded[:-1, :-1] = w.values
-    padded = padded.ravel()
-    right, below, below_right = padded[1:], padded[stride:], padded[stride + 1:]
-    # Fractional map indices i = i0 + di*s and j = j0 + dj*s along line X.
-    i0 = (mu * x_out / lam**2 - gx.x_min) / gx.dx
-    j0 = (nu * x_out / lam**2 - gp.x_min) / gp.dx
-    di = -nu / (lam * gx.dx)
-    dj = mu / (lam * gp.dx)
-    lo_i, hi_i = _inside_range(i0 + di * s[0], di * ds, last_i, n_s)
-    lo_j, hi_j = _inside_range(j0 + dj * s[0], dj * ds, last_j, n_s)
-    k_lo, k_hi = np.maximum(lo_i, lo_j), np.minimum(hi_i, hi_j)
+    corners = np.add.outer(mu * gx.points[[0, -1]], nu * gp.points[[0, -1]])
+    lo, hi = corners.min(), corners.max()
+    inside = np.flatnonzero((x_out >= lo) & (x_out <= hi))
 
     values = np.zeros(count)
-    rows = max(1, GATHER_BLOCK // n_s)
-    for lo in range(0, count, rows):
-        hit = k_lo[lo:lo + rows] <= k_hi[lo:lo + rows]
-        if not hit.any():
-            continue
-        ka = k_lo[lo:lo + rows][hit].min()
-        kb = k_hi[lo:lo + rows][hit].max() + 1
-        i = np.add.outer(i0[lo:lo + rows], di * s[ka:kb])
-        j = np.add.outer(j0[lo:lo + rows], dj * s[ka:kb])
-        ic, jc = np.clip(i, 0.0, last_i), np.clip(j, 0.0, last_j)
-        outside = (ic != i) | (jc != j)
-        # ic, jc >= 0, so truncation is the floor.
-        ki, kj = ic.astype(np.intp), jc.astype(np.intp)
-        ic -= ki
-        jc -= kj
-        flat = ki * stride + kj
-        top = padded.take(flat)
-        top += jc * (right.take(flat) - top)
-        bottom = below.take(flat)
-        bottom += jc * (below_right.take(flat) - bottom)
-        top += ic * (bottom - top)
-        np.copyto(top, 0.0, where=outside)
-        values[lo:lo + rows] = top @ weights[ka:kb]
-    values /= lam
+    if len(inside):
+        (a, ga), (b, gb), rows = (mu, gx), (nu, gp), w.values
+        if abs(nu) * gp.dx < abs(mu) * gx.dx:
+            (a, ga), (b, gb), rows = (nu, gp), (mu, gx), w.values.T
+        half = scipy.fft.next_fast_len(int(np.ceil(0.5 * (hi - lo) / (abs(b) * gb.dx))) + 1,
+                                      real=True)
+        f = scipy.fft.rfft(rows, 2 * half, axis=1)
+        if b < 0:
+            np.conjugate(f, out=f)
+        dk = np.pi / (abs(b) * half * gb.dx)
+        k = dk * np.arange(half + 1)
+        # exp(-i*k_q*a*y_i) at q = Q*block + r is coarse[i, Q]*fine[i, r]:
+        # cis on every (i, q) costs more than these two small tables, and
+        # each block of q is one matrix-vector product.
+        block = int(np.sqrt(half)) + 1
+        phase = -dk * a * ga.points
+        coarse = cis(np.outer(phase, block * np.arange(half // block + 1)))
+        fine = cis(np.outer(phase, np.arange(block)))
+        spec = np.empty(half + 1, dtype=np.complex128)
+        for q in range(0, half + 1, block):
+            cols = f[:, q:q + block]
+            spec[q:q + block] = coarse[:, q // block] @ (cols * fine[:, :cols.shape[1]])
+        spec[[0, -1]] *= 0.5
+        first, last = inside[0], inside[-1] + 1
+        spec *= cis(k * (x_out[first] - b * gb.x_min)) * (ga.dx * gb.dx * dk / np.pi)
+        values[first:last] = bluestein_czt(spec, last - first, dk * step).real
     warn = w.accuracy_warning or w.edge_decay() > EDGE_DECAY_FLAG
     if warn:
         # A flagged map carries truncation ripples that may dip below the

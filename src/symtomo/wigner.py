@@ -101,7 +101,9 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
     p_grid : Grid1D, optional
         Momentum window.  Defaults to :func:`default_momentum_window`; any
         uniform window inside the alias-free band |p| <= pi*hbar/(2*dx) is
-        valid and is evaluated by chirp-z quadrature of the y-integral.
+        valid and is evaluated by chirp-z quadrature of the y-integral.  A
+        window with a point past that band holds periodic replicas of the
+        map and carries ``accuracy_warning=True``.
 
     Each position row is one chirp-z transform of its autocorrelation
     slice (see :func:`_autocorrelation`) with kernel exp(i*beta*j*k),
@@ -115,7 +117,9 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
         p_grid = default_momentum_window(g)
     if abs(p_grid.hbar - hbar) > 1e-12 * hbar:
         raise ConfigError("p_grid hbar differs from state hbar")
-    warn = psi.edge_decay() > EDGE_DECAY_LIMIT
+    p_reach = max(-p_grid.x_min, p_grid.x_max - p_grid.dx)
+    warn = (psi.edge_decay() > EDGE_DECAY_LIMIT
+            or p_reach > np.pi * hbar / (2.0 * dx) * (1.0 + 1e-12))
 
     acorr = _autocorrelation(psi.values)
     m = np.arange(n)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,19 @@ class TestGaussianWavefunction:
         g = make_grid(-4, 4, 64, HBAR)
         with pytest.warns(AccuracyWarning):
             gaussian_wavefunction(GaussianState.from_position_data(4.0, 0.0, HBAR), g)
+
+    def test_off_centre_grid_warns(self):
+        # Wide, but it starts at the state's centre: half the state is cut.
+        with pytest.warns(AccuracyWarning):
+            psi = gaussian_wavefunction(GaussianState.ground_state(HBAR),
+                                        make_grid(0.0, 32.0, 1024, HBAR))
+        assert psi.norm() < 0.72 and psi.edge_decay() == 1.0
+
+    @pytest.mark.parametrize("lo, hi", [(-16.0, 16.0), (-2.9, 2.9), (-12.0, 20.0)])
+    def test_grid_reaching_4_sigma_each_side_is_quiet(self, lo, hi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            gaussian_wavefunction(GaussianState.ground_state(HBAR), make_grid(lo, hi, 64, HBAR))
 
 
 class TestGaussianTomogram:

@@ -109,9 +109,8 @@ class TestRouteEquivalence:
             assert np.max(np.abs(a.values - c.values)) < 5e-4, (mu, nu)
 
     def test_line_integral_chirped_direction(self, grid):
-        # bilinear sampling caps the accuracy at ~h^2/12 * integral of W'',
-        # about 3e-5 on this window; assert a bound with margin below the
-        # 5e-4 route-equivalence contract
+        # the two routes agree to rounding; assert a bound with margin below
+        # the 5e-4 route-equivalence contract
         st = GaussianState.from_position_data(1.0, 0.3, HBAR)
         sample = gaussian_wavefunction(st, grid)
         w = wigner_transform(sample, p_grid=grid)

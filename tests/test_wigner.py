@@ -122,6 +122,21 @@ def test_edge_decay_warning():
     assert not ok.accuracy_warning
 
 
+def test_window_past_the_alias_free_band_flagged():
+    # |p| <= pi*hbar/(2*dx) = pi here; the square window reaches 16 and
+    # folds periodic replicas into the map (mass 5).
+    grid = make_grid(-16, 16, 64, HBAR)
+    psi = gaussian_wavefunction(GaussianState.ground_state(HBAR), grid)
+    assert psi.edge_decay() < 1e-12
+    w = wigner_transform(psi, p_grid=grid)
+    assert abs(w.mass() - 5.0) < 1e-3
+    assert w.accuracy_warning
+    # The default window ends exactly on the band edge.
+    assert not wigner_transform(psi).accuracy_warning
+    inside = make_grid(-np.pi, np.pi, 64, HBAR)
+    assert not wigner_transform(psi, p_grid=inside).accuracy_warning
+
+
 def _wigner_scipy_czt(psi, p_grid):
     """The map as computed with ``scipy.signal.czt`` before the library
     had its own Bluestein transform."""
