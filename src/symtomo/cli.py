@@ -125,7 +125,7 @@ def cmd_tomogram(args) -> int:
     elif args.route == "chirp-fft":
         t = radon_chirp_fft(psi, args.mu, args.nu)
     else:
-        t = radon_line_integral(wigner_transform(psi, p_grid=grid), args.mu, args.nu)
+        t = radon_line_integral(wigner_transform(psi), args.mu, args.nu)
     save_tomogram_csv(t, out / "tomogram.csv")
     meta = {
         "mu": t.mu, "nu": t.nu, "hbar": t.hbar, "route": t.route,

@@ -16,7 +16,7 @@ import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
-from .grids import Grid1D, SampledWavefunction, bluestein_czt
+from .grids import Grid1D, SampledWavefunction, bluestein_czt, cis
 
 __all__ = ["WignerMap", "wigner_transform", "marginals", "default_momentum_window"]
 
@@ -32,7 +32,6 @@ class WignerMap:
     values: np.ndarray = field(repr=False)
     hbar: float = 1.0
     accuracy_warning: bool = False
-    max_imag: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -50,15 +49,12 @@ class WignerMap:
         return float(self.x_grid.dx * self.p_grid.dx * self.values.sum())
 
     def edge_decay(self) -> float:
-        peak = float(np.max(np.abs(self.values)))
+        """Largest border |W| over the largest |W| (0.0 for the zero map)."""
+        v = self.values
+        peak = max(v.max(), -v.min())
         if peak == 0.0:
             return 0.0
-        border = max(
-            np.max(np.abs(self.values[0, :])),
-            np.max(np.abs(self.values[-1, :])),
-            np.max(np.abs(self.values[:, 0])),
-            np.max(np.abs(self.values[:, -1])),
-        )
+        border = max(np.abs(edge).max() for edge in (v[0], v[-1], v[:, 0], v[:, -1]))
         return float(border / peak)
 
 
@@ -110,6 +106,9 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
     beta = -2*dp*dx/hbar.  For the default window, n points at
     dp = pi*hbar/(n*dx), beta is -2*pi/n and the transform is a plain
     length-n FFT; every other window goes through :func:`bluestein_czt`.
+    Every output row is real, so rows j and j + n/2 share one complex
+    transform of A_j + i*A_(j+n/2): its real part is row j and its
+    imaginary part row j + n/2.
     """
     g = psi.grid
     n, dx, hbar = g.n_points, g.dx, g.hbar
@@ -121,20 +120,26 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
     warn = (psi.edge_decay() > EDGE_DECAY_LIMIT
             or p_reach > np.pi * hbar / (2.0 * dx) * (1.0 + 1e-12))
 
+    half = n // 2
     acorr = _autocorrelation(psi.values)
-    m = np.arange(n)
-    acorr *= np.exp(-2j * p_grid.x_min * m * dx / hbar)
+    z = acorr[:half]
+    z.real -= acorr[half:].imag
+    z.imag += acorr[half:].real
+    # A pre-phase odd in m - n/2 keeps each row exactly Hermitian about
+    # m = n/2, and the post-phase exp(-i*beta*k*n/2) uses the kernel's own
+    # beta ((-1)**k for the FFT): a phase rounding would leak into the partner.
+    z *= cis(-2.0 * p_grid.x_min * dx / hbar * (np.arange(n) - half))
     beta = -2.0 * p_grid.dx * dx / hbar
+    k = np.arange(p_grid.n_points)
     # The default window has beta = -2*pi/n up to rounding: a plain DFT.
     if p_grid.n_points == n and abs(beta * n / (2.0 * np.pi) + 1.0) < 1e-14:
-        w = scipy.fft.fft(acorr, axis=1, overwrite_x=True)
+        w = scipy.fft.fft(z, axis=1, overwrite_x=True)
+        post = 1.0 - 2.0 * (k % 2)
     else:
-        w = bluestein_czt(acorr, p_grid.n_points, beta)
-    # phase from u_m = (m - n/2)*dx starting at -n/2*dx
-    post = np.exp(1j * p_grid.points * n * dx / hbar)
+        w = bluestein_czt(z, p_grid.n_points, beta)
+        post = cis(-0.5 * beta * n * k)
     w *= post * (dx / (np.pi * hbar))
-    max_imag = float(np.max(np.abs(w.imag)))
-    return WignerMap(g, p_grid, w.real, hbar, accuracy_warning=warn, max_imag=max_imag)
+    return WignerMap(g, p_grid, np.concatenate((w.real, w.imag)), hbar, accuracy_warning=warn)
 
 
 def marginals(w: WignerMap) -> tuple[np.ndarray, np.ndarray]:

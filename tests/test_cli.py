@@ -78,6 +78,22 @@ class TestTomogramCommand:
         want = np.exp(-data[:, 0] ** 2 / (2 * var)) / np.sqrt(2 * np.pi * var)
         assert np.max(np.abs(data[:, 1] - want)) < 5e-4
 
+    def test_line_integral_route_uses_alias_free_window(self, tmp_path):
+        # The state grid reaches |p| = 16, past the alias-free band
+        # |p| <= pi/(2*dx) = 4*pi; the default window ends on the band edge,
+        # so the map is not flagged.
+        code = run(["tomogram", "--grid=-16:16:256", "--state", "gaussian:0.5,0",
+                    "--mu", "1", "--nu", "1", "--route", "line-integral",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        meta = json.loads((tmp_path / "tomogram_meta.json").read_text())
+        assert meta["accuracy_warning"] is False
+        assert abs(meta["mass"] - 1.0) < 1e-12
+        data = np.loadtxt(tmp_path / "tomogram.csv", delimiter=",", skiprows=1)
+        var = 0.5 + 0.5  # sigma_xx + sigma_pp for gaussian:0.5,0
+        want = np.exp(-data[:, 0] ** 2 / (2 * var)) / np.sqrt(2 * np.pi * var)
+        assert np.max(np.abs(data[:, 1] - want)) < 5e-4
+
     def test_chirp_route_nu_zero(self, tmp_path, capsys):
         code = run(["tomogram", "--grid=-12:12:512", "--state", "gaussian:1,0",
                     "--mu", "1", "--nu", "0", "--route", "chirp-fft",

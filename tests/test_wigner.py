@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import HBAR, random_gaussian_state
+from wigner_oracle import wigner_reference
 
 from symtomo import (
     GaussianState,
+    Grid1D,
     SampledWavefunction,
+    WignerMap,
     default_momentum_window,
     gaussian_wavefunction,
     make_grid,
@@ -20,7 +25,7 @@ def test_ground_state_closed_form(ground):
     xs, ps = np.meshgrid(w.x_grid.points, w.p_grid.points, indexing="ij")
     want = np.exp(-(xs**2 + ps**2) / HBAR) / (np.pi * HBAR)
     assert np.max(np.abs(w.values - want)) < 1e-7
-    assert w.max_imag < 1e-10
+    assert np.max(np.abs(wigner_reference(ground).imag)) < 1e-10
 
 
 def test_total_mass(grid):
@@ -109,7 +114,9 @@ def test_reality_for_generic_state(grid):
     decay = np.exp(-0.25 * grid.points**2)
     vals = decay * (rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points))
     psi = SampledWavefunction(grid, vals).normalize()
-    assert wigner_transform(psi).max_imag < 1e-10
+    # The per-row transform is real to rounding: the premise on which the
+    # library carries two rows through one complex transform.
+    assert np.max(np.abs(wigner_reference(psi).imag)) < 1e-10
 
 
 def test_edge_decay_warning():
@@ -213,3 +220,93 @@ def test_default_window_fft_matches_bluestein(n, monkeypatch):
     monkeypatch.setattr(symtomo.wigner, "bluestein_czt", no_czt)
     w = wigner_transform(psi)
     assert np.max(np.abs(w.values - want)) <= 1e-12
+
+
+def _assert_matches_oracle(psi, p_grid, oracle_rounding=False):
+    """The packed map equals the real part of the per-row oracle to 1e-13
+    of the state's peak |W| (taken over the alias-free band), plus the
+    oracle's own imaginary part if ``oracle_rounding``, and carries the
+    flag of the edge-decay and band rules."""
+    peak = np.max(np.abs(wigner_reference(psi).real))
+    want = wigner_reference(psi, p_grid)
+    tol = 1e-13 * peak + (np.max(np.abs(want.imag)) if oracle_rounding else 0.0)
+    w = wigner_transform(psi, p_grid)
+    assert np.max(np.abs(w.values - want.real)) <= tol
+    band = np.pi * HBAR / (2.0 * psi.grid.dx)
+    reach = max(-w.p_grid.x_min, w.p_grid.x_max - w.p_grid.dx)
+    assert w.accuracy_warning == (psi.edge_decay() > 1e-12 or reach > band * (1.0 + 1e-12))
+    return w
+
+
+def _window(grid, kind):
+    band = np.pi * HBAR / (2.0 * grid.dx)
+    m = max(8, grid.n_points // 2)
+    return {
+        "default": None,
+        "square": grid,
+        "narrow": Grid1D(-0.35 * band, m, 0.9 * band / m, HBAR),
+        "past": make_grid(-4.0 * grid.x_max, 4.0 * grid.x_max, grid.n_points, HBAR),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["default", "square", "narrow", "past"])
+@pytest.mark.parametrize("n, half_width", [(8, 8.0), (64, 16.0), (1024, 16.0)])
+def test_packed_rows_match_per_row_oracle(n, half_width, kind):
+    grid = make_grid(-half_width, half_width, n, HBAR)
+    psi = gaussian_wavefunction(GaussianState.from_position_data(1.3, -0.4, HBAR), grid)
+    w = _assert_matches_oracle(psi, _window(grid, kind))
+    if kind == "past":
+        assert w.accuracy_warning
+
+
+@pytest.mark.parametrize("kind", ["default", "square", "narrow", "past"])
+@pytest.mark.parametrize("n", [8, 64])
+def test_packed_rows_match_oracle_on_undecayed_state(n, kind):
+    # Random complex samples up to the grid edge.  At n = 1024 the oracle's
+    # own real part is off an extended-precision sum by ~1e-13 of this
+    # flat map's small peak, so the comparison stops at n = 64.
+    grid = make_grid(-8.0, 8.0, n, HBAR)
+    rng = np.random.default_rng(n)
+    psi = SampledWavefunction(grid, rng.normal(size=n) + 1j * rng.normal(size=n)).normalize()
+    assert psi.edge_decay() > 1e-12
+    assert _assert_matches_oracle(psi, _window(grid, kind)).accuracy_warning
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log2_m=st.integers(3, 8),
+       lo=st.floats(-1.0, 0.95), span=st.floats(0.01, 1.0))
+def test_packed_rows_match_oracle_on_random_windows(seed, log2_m, lo, span):
+    # Any window inside the alias-free band, on the Gaussian envelope of
+    # the library's random states.  A coarse window (8 points across the
+    # band) has Bluestein chirp phases 0.5*beta*j**2 of ~2e4 rad, whose
+    # rounding puts the oracle itself ~1e-13 of the peak off an
+    # extended-precision sum; its imaginary part bounds that rounding.
+    grid = make_grid(-16.0, 16.0, 256, HBAR)
+    psi = gaussian_wavefunction(random_gaussian_state(np.random.default_rng(seed)), grid)
+    band = np.pi * HBAR / (2.0 * grid.dx)
+    m = 2**log2_m
+    window = Grid1D(lo * band, m, span * (1.0 - lo) * band / m, HBAR)
+    assert not _assert_matches_oracle(psi, window, oracle_rounding=True).accuracy_warning
+
+
+def _edge_decay_by_abs(values):
+    """The edge decay as computed from |W| of the whole map."""
+    peak = float(np.max(np.abs(values)))
+    if peak == 0.0:
+        return 0.0
+    border = max(np.max(np.abs(values[0, :])), np.max(np.abs(values[-1, :])),
+                 np.max(np.abs(values[:, 0])), np.max(np.abs(values[:, -1])))
+    return float(border / peak)
+
+
+@pytest.mark.parametrize("kind", ["signed", "negative", "zero"])
+def test_edge_decay_matches_abs_formula(kind):
+    grid = make_grid(-4.0, 4.0, 16, HBAR)
+    rng = np.random.default_rng(7)
+    values = {"signed": rng.normal(size=(16, 16)),
+              "negative": -rng.uniform(0.1, 2.0, size=(16, 16)),
+              "zero": np.zeros((16, 16))}[kind]
+    got = WignerMap(grid, grid, values, HBAR).edge_decay()
+    assert got == _edge_decay_by_abs(values)
+    if kind == "zero":
+        assert got == 0.0
