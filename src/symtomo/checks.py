@@ -56,6 +56,8 @@ __all__ = [
     "run_checks",
 ]
 
+SPREAD_LIMIT = 2.6
+
 
 @dataclass(frozen=True)
 class CheckOutcome:
@@ -218,12 +220,12 @@ def random_direction(rng: np.random.Generator, min_angle: float = 0.2) -> tuple[
     return float(lam * np.cos(theta)), float(lam * np.sin(theta))
 
 
-def _well_conditioned(s: np.ndarray, cov: np.ndarray, spread_limit: float = 2.6) -> bool:
-    """Free, order-unity blocks, and the transformed state still fits the window."""
+def _well_conditioned(s: np.ndarray, cov: np.ndarray) -> bool:
+    """Free, order-unity blocks, and S cov S^T within SPREAD_LIMIT (fits the window)."""
     if not 0.4 <= abs(s[0, 1]) <= 2.5:
         return False
     c = s @ cov @ s.T
-    return max(c[0, 0], c[1, 1]) <= spread_limit
+    return max(c[0, 0], c[1, 1]) <= SPREAD_LIMIT
 
 
 def random_free_symplectic(rng: np.random.Generator, cov: np.ndarray) -> FreeSymplectic:

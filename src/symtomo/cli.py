@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .checks import run_checks
-from .errors import SymtomoError
+from .errors import ConfigError, SymtomoError
 from .gaussian import (
     GaussianState,
     gaussian_wavefunction,
@@ -79,8 +80,7 @@ def _parse_state(spec: str, grid: Grid1D, hbar: float):
         path = Path(spec[len("file:"):])
         if not path.exists():
             raise SymtomoError(f"state file not found: {path}")
-        psi = load_wavefunction_json(path)
-        return psi, None
+        return load_wavefunction_json(path), None
     raise SymtomoError(f"--state expects gaussian:... or file:PATH, got {spec!r}")
 
 
@@ -114,7 +114,12 @@ def cmd_tomogram(args) -> int:
     if args.angles is not None:
         if args.route == "line-integral":
             raise SymtomoError("angle sweeps support the metaplectic and chirp-fft routes")
-        ts = compute_tomogram_set(psi, args.angles, route=args.route, threads=args.threads)
+        raw = os.environ.get("TOMO_THREADS", "1") if args.threads is None else args.threads
+        try:
+            threads = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"TOMO_THREADS must be an integer, got {raw!r}") from exc
+        ts = compute_tomogram_set(psi, args.angles, route=args.route, threads=threads)
         manifest = save_tomogram_set(ts, out, storage=args.storage)
         print(f"wrote {len(ts)} tomograms to {manifest}")
         return 0

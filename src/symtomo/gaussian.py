@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 SATURATION_RTOL = 1e-10
+CHORD_RTOL = 1e-12
+# pauli_reconstruct, all relative: the uncertainty floor, the oblique
+# variance misfit, and the |sigma_xp| below which its sign is moot.
+PAULI_SATURATION_TOL = 1e-6
+PAULI_RESIDUAL_TOL = 1e-3
+PAULI_MOOT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -205,15 +211,15 @@ def ellipse_chord(state: GaussianState, mu: float, nu: float) -> EllipseChord:
     return EllipseChord(mu, nu, float(state.hbar / np.sqrt(2.0 * coeff)))
 
 
-def chord_matches_tomogram_variance(state: GaussianState, mu: float, nu: float,
-                                    tol: float = 1e-12) -> bool:
-    """Named predicate: chord coefficient == tomogram variance / nu^2 (nu != 0)."""
+def chord_matches_tomogram_variance(state: GaussianState, mu: float, nu: float) -> bool:
+    """Named predicate: chord coefficient == tomogram variance / nu^2 (nu != 0)
+    within CHORD_RTOL."""
     if nu == 0.0:
         raise DomainError("the x-parametrized chord requires nu != 0")
     coeff = _chord_coefficient(state, mu, nu)
     var = tomogram_variance(state, mu, nu)
     scale = max(abs(coeff), abs(var) / nu**2)
-    return abs(coeff - var / nu**2) <= tol * max(1.0, scale)
+    return abs(coeff - var / nu**2) <= CHORD_RTOL * max(1.0, scale)
 
 
 @dataclass(frozen=True)
@@ -244,10 +250,7 @@ def _axis_variance(t: Tomogram, expect_axis: str) -> float:
     return t.moments()[1] / t.nu**2
 
 
-def pauli_reconstruct(t_x: Tomogram, t_p: Tomogram, t_extra: Tomogram,
-                      saturation_tol: float = 1e-6,
-                      residual_tol: float = 1e-3,
-                      moot_tol: float = 1e-3) -> PauliReconstruction:
+def pauli_reconstruct(t_x: Tomogram, t_p: Tomogram, t_extra: Tomogram) -> PauliReconstruction:
     """Recover (sigma_xx, sigma_pp, sigma_xp) of a pure Gaussian from three
     tomograms.
 
@@ -259,10 +262,10 @@ def pauli_reconstruct(t_x: Tomogram, t_p: Tomogram, t_extra: Tomogram,
     Raises
     ------
     ModelMismatchError
-        If sigma_xx*sigma_pp falls below hbar^2/4 beyond ``saturation_tol``
+        If sigma_xx*sigma_pp falls below hbar^2/4 beyond PAULI_SATURATION_TOL
         (relative), or the best candidate misfits the oblique variance by
-        more than ``residual_tol`` (relative) — the data is then not a pure
-        Gaussian.
+        more than PAULI_RESIDUAL_TOL (relative) — the data is then not a
+        pure Gaussian.
     AmbiguousSignError
         If both signs fit equally within tolerance while |sigma_xp| is
         significant (cannot occur for mu*nu != 0 and clean data).
@@ -278,7 +281,7 @@ def pauli_reconstruct(t_x: Tomogram, t_p: Tomogram, t_extra: Tomogram,
     sigma_pp = _axis_variance(t_p, "p")
     target = 0.25 * hbar**2
     gap = sigma_xx * sigma_pp - target
-    if gap < -saturation_tol * target:
+    if gap < -PAULI_SATURATION_TOL * target:
         raise ModelMismatchError(
             f"axis variances violate the uncertainty floor by {-gap:.3e}; "
             "input is not a pure Gaussian"
@@ -295,10 +298,10 @@ def pauli_reconstruct(t_x: Tomogram, t_p: Tomogram, t_extra: Tomogram,
         sign, best, alt = 1.0, res_plus, res_minus
     else:
         sign, best, alt = -1.0, res_minus, res_plus
-    moot = magnitude <= moot_tol * np.sqrt(sigma_xx * sigma_pp)
+    moot = magnitude <= PAULI_MOOT_TOL * np.sqrt(sigma_xx * sigma_pp)
     if not moot and margin <= 1e-12 * measured:
         raise AmbiguousSignError("both covariance signs fit the oblique tomogram")
-    if best > residual_tol * measured:
+    if best > PAULI_RESIDUAL_TOL * measured:
         raise ModelMismatchError(
             f"oblique tomogram variance misfits the pure-Gaussian model "
             f"(relative residual {best / measured:.3e})"

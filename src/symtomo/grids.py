@@ -68,10 +68,6 @@ class Grid1D:
         return self.x_min + self.n_points * self.dx
 
     @property
-    def center(self) -> float:
-        return self.x_min + 0.5 * self.n_points * self.dx
-
-    @property
     def points(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n_points)
 
@@ -155,21 +151,16 @@ def hbar_fourier(psi: SampledWavefunction, direction: str = "forward") -> Sample
     """
     if direction not in ("forward", "inverse"):
         raise DomainError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    g = psi.grid
-    n, dx, hbar = g.n_points, g.dx, g.hbar
+    g, hbar = psi.grid, psi.grid.hbar
     dual = g.momentum_grid()
-    p0, dp = dual.x_min, dual.dx
-    k = np.arange(n)
-    x = g.points
-    c = dx / np.sqrt(2.0 * np.pi * hbar)
+    sign = -1j if direction == "forward" else 1j
+    pre = np.exp(sign * dual.x_min * g.points / hbar)
+    post = g.dx / np.sqrt(2.0 * np.pi * hbar) * np.exp(
+        sign * (np.arange(g.n_points) * dual.dx) * g.x_min / hbar)
     if direction == "forward":
-        pre = np.exp(-1j * p0 * x / hbar)
-        post = np.exp(-1j * (k * dp) * g.x_min / hbar)
-        out = c * post * np.fft.fft(pre * psi.values)
+        out = post * np.fft.fft(pre * psi.values)
     else:
-        pre = np.exp(1j * p0 * x / hbar)
-        post = np.exp(1j * (k * dp) * g.x_min / hbar)
-        out = c * post * n * np.fft.ifft(pre * psi.values)
+        out = post * g.n_points * np.fft.ifft(pre * psi.values)
     return SampledWavefunction(dual, out)
 
 

@@ -13,6 +13,8 @@ from .metaplectic import CheckResult
 
 __all__ = ["FramePair", "is_lagrangian_frame"]
 
+FRAME_TOL = 1e-10  # of both frame conditions
+
 
 @dataclass(frozen=True)
 class FramePair:
@@ -38,17 +40,15 @@ class FramePair:
         return self.A.shape[0]
 
 
-def is_lagrangian_frame(frame: FramePair, tol: float = 1e-10) -> CheckResult:
+def is_lagrangian_frame(frame: FramePair) -> CheckResult:
     """Whether the level sets of z -> A x + B p are affine Lagrangian planes.
 
-    Conditions: A B^T symmetric within tol, and rank [A B] = n (smallest
-    singular value above tol times the largest).  Diagnostics also report
-    the asymmetry of A^T B, an alternative transpose placement one may meet
-    for this condition; the two readings differ for general frames and only
-    A B^T relates to the symplectic block conditions.
+    Conditions: A B^T symmetric within FRAME_TOL, and rank [A B] = n
+    (smallest singular value above FRAME_TOL times the largest).  Diagnostics
+    also report the asymmetry of A^T B, an alternative transpose placement
+    one may meet for this condition; the two readings differ for general
+    frames and only A B^T relates to the symplectic block conditions.
     """
-    if not isinstance(frame, FramePair):
-        frame = FramePair(*frame)
     a, b = frame.A, frame.B
     abt = a @ b.T
     sv = np.linalg.svd(np.hstack([a, b]), compute_uv=False)
@@ -59,9 +59,9 @@ def is_lagrangian_frame(frame: FramePair, tol: float = 1e-10) -> CheckResult:
         "largest_singular_value": float(sv[0]),
     }
     failures = []
-    if residuals["ABt_asymmetry"] > tol:
+    if residuals["ABt_asymmetry"] > FRAME_TOL:
         failures.append("ABt_symmetry")
-    if sv[0] == 0.0 or sv[-1] <= tol * sv[0]:
+    if sv[0] == 0.0 or sv[-1] <= FRAME_TOL * sv[0]:
         failures.append("rank")
     return CheckResult(not failures, tuple(failures), residuals)
 

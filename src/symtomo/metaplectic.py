@@ -32,6 +32,11 @@ __all__ = [
     "quarter_turn",
 ]
 
+# What makes a matrix free symplectic, in from_matrix and rotation_form alike:
+# block conditions within SYMPLECTIC_TOL, and |det B| at least FREE_DET_MIN.
+SYMPLECTIC_TOL = 1e-10
+FREE_DET_MIN = 1e-12
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -108,7 +113,7 @@ def is_symplectic(matrix: np.ndarray, tol: float) -> CheckResult:
         "CDt_symmetry": _sym_defect(C @ D.T),
         "ADt_BCt_identity": float(np.max(np.abs(A @ D.T - B @ C.T - eye))),
     }
-    failures = tuple(k for k, v in residuals.items() if v > tol)
+    failures = tuple(k for k, v in residuals.items() if not v <= tol)
     return CheckResult(not failures, failures, residuals)
 
 
@@ -148,13 +153,13 @@ class FreeSymplectic:
     maslov_index: int
 
     @classmethod
-    def from_matrix(cls, matrix, tol: float = 1e-12, maslov_index: int | None = None) -> "FreeSymplectic":
+    def from_matrix(cls, matrix, maslov_index: int | None = None) -> "FreeSymplectic":
         base = matrix if isinstance(matrix, SymplecticMatrix) else SymplecticMatrix(matrix)
-        check = is_symplectic(base.matrix, tol=max(tol, 1e-10))
+        check = is_symplectic(base.matrix, SYMPLECTIC_TOL)
         if not check:
             raise DomainError(f"matrix is not symplectic: {check.failures}")
         det_b = float(np.linalg.det(base.B))
-        if abs(det_b) < tol:
+        if not abs(det_b) >= FREE_DET_MIN:
             raise NotFreeError("upper-right block B is singular; matrix is not free")
         parity = 0 if 1.0 / det_b > 0 else 1
         if maslov_index is None:
@@ -231,16 +236,16 @@ def rotation_form(mu, nu) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 
     With c = mu/lambda and s = nu/lambda the B block is s, so L = 1/s and
     P = Q = c/s; the Maslov index is the parity of the sign of 1/s.  The
-    checks :meth:`FreeSymplectic.from_matrix` makes (symplectic within
-    1e-10, B not singular) run once over all the directions.
+    checks :meth:`FreeSymplectic.from_matrix` makes (SYMPLECTIC_TOL and
+    FREE_DET_MIN) run once over all the directions.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
     nu = np.atleast_1d(np.asarray(nu, dtype=np.float64))
     lam = np.hypot(mu, nu)
     c, s = mu / lam, nu / lam
-    if not np.all(np.abs(c * c + s * s - 1.0) <= 1e-10):
+    if not np.all(np.abs(c * c + s * s - 1.0) <= SYMPLECTIC_TOL):
         raise DomainError("rotation matrix is not symplectic")
-    if not np.all(np.abs(s) >= 1e-12):
+    if not np.all(np.abs(s) >= FREE_DET_MIN):
         raise NotFreeError("upper-right block B is singular; matrix is not free")
     inv_b = 1.0 / s
     pq = c * inv_b

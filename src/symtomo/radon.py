@@ -11,7 +11,6 @@ x*cos(theta) + p*sin(theta), with overall constant 1/(2*pi*hbar).
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -58,6 +57,8 @@ UPSAMPLE = 4
 TAPER_START = 0.8
 PAIR_CHUNK = 4
 GATHER_BLOCK = 32768
+CHIRP_SAFETY = 0.9  # fraction of the Nyquist rate a resolvable chirp may reach
+MOMENT_SIGMAS = 6.0  # standard deviations kept by Tomogram.moments
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,8 @@ class Tomogram:
     def mass(self) -> float:
         return float(self.values.sum() * self.dx)
 
-    def moments(self, truncate_sigmas: float = 6.0) -> tuple[float, float]:
-        """(mean, variance) with quadrature truncated at ``truncate_sigmas``
+    def moments(self) -> tuple[float, float]:
+        """(mean, variance) with quadrature truncated at MOMENT_SIGMAS
         estimated standard deviations, to suppress tail-noise amplification."""
         w = self.values
         m0 = w.sum() * self.dx
@@ -100,11 +101,17 @@ class Tomogram:
         mean = float((self.x * w).sum() * self.dx / m0)
         var = float(((self.x - mean) ** 2 * w).sum() * self.dx / m0)
         sd = np.sqrt(var)
-        keep = np.abs(self.x - mean) <= truncate_sigmas * sd
+        keep = np.abs(self.x - mean) <= MOMENT_SIGMAS * sd
         m0 = w[keep].sum() * self.dx
         mean = float((self.x[keep] * w[keep]).sum() * self.dx / m0)
         var = float(((self.x[keep] - mean) ** 2 * w[keep]).sum() * self.dx / m0)
         return mean, var
+
+
+def _uniform(x: np.ndarray) -> bool:
+    """Whether the steps of the 1-d grid ``x`` agree to 1e-12 relative."""
+    steps = np.diff(x)
+    return len(x) < 2 or bool(np.allclose(steps, steps[0], rtol=1e-12, atol=0))
 
 
 def _checked_samples(x, values) -> tuple[np.ndarray, np.ndarray]:
@@ -118,10 +125,8 @@ def _checked_samples(x, values) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError("x and values must be 1-d arrays of equal length")
     if not (np.isfinite(x).all() and np.isfinite(v).all()):
         raise ConfigError("tomogram X grid and values must be finite")
-    if len(x) > 1:
-        steps = np.diff(x)
-        if not np.allclose(steps, steps[0], rtol=1e-12, atol=0):
-            raise ConfigError("tomogram X grid must be uniform")
+    if not _uniform(x):
+        raise ConfigError("tomogram X grid must be uniform")
     low = v.min(axis=-1, initial=0.0)
     dips = low < -NEGATIVE_FLOOR * np.maximum(1.0, v.max(axis=-1, initial=0.0))
     if np.any(dips):
@@ -146,10 +151,9 @@ def _resolve_x_grid(x_grid, lam: float, base: Grid1D) -> tuple[float, float, int
     pts = np.asarray(x_grid, dtype=np.float64)
     if pts.ndim != 1 or len(pts) < 2:
         raise ConfigError("x_grid must be a Grid1D or a 1-d array of >= 2 points")
-    steps = np.diff(pts)
-    if not np.allclose(steps, steps[0], rtol=1e-12, atol=0):
+    if not _uniform(pts):
         raise ConfigError("x_grid must be uniform")
-    return float(pts[0]), float(steps[0]), len(pts)
+    return float(pts[0]), float(pts[1] - pts[0]), len(pts)
 
 
 def _metaplectic_rows(psi: SampledWavefunction, mu: np.ndarray, nu: np.ndarray,
@@ -189,14 +193,13 @@ def radon_metaplectic(psi: SampledWavefunction, mu: float, nu: float,
                     accuracy_warning=psi.edge_decay() > EDGE_DECAY_FLAG)
 
 
-def chirp_resolvable(psi: SampledWavefunction, mu: float, nu: float,
-                     safety: float = 0.9) -> bool:
-    """Whether the chirp exp(i*mu*x^2/(2*hbar*nu)) stays below the Nyquist
-    rate of the state grid over the grid extent (elementwise for arrays of
-    directions)."""
+def chirp_resolvable(psi: SampledWavefunction, mu: float, nu: float) -> bool:
+    """Whether the chirp exp(i*mu*x^2/(2*hbar*nu)) stays below CHIRP_SAFETY
+    times the Nyquist rate of the state grid over the grid extent
+    (elementwise for arrays of directions)."""
     g = psi.grid
     x_edge = max(abs(g.x_min), abs(g.x_max))
-    return abs(mu / nu) * x_edge / g.hbar <= safety * np.pi / g.dx
+    return abs(mu / nu) * x_edge / g.hbar <= CHIRP_SAFETY * np.pi / g.dx
 
 
 def radon_chirp_fft(psi: SampledWavefunction, mu: float, nu: float,
@@ -383,7 +386,7 @@ def sweep_angles(n_angles: int) -> np.ndarray:
 
 def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
                          route: str = "metaplectic", x_grid=None,
-                         threads: int | None = None) -> TomogramSet:
+                         threads: int = 1) -> TomogramSet:
     """Tomograms of one state at an equispaced angle sweep over [0, pi).
 
     ``route`` selects the forward algorithm; the chirp-FFT route falls back
@@ -392,8 +395,7 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
     angles of each route run in blocks of ROW_BLOCK rows through the same
     row kernels as :func:`radon_chirp_fft` and :func:`radon_metaplectic`;
     the split rotations share one quarter turn of the state.  ``x_grid``
-    is the common X grid (default: the state grid).  ``threads`` defaults
-    to the TOMO_THREADS environment variable (1 if unset) and must be at
+    is the common X grid (default: the state grid).  ``threads`` must be at
     least 1 (ConfigError otherwise); with more than one, worker threads
     take whole blocks, so the result does not depend on the thread count.
     The rotation-route rows carry the flag of
@@ -403,12 +405,6 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
     if route not in ("metaplectic", "chirp-fft"):
         raise ConfigError(f"unknown sweep route {route!r}")
     angles = sweep_angles(n_angles)
-    if threads is None:
-        raw = os.environ.get("TOMO_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"TOMO_THREADS must be an integer, got {raw!r}") from exc
     if threads < 1:
         raise ConfigError(f"the thread count must be at least 1, got {threads}")
     mu, nu = np.cos(angles), np.sin(angles)

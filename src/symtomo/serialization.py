@@ -11,13 +11,14 @@ import itertools
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .grids import Grid1D, SampledWavefunction
-from .radon import Tomogram, TomogramSet
+from .radon import Tomogram, TomogramSet, _uniform
 from .wigner import WignerMap
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
 WAVEFUNCTION_FORMAT = "symtomo.wavefunction.v1"
 WIGNER_FORMAT = "symtomo.wigner.v1"
 TOMOGRAM_SET_FORMAT = "symtomo.tomogram_set.v1"
+MANIFEST_NAME = "manifest.json"
 
 
 def fmt(value: float) -> str:
@@ -75,21 +77,33 @@ def _grid_to_dict(grid: Grid1D) -> dict:
             "dx": grid.dx, "hbar": grid.hbar}
 
 
-def _read_json(path) -> dict:
-    """Parse a JSON document, reporting malformed text as a ConfigError."""
+@contextmanager
+def _malformed(path, what: str):
+    """The one rule for malformed input files: a missing key or a value of the
+    wrong type or form (a non-numeric CSV cell, too) becomes a ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{path}: {what} missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed {what} ({exc})") from exc
+
+
+def _read_json(path, fmt_name: str, what: str) -> dict:
+    """Parse a JSON document of the format ``fmt_name``; text that is not
+    JSON, or a document of another format, is a ConfigError."""
     with open(path) as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or text that is not UTF-8
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("format") != fmt_name:
+        raise ConfigError(f"{path}: not a {what} file")
+    return doc
 
 
 def _grid_from_dict(d: dict) -> Grid1D:
-    try:
-        return Grid1D(float(d["x_min"]), int(d["n_points"]),
-                      float(d["dx"]), float(d["hbar"]))
-    except KeyError as exc:
-        raise ConfigError(f"grid header missing key {exc}") from exc
+    return Grid1D(float(d["x_min"]), int(d["n_points"]), float(d["dx"]), float(d["hbar"]))
 
 
 def save_wavefunction_json(psi: SampledWavefunction, path):
@@ -106,11 +120,10 @@ def save_wavefunction_json(psi: SampledWavefunction, path):
 
 
 def load_wavefunction_json(path) -> SampledWavefunction:
-    doc = _read_json(path)
-    if doc.get("format") != WAVEFUNCTION_FORMAT:
-        raise ConfigError(f"{path}: not a wavefunction file")
-    grid = _grid_from_dict(doc["grid"])
-    flat = np.asarray(doc["values"], dtype=np.float64)
+    doc = _read_json(path, WAVEFUNCTION_FORMAT, "wavefunction")
+    with _malformed(path, "wavefunction"):
+        grid = _grid_from_dict(doc["grid"])
+        flat = np.asarray(doc["values"], dtype=np.float64)
     if flat.shape != (2 * grid.n_points,):
         raise ConfigError(f"{path}: expected {2 * grid.n_points} interleaved values")
     return SampledWavefunction(grid, flat[0::2] + 1j * flat[1::2])
@@ -123,12 +136,12 @@ def save_wavefunction_csv(psi: SampledWavefunction, path):
 
 
 def load_wavefunction_csv(path, hbar: float = 1.0) -> SampledWavefunction:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise ConfigError(f"{path}: expected three columns x,re,im")
-    x = data[:, 0]
+    with _malformed(path, "wavefunction CSV"):  # also a row without three columns
+        x, re, im = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, unpack=True)
+    if len(x) < 2 or not _uniform(x):
+        raise ConfigError(f"{path}: x column is not a uniform grid")
     grid = Grid1D(float(x[0]), len(x), float(x[1] - x[0]), hbar)
-    return SampledWavefunction(grid, data[:, 1] + 1j * data[:, 2])
+    return SampledWavefunction(grid, re + 1j * im)
 
 
 def save_wigner(w: WignerMap, json_path) -> Path:
@@ -153,19 +166,13 @@ def save_wigner(w: WignerMap, json_path) -> Path:
 
 def load_wigner(json_path) -> WignerMap:
     json_path = Path(json_path)
-    doc = _read_json(json_path)
-    if doc.get("format") != WIGNER_FORMAT:
-        raise ConfigError(f"{json_path}: not a Wigner map file")
-    try:
+    doc = _read_json(json_path, WIGNER_FORMAT, "Wigner map")
+    with _malformed(json_path, "Wigner header"):
         x_grid = _grid_from_dict(doc["x_grid"])
         p_grid = _grid_from_dict(doc["p_grid"])
-        data_file = doc["data_file"]
+        data_file = json_path.parent / doc["data_file"]
         hbar = float(doc["hbar"])
-    except KeyError as exc:
-        raise ConfigError(f"{json_path}: Wigner header missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{json_path}: malformed Wigner header ({exc})") from exc
-    raw = np.fromfile(json_path.parent / data_file, dtype=np.float64)
+    raw = np.fromfile(data_file, dtype=np.float64)
     expected = x_grid.n_points * p_grid.n_points
     if raw.size != expected:
         raise ConfigError(f"{json_path}: binary block has {raw.size} values, expected {expected}")
@@ -193,9 +200,8 @@ def save_tomogram_csv(t: Tomogram, path):
     _atomic_write(path, itertools.chain(["x,value\n"], rows), "w")
 
 
-def save_tomogram_set(ts: TomogramSet, out_dir, storage: str = "binary",
-                      manifest_name: str = "manifest.json") -> Path:
-    """Manifest plus either one binary block or per-angle CSV files."""
+def save_tomogram_set(ts: TomogramSet, out_dir, storage: str = "binary") -> Path:
+    """MANIFEST_NAME plus either one binary block or per-angle CSV files."""
     if storage not in ("binary", "csv"):
         raise ConfigError(f"storage must be 'binary' or 'csv', got {storage!r}")
     out_dir = Path(out_dir)
@@ -215,23 +221,18 @@ def save_tomogram_set(ts: TomogramSet, out_dir, storage: str = "binary",
         doc["data_file"] = "tomograms.bin"
         atomic_write_bytes(out_dir / "tomograms.bin", ts.values.tobytes())
     else:
-        names = []
-        for k, t in enumerate(ts):
-            name = f"tomogram_{k:04d}.csv"
+        doc["files"] = [f"tomogram_{k:04d}.csv" for k in range(len(ts))]
+        for t, name in zip(ts, doc["files"]):
             save_tomogram_csv(t, out_dir / name)
-            names.append(name)
-        doc["files"] = names
-    manifest = out_dir / manifest_name
+    manifest = out_dir / MANIFEST_NAME
     atomic_write_text(manifest, json.dumps(doc))
     return manifest
 
 
 def load_tomogram_set(manifest_path) -> TomogramSet:
     manifest_path = Path(manifest_path)
-    doc = _read_json(manifest_path)
-    if doc.get("format") != TOMOGRAM_SET_FORMAT:
-        raise ConfigError(f"{manifest_path}: not a tomogram-set manifest")
-    try:
+    doc = _read_json(manifest_path, TOMOGRAM_SET_FORMAT, "tomogram-set manifest")
+    with _malformed(manifest_path, "manifest"):
         hbar = float(doc["hbar"])
         n_angles = int(doc["n_angles"])
         angles = np.asarray(doc["angles"], dtype=np.float64)
@@ -243,14 +244,10 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
         warnings = doc.get("warnings", [False] * n_angles)
         lengths = {"angles": len(angles), "routes": len(routes), "warnings": len(warnings)}
         if storage == "binary":
-            data_file = doc["data_file"]
+            data_file = manifest_path.parent / doc["data_file"]
         elif storage == "csv":
             files = doc["files"]
             lengths["files"] = len(files)
-    except KeyError as exc:
-        raise ConfigError(f"{manifest_path}: manifest missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{manifest_path}: malformed manifest ({exc})") from exc
     if not all(isinstance(flag, bool) for flag in warnings):
         raise ConfigError(f"{manifest_path}: warnings must be a list of true/false flags")
     if any(k != n_angles for k in lengths.values()):
@@ -259,18 +256,16 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
             + ", ".join(f"{key}={k}" for key, k in lengths.items()))
     n_x = len(x)
     if storage == "binary":
-        raw = np.fromfile(manifest_path.parent / data_file, dtype=np.float64)
+        raw = np.fromfile(data_file, dtype=np.float64)
         if raw.size != n_angles * n_x:
             raise ConfigError(f"{manifest_path}: binary block size mismatch")
         rows = raw.reshape(n_angles, n_x)
     elif storage == "csv":
         rows = np.empty((n_angles, n_x))
         for k, name in enumerate(files):
-            try:
+            with _malformed(name, "tomogram CSV"):
                 data = np.loadtxt(manifest_path.parent / name, delimiter=",", skiprows=1,
                                   ndmin=2)
-            except ValueError as exc:
-                raise ConfigError(f"{name}: not a CSV of numbers ({exc})") from exc
             if data.shape != (n_x, 2):
                 raise ConfigError(f"{name}: expected {n_x} rows of x,value")
             if not np.allclose(data[:, 0], x, rtol=1e-12, atol=1e-12):

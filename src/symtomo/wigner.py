@@ -40,6 +40,8 @@ class WignerMap:
                 f"values shape {v.shape} does not match grids "
                 f"({self.x_grid.n_points}, {self.p_grid.n_points})"
             )
+        if not np.isfinite(v).all():
+            raise ConfigError("Wigner map values must be finite")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

@@ -44,6 +44,22 @@ class TestWignerCommand:
                     "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out" / "wigner.json").exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("values"),
+        lambda d: d.pop("grid"),
+        lambda d: d.update(values="abc"),
+    ], ids=["values-missing", "grid-missing", "values-string"])
+    def test_malformed_state_file(self, tmp_path, edit):
+        path = tmp_path / "psi.json"
+        save_wavefunction_json(gaussian_wavefunction(GaussianState.ground_state(1.0),
+                                                     make_grid(-8, 8, 64, 1.0)), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert run(["wigner", "--grid=-8:8:64", "--state", f"file:{path}",
+                    "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_bad_grid_spec(self, tmp_path):
         assert run(["wigner", "--grid=nonsense", "--state", "gaussian:1,0",
                     "--out", str(tmp_path)]) == 2
@@ -189,6 +205,19 @@ class TestInvertCommand:
             fh.write("garbage,row\n")
         assert run(["invert", "--set", str(tmp_path / "set" / "manifest.json"),
                     "--out", str(tmp_path / "rec")]) == 2
+
+    def test_non_finite_reference(self, tmp_path):
+        assert run(["wigner", "--grid=-12:12:256", "--state", "gaussian:0.5,0",
+                    "--out", str(tmp_path / "ref")]) == 0
+        assert run(["tomogram", "--grid=-12:12:256", "--state", "gaussian:0.5,0",
+                    "--angles", "8", "--out", str(tmp_path / "set")]) == 0
+        raw = np.fromfile(tmp_path / "ref" / "wigner.bin")
+        raw[1000] = np.nan
+        raw.tofile(tmp_path / "ref" / "wigner.bin")
+        assert run(["invert", "--set", str(tmp_path / "set" / "manifest.json"),
+                    "--reference", str(tmp_path / "ref" / "wigner.json"),
+                    "--out", str(tmp_path / "rec")]) == 2
+        assert not (tmp_path / "rec").exists()
 
     def test_reference_with_off_centre_p_grid(self, tmp_path):
         grid = make_grid(-12.0, 12.0, 256)

@@ -220,7 +220,7 @@ class TestEllipseChord:
         for _ in range(100):
             st = random_gaussian_state(rng)
             mu, nu = random_direction(rng)
-            assert chord_matches_tomogram_variance(st, mu, nu, tol=1e-12)
+            assert chord_matches_tomogram_variance(st, mu, nu)
 
 
 class TestPauliReconstruction:

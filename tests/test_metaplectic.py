@@ -96,6 +96,39 @@ class TestGeneratingForm:
         with pytest.raises(NotFreeError):
             FreeSymplectic.from_matrix(np.eye(2))
 
+    @pytest.mark.parametrize("s", [5e-13, -5e-13, 2e-12, -2e-12])
+    def test_det_b_threshold_shared_with_closed_form(self, s):
+        # rotation_from_mu_nu(1, s) has B = s exactly (lambda rounds to 1)
+        if abs(s) < 1e-12:
+            with pytest.raises(NotFreeError):
+                FreeSymplectic.from_matrix(rotation_from_mu_nu(1.0, s))
+            with pytest.raises(NotFreeError):
+                rotation_form(1.0, s)
+        else:
+            fs = FreeSymplectic.from_matrix(rotation_from_mu_nu(1.0, s))
+            assert rotation_form(1.0, s)[1][0] == fs.L[0, 0]
+
+    @pytest.mark.parametrize("defect, ok", [(0.5e-10, True), (2e-10, False)])
+    def test_symplectic_threshold(self, defect, ok):
+        # a rotation scaled so that A^T D - C^T B - 1 equals ``defect``
+        m = np.sqrt(1.0 + defect) * rotation_from_mu_nu(1.0, 1.0).matrix
+        assert bool(is_symplectic(m, 1e-10)) is ok
+        if ok:
+            FreeSymplectic.from_matrix(m)
+        else:
+            with pytest.raises(DomainError, match="not symplectic"):
+                FreeSymplectic.from_matrix(m)
+
+    @pytest.mark.parametrize("mu, nu", [(5e-324, 5e-324), (np.nan, 1.0)])
+    def test_symplectic_check_shared_with_closed_form(self, mu, nu):
+        # The closed form normalizes (mu, nu), so only a direction whose
+        # normalization fails (a subnormal length, a non-finite entry)
+        # reaches its symplectic check; the matrix route rejects it too.
+        with pytest.raises(DomainError, match="not symplectic"):
+            rotation_form(mu, nu)
+        with pytest.raises(DomainError, match="not symplectic"):
+            FreeSymplectic.from_matrix(rotation_from_mu_nu(mu, nu))
+
     def test_closed_form_rotation_data_matches_matrix_route(self):
         rng = np.random.default_rng(8)
         theta = np.r_[rng.uniform(-np.pi, np.pi, 40), 0.5 * np.pi, -0.5 * np.pi, np.pi / 4]

@@ -225,6 +225,11 @@ class TestTomogramSet:
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.values, tb.values)
 
+    def test_environment_is_not_read(self, psi, monkeypatch):
+        want = compute_tomogram_set(psi, 8)
+        monkeypatch.setenv("TOMO_THREADS", "abc")
+        assert np.array_equal(compute_tomogram_set(psi, 8).values, want.values)
+
     def test_thread_count_below_one_rejected(self, psi):
         with pytest.raises(ConfigError, match="at least 1"):
             compute_tomogram_set(psi, 12, threads=0)

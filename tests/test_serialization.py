@@ -61,6 +61,48 @@ def test_wavefunction_csv_round_trip(psi, tmp_path):
     assert header == "x,re,im"
 
 
+@pytest.mark.parametrize("row, edit, match", [
+    (20, lambda x, re, im: ["123.0", re, im], "uniform"),
+    (20, lambda x, re, im: [x, "abc", im], "malformed wavefunction CSV"),
+    (33, lambda x, re, im: [x, re, ""], "malformed wavefunction CSV"),
+    (5, lambda x, re, im: [x, re], "malformed wavefunction CSV"),
+], ids=["x-off-grid", "non-numeric", "empty-cell", "two-columns"])
+def test_wavefunction_csv_broken_cell_rejected(tmp_path, row, edit, match):
+    path = tmp_path / "psi.csv"
+    save_wavefunction_csv(
+        gaussian_wavefunction(GaussianState.ground_state(HBAR), make_grid(-8, 8, 64, HBAR)), path)
+    lines = path.read_text().splitlines()
+    lines[row] = ",".join(edit(*lines[row].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=match):
+        load_wavefunction_csv(path, hbar=HBAR)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("values"),
+    lambda d: d.pop("grid"),
+    lambda d: d.update(values="abc"),
+    lambda d: d.update(grid=[1, 2]),
+    lambda d: d["grid"].update(n_points="many"),
+], ids=["values-missing", "grid-missing", "values-string", "grid-list", "n-points-string"])
+def test_malformed_wavefunction_json_rejected(psi, tmp_path, edit):
+    path = tmp_path / "state.json"
+    save_wavefunction_json(psi, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        load_wavefunction_json(path)
+
+
+def test_json_that_is_not_an_object_rejected(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text("[1, 2, 3]")
+    for load in (load_wavefunction_json, load_wigner, load_tomogram_set):
+        with pytest.raises(ConfigError, match="not a"):
+            load(path)
+
+
 def test_wigner_binary_round_trip(psi, tmp_path):
     w = wigner_transform(psi)
     path = save_wigner(w, tmp_path / "wigner.json")

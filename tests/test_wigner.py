@@ -7,6 +7,7 @@ from conftest import HBAR, random_gaussian_state
 from wigner_oracle import wigner_reference
 
 from symtomo import (
+    ConfigError,
     GaussianState,
     Grid1D,
     SampledWavefunction,
@@ -310,3 +311,12 @@ def test_edge_decay_matches_abs_formula(kind):
     assert got == _edge_decay_by_abs(values)
     if kind == "zero":
         assert got == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected(bad):
+    grid = make_grid(-4.0, 4.0, 8, HBAR)
+    values = np.zeros((8, 8))
+    values[3, 5] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        WignerMap(grid, grid, values, HBAR)
