@@ -195,6 +195,31 @@ def cis(phase) -> np.ndarray:
     return out
 
 
+def _bluestein_rows(x: np.ndarray, m: int, beta) -> np.ndarray:
+    """:func:`bluestein_czt` without its output chirp exp(0.5j*beta*k^2),
+    which a caller that takes |y| does not need.  ``beta`` broadcasts
+    against ``x.shape[:-1]``: rows that share a beta share one kernel FFT."""
+    x = np.asarray(x, dtype=np.complex128)
+    n = x.shape[-1]
+    beta = np.asarray(beta, dtype=np.float64)[..., None]
+    nfft = 1 << int(n + m - 2).bit_length()
+    j = np.arange(max(n, m), dtype=np.float64)
+    chirp = cis(0.5 * beta * j * j)
+    kernel = np.zeros(chirp.shape[:-1] + (nfft,), dtype=np.complex128)
+    kernel[..., :m] = chirp[..., :m].conj()
+    kernel[..., nfft - n + 1:] = chirp[..., n - 1:0:-1].conj()
+    # scipy.fft is numpy's pocketfft; its overwrite_x lets each transform
+    # reuse a buffer of ours (the zero-padded input, the kernel, the
+    # product) instead of allocating another.
+    y = np.zeros(np.broadcast_shapes(x.shape[:-1], chirp.shape[:-1]) + (nfft,),
+                 dtype=np.complex128)
+    np.multiply(x, chirp[..., :n], out=y[..., :n])
+    y = scipy.fft.fft(y, overwrite_x=True)
+    y *= scipy.fft.fft(kernel, overwrite_x=True)
+    y = scipy.fft.ifft(y, overwrite_x=True)
+    return y[..., :m]
+
+
 def bluestein_czt(x: np.ndarray, m: int, beta) -> np.ndarray:
     """Chirp z-transform y[..., k] = sum_j x[..., j] * exp(1j*beta*j*k),
     k = 0..m-1, of the rows (last axis) of ``x``.
@@ -206,21 +231,9 @@ def bluestein_czt(x: np.ndarray, m: int, beta) -> np.ndarray:
     (Rabiner, Schafer & Rader, 1969).  The chirp is the exponential of a
     real phase, so its error grows only with the rounding of beta*j^2.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[-1]
-    beta = np.asarray(beta, dtype=np.float64)[..., None]
-    nfft = 1 << int(n + m - 2).bit_length()
-    j = np.arange(max(n, m), dtype=np.float64)
-    chirp = cis(0.5 * beta * j * j)
-    kernel = np.zeros(chirp.shape[:-1] + (nfft,), dtype=np.complex128)
-    kernel[..., :m] = chirp[..., :m].conj()
-    kernel[..., nfft - n + 1:] = chirp[..., n - 1:0:-1].conj()
-    # scipy.fft is numpy's pocketfft; its overwrite_x lets the inverse
-    # transform reuse the (rows, nfft) buffer instead of allocating another.
-    y = scipy.fft.fft(x * chirp[..., :n], nfft)
-    y *= scipy.fft.fft(kernel)
-    y = scipy.fft.ifft(y, overwrite_x=True)
-    return y[..., :m] * chirp[..., :m]
+    k = np.arange(m, dtype=np.float64)
+    chirp = cis(0.5 * np.asarray(beta, dtype=np.float64)[..., None] * k * k)
+    return _bluestein_rows(x, m, beta) * chirp
 
 
 def _trig_resample(values: np.ndarray, x0: float, dx: float,
@@ -288,6 +301,49 @@ def chirp_fourier_rows(values: np.ndarray, grid: Grid1D, c, start, step,
     pre = cis((c * g.points**2 / 2.0 - start * g.dx * np.arange(g.n_points)) / hbar)
     out = bluestein_czt(values * pre, count, -step[..., 0] * g.dx / hbar)
     out *= cis(-p * g.x_min / hbar) * (g.dx / np.sqrt(2.0 * np.pi * hbar))
+    dual = g.momentum_grid()
+    outside = (p < dual.x_min - 0.5 * dual.dx) | (p > dual.x_max - 0.5 * dual.dx)
+    out[np.broadcast_to(outside, out.shape)] = 0.0
+    return out
+
+
+def _chirp_fourier_densities(f: np.ndarray, grid: Grid1D, c, start, step, count: int,
+                             mirror: int = 0) -> np.ndarray:
+    """|F[exp(i*c*x^2/(2*hbar)) * f](p)|^2 at p = start + k*step (k < count)
+    for one state ``f`` on ``grid`` and one row per entry of ``c``,
+    ``start`` and ``step``: the densities of :func:`chirp_fourier_rows`,
+    zero outside the same window.  Of the Fourier sum only what |.|^2 keeps
+    is computed; the phase exp(-i*p*x_min/hbar) and the chirp-z output chirp
+    have modulus 1.
+
+    A nonzero ``mirror`` adds to each row the row of chirp -c at p*mirror,
+    from the same chirp-z kernel spectrum.  At p its input is the row's
+    with the chirp conjugated; at -p it is, by conjugation of the whole
+    sum, the row of conj(f) at c and p.  Returns (R, 1, count), or
+    (R, 2, count) with a mirror.
+    """
+    c, start, step = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (c, start, step))
+    g, hbar = grid, grid.hbar
+    # p*x_m = p*x_min + start*m*dx + (k*m)*step*dx; the last term is the chirp-z kernel.
+    shift = cis(np.multiply.outer(-start * g.dx / hbar, np.arange(g.n_points)))
+    chirp = cis(np.multiply.outer(c / (2.0 * hbar), g.points**2))
+    rows = np.empty((len(c), 2 if mirror else 1, g.n_points), dtype=np.complex128)
+    if mirror == 1:
+        shift *= f
+        np.multiply(shift, chirp, out=rows[:, 0])
+        np.multiply(shift, np.conjugate(chirp, out=chirp), out=rows[:, 1])
+    else:
+        shift *= chirp
+        np.multiply(f, shift, out=rows[:, 0])
+        if mirror:
+            np.multiply(np.conj(f), shift, out=rows[:, 1])
+    y = _bluestein_rows(rows, count, -step[:, None] * g.dx / hbar)
+    out = y.real ** 2
+    out += y.imag ** 2
+    out *= g.dx**2 / (2.0 * np.pi * hbar)
+    p = start[:, None, None] + step[:, None, None] * np.arange(count)
+    if mirror:
+        p = p * np.array([1.0, mirror])[:, None]
     dual = g.momentum_grid()
     outside = (p < dual.x_min - 0.5 * dual.dx) | (p > dual.x_max - 0.5 * dual.dx)
     out[np.broadcast_to(outside, out.shape)] = 0.0

@@ -257,7 +257,7 @@ def quarter_turn(psi: SampledWavefunction) -> np.ndarray:
     return _quadratic_fourier_rows(psi.values, psi.grid, *rotation_form(0.0, 1.0))[0]
 
 
-def rotate_rows(psi: SampledWavefunction, mu, nu, quarter: np.ndarray | None = None) -> np.ndarray:
+def rotate_rows(psi: SampledWavefunction, mu, nu) -> np.ndarray:
     """Rows U_(mu_r, nu_r) psi, shape (R, n), for arrays of directions.
 
     For |nu| >= |mu| each row is the quadratic Fourier transform of the
@@ -266,9 +266,8 @@ def rotate_rows(psi: SampledWavefunction, mu, nu, quarter: np.ndarray | None = N
     well-conditioned quadratic Fourier transforms; the composition covers
     the same rotation up to an overall sign (the double-cover ambiguity),
     which is immaterial for every |.|^2-based quantity.  The quarter turn
-    U_(0,1) psi is computed once (or passed in as ``quarter``) and shared by
-    all split rows.  For nu = 0 the operator is the identity (mu > 0) or
-    parity (mu < 0) up to phase.
+    U_(0,1) psi is computed once and shared by all split rows.  For nu = 0
+    the operator is the identity (mu > 0) or parity (mu < 0) up to phase.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
     nu = np.atleast_1d(np.asarray(nu, dtype=np.float64))
@@ -286,10 +285,8 @@ def rotate_rows(psi: SampledWavefunction, mu, nu, quarter: np.ndarray | None = N
             psi.values, g, *rotation_form(mu[direct], nu[direct]))
     split = ~axis & ~direct
     if split.any():
-        if quarter is None:
-            quarter = quarter_turn(psi)
         out[split] = _quadratic_fourier_rows(
-            quarter, g, *rotation_form(nu[split], -mu[split]))
+            quarter_turn(psi), g, *rotation_form(nu[split], -mu[split]))
     return out
 
 

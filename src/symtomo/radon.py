@@ -18,10 +18,9 @@ import numpy as np
 import scipy.fft
 
 from .errors import ConfigError, DomainError, UnsupportedOperation
-from .grids import (Grid1D, SampledWavefunction, _trig_resample, bluestein_czt,
-                    chirp_fourier_rows, cis)
+from .grids import Grid1D, SampledWavefunction, _chirp_fourier_densities, bluestein_czt, cis
 from .grids import hbar_fourier  # noqa: F401  (perfbench's tracer patches it here too)
-from .metaplectic import RotationParams, quarter_turn, rotate_rows
+from .metaplectic import RotationParams, quarter_turn, rotation_form
 from .wigner import WignerMap, default_momentum_window
 
 __all__ = [
@@ -42,10 +41,11 @@ NEGATIVE_FLOOR = 1e-10
 # the Wigner map for the line integral, of psi for the rotation route.
 EDGE_DECAY_FLAG = 1e-10
 MIN_ANGLES = 8
-# Angles per row block of a sweep: bounds the (rows, 2n) CZT temporaries.
-# At 32 rows (about 5 MB of them for n = 1024) the allocator could return
-# a block's memory to the OS and fault it in again for the next block:
-# 15.8k page faults per 360-angle sweep against 2.1k at 16 rows.
+# Rows per row block of a sweep (a block of mirror pairs holds half as many
+# pairs): bounds the (rows, 2n) CZT temporaries.  At 32 rows (about 5 MB of
+# them for n = 1024) the allocator could return a block's memory to the OS
+# and fault it in again for the next block: 15.8k page faults per 360-angle
+# sweep against 2.1k at 16 rows.
 ROW_BLOCK = 16
 # Filtered back-projection: zero-padding of each projection before the ramp
 # filter, upsampling of the filtered projection before linear interpolation,
@@ -158,23 +158,48 @@ def _resolve_x_grid(x_grid, lam: float, base: Grid1D) -> tuple[float, float, int
 
 def _metaplectic_rows(psi: SampledWavefunction, mu: np.ndarray, nu: np.ndarray,
                       start: float, step: float, count: int,
-                      quarter: np.ndarray | None = None) -> np.ndarray:
+                      quarter: np.ndarray | None = None, mirror: bool = False) -> np.ndarray:
     """Densities R(X) = |U_(mu,nu) psi(X/lambda)|^2 / lambda at
-    X = start + k*step, one row per direction; ``quarter`` as in
-    :func:`rotate_rows`."""
+    X = start + k*step, one row per direction: shape (R, 1, count), or with
+    ``mirror`` (R, 2, count), whose second row is the direction (-mu, nu).
+
+    The last quadratic Fourier transform of U_(mu,nu) (see
+    :func:`rotate_rows`) is evaluated directly at p = L*X/lambda, as
+    R(X) = |L|/lambda * |F[chirp(Q) f](p)|^2: on f = psi when |nu| >= |mu|,
+    and otherwise on the quarter turn f = U_(0,1) psi (``quarter``,
+    computed here when not given), which also covers the axis nu = 0.  Its
+    output chirp and Maslov phase have modulus 1 and are not computed.  The
+    mirror direction negates Q, and for a split rotation also L."""
     lam = np.hypot(mu, nu)
-    g = psi.grid
-    vals = _trig_resample(rotate_rows(psi, mu, nu, quarter), g.x_min, g.dx,
-                          start / lam, step / lam, count)
-    return np.abs(vals) ** 2 / lam[:, None]
+    out = np.empty((len(mu), 1 + mirror, count))
+    direct = np.abs(nu) >= np.abs(mu)
+    for rows, split in ((direct, False), (~direct, True)):
+        if not rows.any():
+            continue
+        if split:
+            f = quarter_turn(psi) if quarter is None else quarter
+            _, L, Q, _ = rotation_form(nu[rows], -mu[rows])
+        else:
+            f = psi.values
+            _, L, Q, _ = rotation_form(mu[rows], nu[rows])
+        scale = L / lam[rows]
+        dens = _chirp_fourier_densities(f, psi.grid, Q, scale * start, scale * step, count,
+                                        mirror * (-1 if split else 1))
+        dens *= np.abs(scale)[:, None, None]
+        out[rows] = dens
+    return out
 
 
 def _chirp_rows(psi: SampledWavefunction, mu: np.ndarray, nu: np.ndarray,
-                start: float, step: float, count: int) -> np.ndarray:
+                start: float, step: float, count: int, mirror: bool = False) -> np.ndarray:
     """Densities R(X) = |F[exp(i*mu*x'^2/(2*hbar*nu)) psi](X/nu)|^2 / |nu|
-    at X = start + k*step, one row per direction (nu != 0)."""
-    vals = chirp_fourier_rows(psi.values, psi.grid, mu / nu, start / nu, step / nu, count)
-    return np.abs(vals) ** 2 / np.abs(nu)[:, None]
+    at X = start + k*step, one row per direction (nu != 0): shape
+    (R, 1, count), or with ``mirror`` (R, 2, count), whose second row is
+    the direction (-mu, nu) and conjugates the chirp."""
+    out = _chirp_fourier_densities(psi.values, psi.grid, mu / nu, start / nu, step / nu,
+                                   count, int(mirror))
+    out /= np.abs(nu)[:, None, None]
+    return out
 
 
 def radon_metaplectic(psi: SampledWavefunction, mu: float, nu: float,
@@ -188,7 +213,7 @@ def radon_metaplectic(psi: SampledWavefunction, mu: float, nu: float,
     start, step, count = _resolve_x_grid(x_grid, params.lam, psi.grid)
     values = _metaplectic_rows(psi, np.array([mu], dtype=np.float64),
                                np.array([nu], dtype=np.float64), start, step, count)
-    return Tomogram(mu, nu, start + step * np.arange(count), values[0],
+    return Tomogram(mu, nu, start + step * np.arange(count), values[0, 0],
                     psi.grid.hbar, route="metaplectic",
                     accuracy_warning=psi.edge_decay() > EDGE_DECAY_FLAG)
 
@@ -219,7 +244,7 @@ def radon_chirp_fft(psi: SampledWavefunction, mu: float, nu: float,
     start, step, count = _resolve_x_grid(x_grid, params.lam, psi.grid)
     values = _chirp_rows(psi, np.array([mu], dtype=np.float64),
                          np.array([nu], dtype=np.float64), start, step, count)
-    return Tomogram(mu, nu, start + step * np.arange(count), values[0],
+    return Tomogram(mu, nu, start + step * np.arange(count), values[0, 0],
                     psi.grid.hbar, route="chirp-fft", accuracy_warning=warn)
 
 
@@ -392,9 +417,12 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
     ``route`` selects the forward algorithm; the chirp-FFT route falls back
     to the rotation-operator route for angles where it is undefined
     (nu = 0) or where the chirp would exceed the grid Nyquist rate.  The
-    angles of each route run in blocks of ROW_BLOCK rows through the same
-    row kernels as :func:`radon_chirp_fft` and :func:`radon_metaplectic`;
-    the split rotations share one quarter turn of the state.  ``x_grid``
+    angles run through the same row kernels as :func:`radon_chirp_fft` and
+    :func:`radon_metaplectic`, in blocks of ROW_BLOCK rows; the split
+    rotations share one quarter turn of the state.  Angle theta_k pairs
+    with pi - theta_k, which takes the exact mirror direction
+    (-mu_k, nu_k): the pair shares |nu|, its p grid and one chirp-z kernel
+    spectrum, and only the pre-chirp or the state is conjugated.  ``x_grid``
     is the common X grid (default: the state grid).  ``threads`` must be at
     least 1 (ConfigError otherwise); with more than one, worker threads
     take whole blocks, so the result does not depend on the thread count.
@@ -408,31 +436,40 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
     if threads < 1:
         raise ConfigError(f"the thread count must be at least 1, got {threads}")
     mu, nu = np.cos(angles), np.sin(angles)
+    # Angle k leads the pair with angle n_angles - k, whose row the kernels
+    # compute for (-mu_k, nu_k); theta = 0 and pi/2 stand alone.
+    lead = np.arange(n_angles // 2 + 1)
+    paired = (lead > 0) & (2 * lead < n_angles)
     start, step, count = _resolve_x_grid(x_grid, 1.0, psi.grid)
     chirp = np.zeros(n_angles, dtype=bool)
     if route == "chirp-fft":
-        off_axis = nu != 0.0
+        off_axis = lead[nu[lead] != 0.0]
         chirp[off_axis] = chirp_resolvable(psi, mu[off_axis], nu[off_axis])
-    quarter = None if chirp.all() else quarter_turn(psi)
+        chirp[n_angles - lead[paired]] = chirp[lead[paired]]
+    quarter = quarter_turn(psi)  # theta = 0 is always a split rotation
 
     def run(block):
-        rows, is_chirp = block
+        rows, is_chirp, pair = block
         if is_chirp:
-            return _chirp_rows(psi, mu[rows], nu[rows], start, step, count)
-        return _metaplectic_rows(psi, mu[rows], nu[rows], start, step, count, quarter)
+            return _chirp_rows(psi, mu[rows], nu[rows], start, step, count, pair)
+        return _metaplectic_rows(psi, mu[rows], nu[rows], start, step, count, quarter, pair)
 
     blocks = []
     for is_chirp in (True, False):
-        rows = np.flatnonzero(chirp == is_chirp)
-        blocks += [(rows[lo:lo + ROW_BLOCK], is_chirp) for lo in range(0, len(rows), ROW_BLOCK)]
+        for pair in (True, False):
+            rows = lead[(chirp[lead] == is_chirp) & (paired == pair)]
+            size = ROW_BLOCK // 2 if pair else ROW_BLOCK
+            blocks += [(rows[lo:lo + size], is_chirp, pair) for lo in range(0, len(rows), size)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, blocks))
     else:
         results = [run(b) for b in blocks]
     values = np.empty((n_angles, count))
-    for (rows, _), block_values in zip(blocks, results):
-        values[rows] = block_values
+    for (rows, _, pair), block_values in zip(blocks, results):
+        values[rows] = block_values[:, 0]
+        if pair:
+            values[n_angles - rows] = block_values[:, 1]
     routes = tuple("chirp-fft" if c else "metaplectic" for c in chirp)
     warnings = ~chirp & (psi.edge_decay() > EDGE_DECAY_FLAG)
     return TomogramSet(angles, start + step * np.arange(count), values, psi.grid.hbar,

@@ -25,7 +25,12 @@ EDGE_DECAY_LIMIT = 1e-12
 
 @dataclass(frozen=True)
 class WignerMap:
-    """Real phase-space map W(x, p) sampled on x_grid x p_grid (row-major)."""
+    """Real phase-space map W(x, p) sampled on x_grid x p_grid (row-major).
+
+    ``values`` is copied into a read-only array, unless it already is a
+    read-only float array that owns its memory, as the package's own
+    transforms hand over: no caller can write to the map through its input.
+    """
 
     x_grid: Grid1D
     p_grid: Grid1D
@@ -42,8 +47,9 @@ class WignerMap:
             )
         if not np.isfinite(v).all():
             raise ConfigError("Wigner map values must be finite")
-        v = v.copy()
-        v.setflags(write=False)
+        if v.flags.writeable or not v.flags.owndata:
+            v = v.copy()
+            v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def mass(self) -> float:
@@ -80,12 +86,14 @@ def _autocorrelation(values: np.ndarray) -> np.ndarray:
     padded[half:half + n] = values
     windows = sliding_window_view(padded, n)
     lag = 2 * half - n + 1
-    # A contiguous first factor keeps numpy on its contiguous multiply loop,
-    # which rounds like the product of the two factors gathered by index
-    # (the loop for overlapping rows fuses differently in the last bit).
-    acorr = windows[:n].copy()
-    acorr *= np.conj(windows[lag:lag + n, ::-1])
-    return acorr
+    # A contiguous product keeps numpy on its contiguous multiply loop, which
+    # rounds like the product of the two factors gathered by index (the loop
+    # for overlapping rows fuses differently in the last bit).  Conjugation
+    # only flips signs, so conj(conj(a)*b) is a*conj(b) bit for bit, and the
+    # second factor needs no conjugated (n, n) copy.
+    acorr = np.conj(windows[:n])
+    acorr *= windows[lag:lag + n, ::-1]
+    return np.conjugate(acorr, out=acorr)
 
 
 def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> WignerMap:
@@ -141,7 +149,9 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
         w = bluestein_czt(z, p_grid.n_points, beta)
         post = cis(-0.5 * beta * n * k)
     w *= post * (dx / (np.pi * hbar))
-    return WignerMap(g, p_grid, np.concatenate((w.real, w.imag)), hbar, accuracy_warning=warn)
+    values = np.concatenate((w.real, w.imag))
+    values.setflags(write=False)
+    return WignerMap(g, p_grid, values, hbar, accuracy_warning=warn)
 
 
 def marginals(w: WignerMap) -> tuple[np.ndarray, np.ndarray]:

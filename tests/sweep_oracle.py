@@ -4,14 +4,22 @@
 its own chirp -> hbar-Fourier -> resample pipeline for each quadratic
 Fourier transform (a split rotation recomputes the quarter turn), every
 resample is a separate ``scipy.signal.czt`` call, and the rotated state is
-resampled once more onto the X grid.  The library runs the same pipeline
-over row blocks through its own Bluestein CZT, so the two agree to rounding.
+resampled once more onto the X grid.  The library evaluates the last
+quadratic Fourier transform directly on the X grid as a density, so the two
+agree to rounding on states resolved on their grids.
+
+``resampled_rotation`` is the library's earlier metaplectic row: the
+rotated state on the state grid (``rotate_rows``), resampled onto X/lambda
+by the library's band-limited resampling.  It is the sharper reference for
+a single row: the per-angle oracle's ``scipy.signal.czt`` resamples lose
+about 1e-12 of a unit peak.
 """
 
 import numpy as np
 from fbp_oracle import _trig_resample
 
-from symtomo.metaplectic import FreeSymplectic, rotation_from_mu_nu
+from symtomo.grids import _trig_resample as library_resample
+from symtomo.metaplectic import FreeSymplectic, rotate_rows, rotation_from_mu_nu
 from symtomo.radon import chirp_resolvable, sweep_angles
 
 
@@ -47,22 +55,36 @@ def _rotate(values, grid, mu, nu):
     return _quadratic_fourier(_quadratic_fourier(values, grid, 0.0, 1.0), grid, nu, -mu)
 
 
-def tomogram_set_reference(psi, n_angles, route="metaplectic"):
-    """(values[A, N], routes) of the per-angle sweep over the state grid."""
+def tomogram_set_reference(psi, n_angles, route="metaplectic", x=None):
+    """(values[A, N], routes) of the per-angle sweep over the uniform X
+    grid ``x`` (default: the state grid)."""
     g = psi.grid
     rows, routes = [], []
     for theta in sweep_angles(n_angles):
         mu, nu = float(np.cos(theta)), float(np.sin(theta))
         lam = float(np.hypot(mu, nu))
-        start, step = lam * g.x_min, lam * g.dx
+        if x is None:
+            start, step, count = lam * g.x_min, lam * g.dx, g.n_points
+        else:
+            start, step, count = x[0], x[1] - x[0], len(x)
         if route == "chirp-fft" and nu != 0.0 and chirp_resolvable(psi, mu, nu):
             ft, dual = _fourier(_chirp(psi.values, g, mu / nu), g)
-            vals = _trig_resample(ft, dual.x_min, dual.dx, start / nu, step / nu, g.n_points)
+            vals = _trig_resample(ft, dual.x_min, dual.dx, start / nu, step / nu, count)
             rows.append(np.abs(vals) ** 2 / abs(nu))
             routes.append("chirp-fft")
         else:
             vals = _trig_resample(_rotate(psi.values, g, mu, nu), g.x_min, g.dx,
-                                  start / lam, step / lam, g.n_points)
+                                  start / lam, step / lam, count)
             rows.append(np.abs(vals) ** 2 / lam)
             routes.append("metaplectic")
     return np.array(rows), routes
+
+
+def resampled_rotation(psi, mu, nu, start, step, count):
+    """|U_(mu,nu) psi(X/lambda)|^2 / lambda at X = start + k*step, by the
+    library's earlier path: rotate onto the state grid, then resample."""
+    g = psi.grid
+    lam = float(np.hypot(mu, nu))
+    vals = library_resample(rotate_rows(psi, mu, nu)[0], g.x_min, g.dx,
+                            start / lam, step / lam, count)
+    return np.abs(vals) ** 2 / lam

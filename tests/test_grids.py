@@ -13,8 +13,10 @@ from symtomo import (
 )
 from symtomo.grids import (
     Grid1D,
+    _chirp_fourier_densities,
     _trig_resample,
     bluestein_czt,
+    chirp_fourier_rows,
     chirp_multiply,
     hbar_fourier,
     sample_uniform,
@@ -210,6 +212,29 @@ def test_bluestein_czt_matches_direct_sum(n, m, rows, beta, per_row, seed):
     scale_ = np.abs(x).sum(axis=1, keepdims=True)
     assert got.shape == (rows, m)
     assert np.max(np.abs(got - want) / scale_) <= 1e-12
+
+
+@pytest.mark.parametrize("mirror", [0, 1, -1])
+def test_chirp_fourier_densities_match_rows(mirror):
+    """The densities, and each mirror row (chirp -c at p*mirror), against
+    |chirp_fourier_rows|^2, on an off-lattice grid and a window reaching
+    past the dual window at both ends."""
+    grid = make_grid(-9.7, 10.3, 128, HBAR)
+    rng = np.random.default_rng(3)
+    f = np.exp(-(grid.points - 0.4) ** 2 / 3.0 + 1j * rng.uniform(-1, 1) * grid.points)
+    c = np.array([0.7, -1.3, 0.05])
+    start = np.array([-21.0, -6.0, 2.0])
+    step = np.array([0.31, 0.07, -0.13])
+    count = 141
+    got = _chirp_fourier_densities(f, grid, c, start, step, count, mirror)
+    assert got.shape == (3, 2 if mirror else 1, count)
+    want = np.abs(chirp_fourier_rows(f, grid, c, start, step, count)) ** 2
+    assert np.max(np.abs(got[:, 0] - want)) <= 1e-14
+    if mirror:
+        sign = float(mirror)
+        want = np.abs(chirp_fourier_rows(f, grid, -c, sign * start, sign * step, count)) ** 2
+        assert np.max(np.abs(got[:, 1] - want)) <= 1e-14
+        assert np.array_equal(got[:, 1] == 0.0, want == 0.0)
 
 
 def test_inner_product_across_grids(ground):

@@ -4,12 +4,17 @@ and the single-angle routes; the array-backed TomogramSet."""
 import numpy as np
 import pytest
 from conftest import HBAR
-from sweep_oracle import tomogram_set_reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sweep_oracle import resampled_rotation, tomogram_set_reference
 
+import symtomo.grids
+import symtomo.radon
 from symtomo import (
     ConfigError,
     DomainError,
     GaussianState,
+    SampledWavefunction,
     TomogramSet,
     compute_tomogram_set,
     gaussian_wavefunction,
@@ -136,3 +141,100 @@ def test_threads_take_whole_blocks(psi, route):
     one = compute_tomogram_set(psi, 100, route=route, threads=1)
     three = compute_tomogram_set(psi, 100, route=route, threads=3)
     assert np.array_equal(one.values, three.values) and one.routes == three.routes
+
+
+def _sweep_directions(n_angles):
+    """(mu, nu) of each sweep row: (cos, sin) of theta_k up to pi/2, and the
+    exact mirror (-mu, nu) of angle n_angles - k beyond."""
+    theta = np.pi * np.arange(n_angles) / n_angles
+    mu, nu = np.cos(theta), np.sin(theta)
+    for k in range(n_angles // 2 + 1, n_angles):
+        mu[k], nu[k] = -mu[n_angles - k], nu[n_angles - k]
+    return mu, nu
+
+
+def _displaced_state(grid, sigma_xx, sigma_xp, x0, p0):
+    """A Gaussian of covariances sigma_xx, sigma_xp moved to (x0, p0) in
+    phase space, so that no parity maps its tomograms onto one another."""
+    x = grid.points - x0
+    values = np.exp(-x**2 * (1.0 - 2j * sigma_xp / HBAR) / (4.0 * sigma_xx)
+                    + 1j * p0 * grid.points / HBAR)
+    return SampledWavefunction(grid, values).normalize()
+
+
+def _window(grid, kind):
+    """An X grid of the given kind for a state grid: the state grid itself
+    (None), 1.3 times wider, 0.6 times narrower, or shifted off centre."""
+    start, step, n = grid.x_min, grid.dx, grid.n_points
+    return {None: None,
+            "wider": 1.3 * start + 1.3 * step * np.arange(n + 5),
+            "narrower": 0.6 * start + 0.6 * step * np.arange(n - 3),
+            "off-centre": start + 3.1 + step * np.arange(n - 9)}[kind]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([64, 128, 256]), n_angles=st.integers(1, 72),
+       offset=st.floats(0.05, 0.95), window=st.sampled_from([None, "wider", "narrower",
+                                                           "off-centre"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=64, n_angles=1, offset=0.5, window=None, seed=0)
+@example(n=128, n_angles=2, offset=0.3, window="off-centre", seed=1)
+@example(n=256, n_angles=3, offset=0.7, window="wider", seed=2)
+def test_paired_sweep_matches_oracle_and_single_angles(n, n_angles, offset, window, seed):
+    """Mirror pairs, odd and even sweeps: the sweep against the per-angle
+    oracle, each row against its single-angle route in the row's exact
+    direction, and whole blocks per worker thread.  The state grid's x_min
+    is off the dx lattice.  Its x and p windows are equally wide
+    (half-width sqrt(pi*n/2)), and the state sits up to 0.4 off the origin
+    in x and in p.  The oracle resamples each rotated state, chirp
+    included, from the state grid: on the 64-point grid that holds 1e-9
+    for sigma_xx in [0.6, 0.86] and |sigma_xp| <= 0.1, not for the whole
+    envelope of the other tests."""
+    rng = np.random.default_rng(seed)
+    half = np.sqrt(np.pi * n / 2.0)
+    shift = offset * 2.0 * half / n
+    grid = make_grid(shift - half, shift + half, n, HBAR)
+    psi = _displaced_state(grid, float(np.exp(rng.uniform(-0.5, -0.15))),
+                           float(rng.uniform(-0.1, 0.1)), *rng.uniform(-0.4, 0.4, 2))
+    x = _window(psi.grid, window)
+    mu, nu = _sweep_directions(n_angles)
+    for route in ("metaplectic", "chirp-fft"):
+        ts = compute_tomogram_set(psi, n_angles, route=route, x_grid=x)
+        ref, routes = tomogram_set_reference(psi, n_angles, route, x)
+        assert ts.routes == tuple(routes)
+        assert np.max(np.abs(ts.values - ref)) <= 1e-9
+        for k in range(n_angles):
+            single = radon_metaplectic if ts.routes[k] == "metaplectic" else radon_chirp_fft
+            row = single(psi, mu[k], nu[k], x_grid=ts.x).values
+            assert np.max(np.abs(row - ts.values[k])) <= 1e-13
+        three = compute_tomogram_set(psi, n_angles, route=route, x_grid=x, threads=3)
+        assert np.array_equal(three.values, ts.values)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.7])
+@pytest.mark.parametrize("window", [(-15.0, 15.0, 255), (-12.0, 12.0, 512),
+                                    (-20.0, 20.0, 300)], ids=["255", "512", "wide300"])
+def test_metaplectic_rows_match_resampled_rotation(lam, window):
+    """The metaplectic route evaluates its last quadratic Fourier transform
+    on the X grid; the reference rotates onto the state grid and resamples."""
+    lo, hi, count = window
+    x = np.linspace(lo, hi, count)
+    psi = _displaced_state(make_grid(-12.0, 12.0, 256, HBAR), 0.8, 0.3, 1.2, -0.7)
+    # the axes, split rotations on both sides of the x axis, direct ones
+    for theta in (0.0, 0.3, np.pi / 4 + 0.1, np.pi / 2, 2.0, 2.9, np.pi):
+        mu, nu = lam * np.cos(theta), lam * np.sin(theta)
+        got = radon_metaplectic(psi, mu, nu, x_grid=x).values
+        want = resampled_rotation(psi, mu, nu, x[0], x[1] - x[0], count)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_no_metaplectic_row_resamples(psi, monkeypatch):
+    def no_resample(*args):
+        raise AssertionError("a tomogram row must not resample a rotated state")
+
+    monkeypatch.setattr(symtomo.grids, "_trig_resample", no_resample)
+    assert not hasattr(symtomo.radon, "_trig_resample")
+    for route in ("metaplectic", "chirp-fft"):
+        assert len(compute_tomogram_set(psi, 360, route=route)) == 360
+    for mu, nu in ((1.0, 0.0), (0.8, 0.3), (0.3, -0.8)):
+        radon_metaplectic(psi, mu, nu, x_grid=np.linspace(-9.0, 9.0, 101))

@@ -320,3 +320,26 @@ def test_non_finite_values_rejected(bad):
     values[3, 5] = bad
     with pytest.raises(ConfigError, match="finite"):
         WignerMap(grid, grid, values, HBAR)
+
+
+def test_caller_array_is_copied():
+    grid = make_grid(-4.0, 4.0, 8, HBAR)
+    values = np.random.default_rng(2).normal(size=(8, 8))
+    keep = values.copy()
+    w = WignerMap(grid, grid, values, HBAR)
+    values[2, 3] = 99.0
+    assert np.array_equal(w.values, keep)
+    assert not w.values.flags.writeable
+    # a read-only view of a writable array is copied as well
+    view = values.view()
+    view.setflags(write=False)
+    w = WignerMap(grid, grid, view, HBAR)
+    values[4, 1] = -99.0
+    assert w.values[4, 1] != -99.0
+
+
+def test_transform_hands_over_its_own_array(ground):
+    w = wigner_transform(ground)
+    assert not w.values.flags.writeable and w.values.flags.owndata
+    again = WignerMap(w.x_grid, w.p_grid, w.values, w.hbar)
+    assert again.values is w.values
