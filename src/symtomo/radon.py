@@ -31,7 +31,6 @@ __all__ = [
     "radon_line_integral",
     "chirp_resolvable",
     "inverse_radon",
-    "mix_tomograms",
     "compute_tomogram_set",
     "sweep_angles",
 ]
@@ -320,14 +319,14 @@ def radon_line_integral(w: WignerMap, mu: float, nu: float, x_grid=None,
                     route="line-integral", accuracy_warning=warn)
 
 
-def _check_shared_grid(tms, error: type[Exception]):
-    """Raise ``error`` unless all tomograms share the first one's X grid and hbar."""
+def _check_shared_grid(tms):
+    """Raise ConfigError unless all tomograms share the first one's X grid and hbar."""
     first = tms[0]
     for t in tms[1:]:
         if t.x.shape != first.x.shape or not np.allclose(t.x, first.x, rtol=0, atol=1e-12):
-            raise error("tomograms must share one X grid")
+            raise ConfigError("tomograms must share one X grid")
         if abs(t.hbar - first.hbar) > 1e-12 * first.hbar:
-            raise error("tomograms must share hbar")
+            raise ConfigError("tomograms must share hbar")
 
 
 @dataclass(frozen=True)
@@ -384,7 +383,7 @@ class TomogramSet:
             raise ConfigError("empty tomogram set")
         if any(abs(t.lam - 1.0) > 1e-12 for t in tms):
             raise ConfigError("tomogram set entries must have unit (mu, nu)")
-        _check_shared_grid(tms, ConfigError)
+        _check_shared_grid(tms)
         return cls(np.array([np.arctan2(t.nu, t.mu) for t in tms]), tms[0].x,
                    np.stack([t.values for t in tms]), tms[0].hbar,
                    tuple(t.route for t in tms), [t.accuracy_warning for t in tms])
@@ -474,23 +473,6 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
     warnings = ~chirp & (psi.edge_decay() > EDGE_DECAY_FLAG)
     return TomogramSet(angles, start + step * np.arange(count), values, psi.grid.hbar,
                        routes, warnings)
-
-
-def mix_tomograms(weights, tomograms) -> Tomogram:
-    """Convex combination of tomograms taken at one common (mu, nu) and grid."""
-    weights = np.asarray(weights, dtype=np.float64)
-    tms = list(tomograms)
-    if len(weights) != len(tms) or len(tms) == 0:
-        raise DomainError("need one weight per tomogram")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
-        raise DomainError("weights must be nonnegative and sum to 1")
-    first = tms[0]
-    if any(abs(t.mu - first.mu) > 1e-12 or abs(t.nu - first.nu) > 1e-12 for t in tms):
-        raise DomainError("tomograms must share (mu, nu)")
-    _check_shared_grid(tms, DomainError)
-    values = sum(w * t.values for w, t in zip(weights, tms))
-    return Tomogram(first.mu, first.nu, first.x, values, first.hbar, route="mixture",
-                    accuracy_warning=any(t.accuracy_warning for t in tms))
 
 
 def _tapered_ramp(n_pad: int, dx: float, hbar: float) -> np.ndarray:

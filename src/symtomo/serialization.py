@@ -1,7 +1,8 @@
 """File formats: JSON/CSV wavefunctions, Wigner maps, tomogram-set manifests.
 
-CSV cells use 17-significant-digit formatting so round trips are bit exact
-and regression diffs are stable; files are written atomically (temp file +
+CSV cells are the text of ``%.17g`` so round trips are bit exact and
+regression diffs are stable; a vectorised formatter writes that text a block
+of CSV_BLOCK values at a time.  Files are written atomically (temp file +
 rename).
 """
 
@@ -46,6 +47,190 @@ MANIFEST_NAME = "manifest.json"
 def fmt(value: float) -> str:
     """Full round-trip decimal formatting."""
     return format(float(value), ".17g")
+
+
+CSV_BLOCK = 8192
+"""Values formatted per block by the CSV writers: a writer holds the text of
+one block, never that of the whole file."""
+
+# The vectorised %.17g.  A value v is scaled to N = |v| * 10**(16 - e10) with
+# e10 = floor(log10|v|), so that N lies in [1e16, 1e17) and N rounded to an
+# integer, half to even, is the 17-digit significand.  N is formed as a
+# double-double, the exact (Dekker) product of |v| with the head of 10**k plus
+# |v| times its tail, which is good to about 1e-15; a value whose fraction of
+# N lies within _TIE_BAND of 1/2 (true ties exist) goes through %.17g itself,
+# as do non-finite values and |v| outside [_FAST_MIN, _FAST_MAX], where the
+# split product would overflow or lose subnormal bits.
+_FAST_MIN, _FAST_MAX = 1e-290, 1e290
+_TIE_BAND = 1e-9
+_POW_MIN, _POW_MAX = -280, 308  # 10**k for k = 16 - e10 of every fast value
+_SPLIT = 2.0**27 + 1  # Veltkamp's splitter for float64
+_N_MIN, _N_MAX = 10**16, 10**17
+
+
+def _powers_of_ten() -> np.ndarray:
+    """Rows head, head_hi, head_lo and tail over k = _POW_MIN.._POW_MAX: head and
+    tail are 10**k and 10**k - head correctly rounded, computed in exact
+    integer arithmetic; head = head_hi + head_lo is the Veltkamp split."""
+    head, tail = [], []
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        if k >= 0:
+            h = float(10**k)
+            t = float(10**k - int(h))
+        else:
+            q = 10**-k
+            h = 1 / q  # int / int is correctly rounded
+            num, den = h.as_integer_ratio()
+            t = (den - num * q) / (q * den)
+        head.append(h)
+        tail.append(t)
+    head = np.array(head)
+    m, e = np.frexp(head)  # split the mantissa, where m * _SPLIT cannot overflow
+    c = m * _SPLIT
+    m_hi = c - (c - m)
+    return np.stack([head, np.ldexp(m_hi, e), np.ldexp(m - m_hi, e), np.array(tail)])
+
+
+_POW10 = _powers_of_ten()
+
+# Cell assembly.  Each value gets a row of six 8-byte words,
+#   "-0.000" d0 "."   four times  d "." d "." d "." d "."   "e" sign ddd NUL*3
+# that holds every character any %.17g text of it can use: the sign, the
+# "0.000" of fixed notation below 1, each of the 17 digits followed by a
+# decimal point, and the exponent.  An AND with the byte mask of the value's
+# key (sign, shape, significant digits) zeroes what its text leaves out, and
+# dropping the zero bytes leaves the text.  Shapes 0..20 are fixed notation
+# for e10 = -4..16, 21 and 22 exponent notation with 2 and 3 exponent digits.
+_SHAPES = 23
+_CELL_WORDS = 6
+_EXP_OFFSET = 400
+
+
+def _words(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode(), dtype=np.uint64)
+
+
+_LEAD_WORDS = _words("".join(f"-0.000{d}." for d in range(10)))
+_EXP_WORDS = _words("".join(f"e{e:+04d}\0\0\0" for e in range(-_EXP_OFFSET, _EXP_OFFSET + 1)))
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For each 4-digit chunk c: its word ("1.2.0.0." for 1200) and its count
+    of significant digits (2 for 1200, none for 0)."""
+    chunks = np.arange(10000, dtype=np.int16)
+    words = np.full((10000, 8), ord("."), dtype=np.uint8)
+    significant = np.full(10000, 4, dtype=np.int8)
+    for i, scale in enumerate((1000, 100, 10, 1)):
+        words[:, 2 * i] = chunks // scale % 10 + ord("0")
+        significant -= chunks % (10000 // scale) == 0
+    return words.view(np.uint64).ravel(), significant
+
+
+_DIGIT_WORDS, _CHUNK_DIGITS = _digit_tables()
+
+
+def _cell_masks() -> np.ndarray:
+    """The byte mask of each key, as rows of _CELL_WORDS words."""
+    masks = bytearray()
+    digits = [6 + 2 * i for i in range(17)]  # byte of digit i; its decimal point follows
+    for sign, shape, nsig in itertools.product(range(2), range(_SHAPES), range(1, 18)):
+        keep = [0] if sign else []
+        if shape > 20:
+            keep += digits[:nsig] + ([digits[0] + 1] if nsig > 1 else [])
+            keep += [40, 41] + ([42] if shape == 22 else []) + [43, 44]
+        elif shape < 4:  # "0." and -e10 - 1 zeros, then the digits
+            keep += [1, 2] + list(range(3, 3 + 3 - shape)) + digits[:nsig]
+        else:
+            e10 = shape - 4
+            keep += digits[:max(nsig, e10 + 1)] + ([digits[e10] + 1] if nsig > e10 + 1 else [])
+        row = bytearray(8 * _CELL_WORDS)
+        for i in keep:
+            row[i] = 0xFF
+        masks += row
+    return np.frombuffer(bytes(masks), dtype=np.uint64).reshape(-1, _CELL_WORDS)
+
+
+_CELL_MASKS = _cell_masks()
+
+
+def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer part (int64) and fraction of N = a * 10**(16 - e10)."""
+    head, head_hi, head_lo, tail = (row.take(16 - e10 - _POW_MIN) for row in _POW10)
+    p = a * head
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    # the rounding error of p, exactly, plus a * tail
+    s = ((a_hi * head_hi - p) + a_hi * head_lo + a_lo * head_hi) + a_lo * head_lo + a * tail
+    whole = np.floor(s)
+    return p.astype(np.int64) + whole.astype(np.int64), s - whole
+
+
+def _g17(values) -> np.ndarray:
+    """The bytes of ``b"%.17g" % v`` for each v of a 1-d float64 array: row i
+    of the returned uint8 array holds those of ``values[i]`` in order, with
+    NUL bytes between and after them."""
+    v = np.asarray(values, dtype=np.float64)
+    a = np.abs(v)
+    zero = a == 0
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a[~fast] = 1.0
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    whole, frac = _scaled(a, e10)
+    # log10 may miss by one next to a power of ten: the integer part decides
+    fix = np.flatnonzero((whole < _N_MIN) | (whole >= _N_MAX))
+    if fix.size:
+        e10[fix] += np.where(whole[fix] < _N_MIN, -1, 1)
+        whole[fix], frac[fix] = _scaled(a[fix], e10[fix])
+    slow = np.flatnonzero(~(fast | zero) | (np.abs(frac - 0.5) < _TIE_BAND))
+    d = whole + (frac > 0.5)
+    carry = d == _N_MAX  # 99999999999999999.5 and up round to 1e17
+    d[carry] = _N_MIN
+    e10[carry] += 1
+    d[zero] = 0
+    e10[zero] = 0
+
+    lead, rest = np.divmod(d, 10**16)
+    high, low = (half.astype(np.int32) for half in np.divmod(rest, 10**8))
+    words = np.empty((len(v), _CELL_WORDS), dtype=np.uint64)
+    words[:, 0] = _LEAD_WORDS.take(lead)
+    nsig = np.ones(len(v), dtype=np.int64)
+    for j, chunk in enumerate((*np.divmod(high, 10**4), *np.divmod(low, 10**4))):
+        words[:, 1 + j] = _DIGIT_WORDS.take(chunk)
+        nsig = np.where(chunk != 0, 1 + 4 * j + _CHUNK_DIGITS.take(chunk), nsig)
+    words[:, 5] = _EXP_WORDS.take(e10 + _EXP_OFFSET)
+    shape = np.where((e10 >= -4) & (e10 < 17), e10 + 4, np.where(np.abs(e10) < 100, 21, 22))
+    words &= _CELL_MASKS.take((np.signbit(v) * _SHAPES + shape) * 17 + nsig - 1, axis=0)
+    cells = words.view(np.uint8)
+    for i in slow:
+        text = b"%.17g" % v[i]
+        cells[i] = 0
+        cells[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return cells
+
+
+def _csv_lines(*columns: np.ndarray) -> np.ndarray:
+    """The CSV text, as uint8, of columns of cells: the last axis of each
+    column holds the bytes of its cells, with NUL bytes anywhere among them,
+    and the leading axes broadcast to one line per index, in C order."""
+    shape = np.broadcast_shapes(*(c.shape[:-1] for c in columns))
+    text = np.empty(shape + (sum(c.shape[-1] + 1 for c in columns),), dtype=np.uint8)
+    end = 0
+    for c in columns:
+        text[..., end:end + c.shape[-1]] = c
+        end += c.shape[-1] + 1
+        text[..., end - 1] = ord(",")
+    text[..., -1] = ord("\n")
+    text = text.ravel()
+    return text.compress(text != 0)
+
+
+def _csv_rows(header: bytes, *columns):
+    """``header``, then one line of cells per index of the 1-d columns,
+    CSV_BLOCK lines at a time."""
+    yield header
+    for i in range(0, len(columns[0]), CSV_BLOCK):
+        yield _csv_lines(*(_g17(c[i:i + CSV_BLOCK]) for c in columns))
 
 
 def _atomic_write(path, chunks, mode: str):
@@ -130,9 +315,8 @@ def load_wavefunction_json(path) -> SampledWavefunction:
 
 
 def save_wavefunction_csv(psi: SampledWavefunction, path):
-    rows = (f"{fmt(xi)},{fmt(v.real)},{fmt(v.imag)}\n"
-            for xi, v in zip(psi.grid.points, psi.values))
-    _atomic_write(path, itertools.chain(["x,re,im\n"], rows), "w")
+    _atomic_write(path, _csv_rows(b"x,re,im\n", psi.grid.points, psi.values.real,
+                                  psi.values.imag), "wb")
 
 
 def load_wavefunction_csv(path, hbar: float = 1.0) -> SampledWavefunction:
@@ -182,22 +366,29 @@ def load_wigner(json_path) -> WignerMap:
 
 
 def save_wigner_csv(w: WignerMap, path):
-    """Long format: one (x, p, w) row per sample.
+    """Long format: one (x, p, w) row per sample, each cell the text of
+    ``%.17g``.
 
-    Each x and p is formatted once: a template holds the lines of one x row
-    with the p cells filled in and ``%.17g`` (the same digits as
-    :func:`fmt`) for the values.  The file is written one x row at a time,
-    so memory stays bounded by one row's text."""
-    row_template = "".join(f"{{x}},{fmt(p)},%.17g\n" for p in w.p_grid.points)
+    Each x and p is formatted once, by :func:`fmt`; the values are formatted
+    by the vectorised ``%.17g`` and written a block of whole x rows, about
+    CSV_BLOCK values, at a time, so memory stays bounded by one block's
+    text."""
+    xs, ps = (np.array([fmt(v).encode() for v in g.points]).view(np.uint8).reshape(g.n_points, -1)
+              for g in (w.x_grid, w.p_grid))
+    step = max(1, CSV_BLOCK // len(ps))
 
-    rows = (row_template.replace("{x}", fmt(xi)) % tuple(row.tolist())
-            for xi, row in zip(w.x_grid.points, w.values))
-    _atomic_write(path, itertools.chain(["x,p,w\n"], rows), "w")
+    def blocks():
+        yield b"x,p,w\n"
+        for i in range(0, len(xs), step):
+            rows = w.values[i:i + step]
+            yield _csv_lines(xs[i:i + step, None], ps[None],
+                             _g17(rows.ravel()).reshape(*rows.shape, -1))
+
+    _atomic_write(path, blocks(), "wb")
 
 
 def save_tomogram_csv(t: Tomogram, path):
-    rows = (f"{fmt(xi)},{fmt(v)}\n" for xi, v in zip(t.x, t.values))
-    _atomic_write(path, itertools.chain(["x,value\n"], rows), "w")
+    _atomic_write(path, _csv_rows(b"x,value\n", t.x, t.values), "wb")
 
 
 def save_tomogram_set(ts: TomogramSet, out_dir, storage: str = "binary") -> Path:
@@ -263,13 +454,13 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
     elif storage == "csv":
         rows = np.empty((n_angles, n_x))
         for k, name in enumerate(files):
-            with _malformed(name, "tomogram CSV"):
-                data = np.loadtxt(manifest_path.parent / name, delimiter=",", skiprows=1,
-                                  ndmin=2)
+            path = manifest_path.parent / name
+            with _malformed(path, "tomogram CSV"):
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
             if data.shape != (n_x, 2):
-                raise ConfigError(f"{name}: expected {n_x} rows of x,value")
+                raise ConfigError(f"{path}: expected {n_x} rows of x,value")
             if not np.allclose(data[:, 0], x, rtol=1e-12, atol=1e-12):
-                raise ConfigError(f"{name}: x column differs from the manifest's X grid")
+                raise ConfigError(f"{path}: x column differs from the manifest's X grid")
             rows[k] = data[:, 1]
     else:
         raise ConfigError(f"{manifest_path}: unknown storage {storage!r}")

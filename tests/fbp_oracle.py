@@ -7,8 +7,9 @@ computes the same trigonometric interpolant with one real FFT pair per
 angle and gathers it by affine index, one angle and one full map at a
 time.  The library's FBP shares one index between four samples (angles
 theta and pi - theta, points +-(x, p)), so it agrees with the affine
-oracle to rounding.  ``save_wigner_csv_reference`` is the earlier
-one-``fmt``-per-cell CSV writer.
+oracle to rounding.  ``save_wigner_csv_reference``,
+``save_tomogram_csv_reference`` and ``save_wavefunction_csv_reference`` are
+the earlier one-``fmt``-per-cell CSV writers.
 """
 
 import numpy as np
@@ -138,4 +139,15 @@ def save_wigner_csv_reference(w, path):
         sx = fmt(xi)
         for pj, val in zip(ps, row):
             lines.append(f"{sx},{fmt(pj)},{fmt(val)}")
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def save_tomogram_csv_reference(t, path):
+    lines = ["x,value"] + [f"{fmt(xi)},{fmt(v)}" for xi, v in zip(t.x, t.values)]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def save_wavefunction_csv_reference(psi, path):
+    lines = ["x,re,im"] + [f"{fmt(xi)},{fmt(v.real)},{fmt(v.imag)}"
+                           for xi, v in zip(psi.grid.points, psi.values)]
     atomic_write_text(path, "\n".join(lines) + "\n")

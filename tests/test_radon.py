@@ -22,7 +22,6 @@ from symtomo import (
     radon_metaplectic,
     wigner_transform,
 )
-from symtomo.radon import mix_tomograms
 
 
 def closed_form_density(x, state, mu, nu):
@@ -159,41 +158,6 @@ class TestTomogramType:
             Tomogram(1.0, 0.0, x, np.zeros(3), HBAR)
 
 
-class TestMixing:
-    def test_single_weight_identity(self, psi):
-        t = radon_metaplectic(psi, 1.0, 1.0)
-        m = mix_tomograms([1.0], [t])
-        assert np.array_equal(m.values, t.values)
-
-    def test_equal_mix_of_identical(self, psi):
-        t = radon_metaplectic(psi, 1.0, 1.0)
-        m = mix_tomograms([0.5, 0.5], [t, t])
-        assert np.max(np.abs(m.values - t.values)) < 1e-15
-
-    def test_mass_preserved_with_displaced_partner(self, grid, ground):
-        from symtomo import SampledWavefunction
-
-        displaced = SampledWavefunction(
-            grid, (np.pi * HBAR) ** (-0.25) * np.exp(-(grid.points - 2.0) ** 2 / (2 * HBAR)))
-        ta = radon_metaplectic(ground, 1.0, 1.0)
-        tb = radon_metaplectic(displaced, 1.0, 1.0)
-        m = mix_tomograms([0.3, 0.7], [ta, tb])
-        assert abs(m.mass() - 1.0) < 1e-9
-
-    def test_invalid_weights(self, psi):
-        t = radon_metaplectic(psi, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            mix_tomograms([0.4, 0.4], [t, t])
-        with pytest.raises(DomainError):
-            mix_tomograms([-0.5, 1.5], [t, t])
-
-    def test_mismatched_directions(self, psi):
-        t1 = radon_metaplectic(psi, 1.0, 1.0)
-        t2 = radon_metaplectic(psi, 1.0, 2.0)
-        with pytest.raises(DomainError):
-            mix_tomograms([0.5, 0.5], [t1, t2])
-
-
 class TestTomogramSet:
     def test_sweep_properties(self, psi):
         ts = compute_tomogram_set(psi, 16)
@@ -257,8 +221,7 @@ class TestInverseRadon:
         n_ang = 180
         ta = compute_tomogram_set(a, n_ang)
         tb = compute_tomogram_set(b, n_ang)
-        mixed = TomogramSet.from_tomograms(tuple(
-            mix_tomograms([0.5, 0.5], [x, y]) for x, y in zip(ta, tb)))
+        mixed = TomogramSet(ta.angles, ta.x, 0.5 * (ta.values + tb.values), HBAR)
         recon = inverse_radon(mixed, grid)
         ra = inverse_radon(ta, grid)
         rb = inverse_radon(tb, grid)

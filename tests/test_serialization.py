@@ -1,20 +1,33 @@
 import json
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import HBAR, flagged_chirp_set
-from fbp_oracle import save_wigner_csv_reference
+from fbp_oracle import (
+    save_tomogram_csv_reference,
+    save_wavefunction_csv_reference,
+    save_wigner_csv_reference,
+)
 
 from symtomo import (
     ConfigError,
     GaussianState,
+    SampledWavefunction,
+    Tomogram,
     gaussian_wavefunction,
     make_grid,
+    serialization,
     wigner_transform,
 )
+from symtomo.cli import main
 from symtomo.radon import compute_tomogram_set
 from symtomo.serialization import (
+    _g17,
     fmt,
     load_tomogram_set,
     load_wavefunction_csv,
@@ -255,3 +268,165 @@ def test_deterministic_bytes(psi, tmp_path):
     save_wavefunction_csv(psi, a)
     save_wavefunction_csv(psi, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_csv_set_errors_name_the_file_under_the_manifest(psi, tmp_path):
+    manifest = save_tomogram_set(compute_tomogram_set(psi, 8), tmp_path / "set", storage="csv")
+    path = tmp_path / "set" / "tomogram_0003.csv"
+    good = path.read_text()
+    lines = good.splitlines()
+    for broken, match in ((lines[:5], "expected"),
+                          (lines[:5] + ["0,abc"] + lines[6:], "malformed tomogram CSV"),
+                          (lines[:5] + ["123,0"] + lines[6:], "x column")):
+        path.write_text("\n".join(broken) + "\n")
+        with pytest.raises(ConfigError, match=match) as err:
+            load_tomogram_set(manifest)
+        assert str(path) in str(err.value)
+    path.write_text(good)
+    load_tomogram_set(manifest)
+
+
+def texts(values):
+    """What :func:`_g17` writes for each value, NUL bytes dropped."""
+    return [row[row != 0].tobytes() for row in _g17(np.asarray(values, dtype=np.float64))]
+
+
+def reference_texts(values):
+    return [b"%.17g" % v for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+def test_g17_matches_percent_g_on_bit_patterns(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)]
+    assert texts(values) == reference_texts(values)
+
+
+def _powers_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-330, 309)])
+    powers = powers[powers > 0]
+    return np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+
+
+def _ties():
+    rng = np.random.default_rng(3)
+    j = np.concatenate([4 * 10**15 + 1 + 2 * np.arange(500),
+                        2 * rng.integers(2 * 10**15, 9 * 10**15 // 2, 2000) + 1])
+    return j / 4  # exact: the 17th digit of 10 * j / 4 is followed by exactly 5
+
+
+def _around(values, ulps=3):
+    values = np.asarray(values, dtype=np.float64)
+    out = [values]
+    for direction in (0.0, np.inf):
+        step = values
+        for _ in range(ulps):
+            step = np.nextafter(step, direction)
+            out.append(step)
+    return np.concatenate(out)
+
+
+def _switches():
+    rng = np.random.default_rng(4)
+    return np.concatenate([_around([1e-5, 1e-4, 1e16, 1e17, 9.99999999999999e-5,
+                                    99999999999999990.0]),
+                           10.0 ** rng.uniform(-6, -3, 2000), 10.0 ** rng.uniform(15, 18, 2000)])
+
+
+PINNED = {
+    "subnormal-and-zero": np.concatenate([
+        [0.0, 5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308],
+        np.random.default_rng(1).integers(1, 2**52, 500).view(np.float64)]),
+    "powers-of-ten": _powers_of_ten(),
+    "ties": _ties(),
+    "fast-range-edges": _around([1e-290, 1e290], ulps=4),
+    "notation-switches": _switches(),
+    # the double nearest 1e-14 lies within 2e-18 below it: its 17 digits
+    # round up to 10**17
+    "carry": np.array([1e-14, 1e98, 1e129, 1e153, 1e220, 1e-79]),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_g17_matches_percent_g_on_pinned_values(name):
+    values = np.concatenate([PINNED[name], -PINNED[name]])
+    assert texts(values) == reference_texts(values)
+
+
+def test_g17_pinned_cases_are_what_they_say():
+    j = (4 * _ties()).astype(np.int64)
+    assert np.array_equal(j / 4, _ties()) and np.all(j % 2 == 1)
+    assert np.all((_ties() >= 1e15) & (_ties() < 1e16))  # so 10 * v is the significand
+    for v, e in zip(PINNED["carry"], (-14, 98, 129, 153, 220, -79)):
+        assert Fraction(v) < Fraction(10) ** e
+        assert b"%.16e" % v == b"1.0000000000000000e%+03d" % e
+    assert texts([-0.0, 1e-14, 1000000000000000.25]) == [b"-0", b"1e-14", b"1000000000000000.2"]
+
+
+def _hostile(rng, n):
+    """Values over 600 decades with zeros and subnormals among them."""
+    values = rng.standard_normal(n) * 10.0 ** rng.uniform(-320, 300, n)
+    values[::7] = 0.0
+    values[3::11] = rng.integers(1, 2**52, len(values[3::11])).view(np.float64)
+    return values
+
+
+@pytest.mark.parametrize("block", [serialization.CSV_BLOCK, 7, 24])
+def test_csv_writers_match_per_cell_reference(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(serialization, "CSV_BLOCK", block)
+    rng = np.random.default_rng(6)
+    psi = gaussian_wavefunction(GaussianState.from_position_data(0.7, 0.2, HBAR),
+                                make_grid(-8.0, 8.0, 64, HBAR))
+    n = psi.grid.n_points
+    grid16 = make_grid(-4.0, 4.0, 16, HBAR)
+    cases = [
+        (save_wavefunction_csv, save_wavefunction_csv_reference, psi),
+        (save_wavefunction_csv, save_wavefunction_csv_reference,
+         SampledWavefunction(psi.grid, _hostile(rng, n) + 1j * _hostile(rng, n))),
+        (save_tomogram_csv, save_tomogram_csv_reference, compute_tomogram_set(psi, 8)[3]),
+        (save_tomogram_csv, save_tomogram_csv_reference,
+         Tomogram(1.0, 0.0, psi.grid.points, np.abs(_hostile(rng, n)), HBAR)),
+        (save_wigner_csv, save_wigner_csv_reference, wigner_transform(psi)),
+        (save_wigner_csv, save_wigner_csv_reference,
+         WignerMap(grid16, make_grid(-1.0, 1.0, 8, HBAR), _hostile(rng, 128).reshape(16, 8), HBAR)),
+    ]
+    for save, reference, obj in cases:
+        save(obj, tmp_path / "new.csv")
+        reference(obj, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_csv_tomogram_set_files_match_per_cell_reference(psi, tmp_path):
+    ts = compute_tomogram_set(psi, 12)
+    save_tomogram_set(ts, tmp_path, storage="csv")
+    for k, t in enumerate(ts):
+        save_tomogram_csv_reference(t, tmp_path / "ref.csv")
+        assert (tmp_path / f"tomogram_{k:04d}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, name", [
+    (["wigner", "--grid=-8:8:64", "--state", "gaussian:0.7,0.2"], "wigner"),
+    (["invert", "--set", "{set}"], "reconstruction"),
+])
+def test_cli_map_csv_matches_reference_writer(tmp_path, command, name):
+    assert main(["tomogram", "--grid=-8:8:64", "--state", "gaussian:0.7,0.2", "--angles", "16",
+                 "--out", str(tmp_path / "set")]) == 0
+    command = [arg.format(set=tmp_path / "set" / "manifest.json") for arg in command]
+    assert main(command + ["--out", str(tmp_path / "out")]) == 0
+    save_wigner_csv_reference(load_wigner(tmp_path / "out" / f"{name}.json"), tmp_path / "ref.csv")
+    assert (tmp_path / "out" / f"{name}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_wigner_csv_memory_is_one_block(tmp_path):
+    grid = make_grid(-16.0, 16.0, 1024, HBAR)
+    values = np.random.default_rng(8).standard_normal((1024, 1024)) * 1e-3
+    w = WignerMap(grid, default_momentum_window(grid), values, HBAR)
+    tracemalloc.start()
+    try:
+        save_wigner_csv(w, tmp_path / "big.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.csv").stat().st_size > 50 * 2**20
+    assert peak < 8 * 2**20
