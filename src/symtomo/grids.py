@@ -236,91 +236,41 @@ def bluestein_czt(x: np.ndarray, m: int, beta) -> np.ndarray:
     return _bluestein_rows(x, m, beta) * chirp
 
 
-def _trig_resample(values: np.ndarray, x0: float, dx: float,
-                   start, step, count: int) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of the uniform samples in each
-    row (last axis) of ``values`` at ``start + k*step`` (k = 0..count-1).
-
-    ``start`` and ``step`` are scalars or have one entry per row.  Points
-    outside the sample window evaluate to zero.  Exact for band-limited
-    content; O((n+count) log) per row.  A row sampled at its own grid
-    (start == x0, step == dx, count == n) is copied, because the
-    interpolant at the samples is the samples."""
-    values = np.asarray(values, dtype=np.complex128)
-    lead, n = values.shape[:-1], values.shape[-1]
-    rows = values.reshape(-1, n)
-    start = np.broadcast_to(np.asarray(start, dtype=np.float64), lead).reshape(-1)
-    step = np.broadcast_to(np.asarray(step, dtype=np.float64), lead).reshape(-1)
-    out = np.empty((len(rows), count), dtype=np.complex128)
-    same = (start == x0) & (step == dx) & (count == n)
-    if same.any():
-        out[same] = rows[same]
-    todo = ~same
-    if todo.any():
-        shift = (start[todo] - x0)[:, None]
-        st = step[todo][:, None]
-        alpha = 2.0 * np.pi / (n * dx)
-        fhat = np.fft.fftshift(np.fft.fft(rows[todo]), axes=-1)
-        q = np.arange(n)
-        d = fhat * cis(alpha * q * shift)
-        res = bluestein_czt(d, count, alpha * st[:, 0])
-        k = np.arange(count)
-        res *= cis(-alpha * (n / 2) * (shift + k * st)) / n
-        pts = start[todo][:, None] + k * st
-        res[(pts < x0 - 0.5 * dx) | (pts > x0 + (n - 0.5) * dx)] = 0.0
-        out[todo] = res
-    return out.reshape(lead + (count,))
-
-
 def sample_uniform(psi: SampledWavefunction, start: float, step: float, count: int) -> np.ndarray:
-    """Band-limited evaluation of psi at the uniform points start + k*step."""
+    """Band-limited evaluation of psi at the uniform points start + k*step
+    (k = 0..count-1): the trigonometric interpolant of the samples, zero
+    outside the sample window.  Exact for band-limited content;
+    O((n+count) log).  Sampled at its own grid (start == x_min,
+    step == dx, count == n), psi's values are copied, because the
+    interpolant at the samples is the samples."""
     if step == 0.0:
         raise DomainError("sample step must be nonzero")
-    return _trig_resample(psi.values, psi.grid.x_min, psi.grid.dx, start, step, count)
-
-
-def chirp_fourier_rows(values: np.ndarray, grid: Grid1D, c, start, step,
-                       count: int) -> np.ndarray:
-    """Rows of F[exp(i*c*x^2/(2*hbar)) * values] at p = start + k*step
-    (k = 0..count-1), zero outside the window of the dual grid.
-
-    This is the chirp -> hbar-Fourier -> rescale core that the chirp-FFT
-    tomogram route and the quadratic Fourier transforms share.  ``values``
-    is one state (n,) or a stack of rows (R, n) on ``grid``; ``c``,
-    ``start`` and ``step`` are scalars or have one entry per output row.
-    The Fourier sum (2*pi*hbar)**(-1/2) * dx * sum_m f(x_m) exp(-i*p*x_m/hbar)
-    is evaluated at the p samples as one chirp-z transform per row; for a
-    state that has decayed at the grid edges this is the band-limited
-    interpolant of :func:`hbar_fourier` at p.  The result has shape
-    (R, count), or (count,) when every input is one row.
-    """
-    c, start, step = (np.asarray(a, dtype=np.float64)[..., None] for a in (c, start, step))
-    g, hbar = grid, grid.hbar
-    p = start + step * np.arange(count)
-    # p*x_m = p*x_min + start*m*dx + (k*m)*step*dx; the last term is the chirp-z kernel.
-    pre = cis((c * g.points**2 / 2.0 - start * g.dx * np.arange(g.n_points)) / hbar)
-    out = bluestein_czt(values * pre, count, -step[..., 0] * g.dx / hbar)
-    out *= cis(-p * g.x_min / hbar) * (g.dx / np.sqrt(2.0 * np.pi * hbar))
-    dual = g.momentum_grid()
-    outside = (p < dual.x_min - 0.5 * dual.dx) | (p > dual.x_max - 0.5 * dual.dx)
-    out[np.broadcast_to(outside, out.shape)] = 0.0
+    g, n = psi.grid, psi.grid.n_points
+    if start == g.x_min and step == g.dx and count == n:
+        return psi.values.copy()
+    shift = start - g.x_min
+    alpha = 2.0 * np.pi / (n * g.dx)
+    fhat = np.fft.fftshift(np.fft.fft(psi.values))
+    out = bluestein_czt(fhat * cis(alpha * np.arange(n) * shift), count, alpha * step)
+    k = np.arange(count)
+    out *= cis(-alpha * (n / 2) * (shift + k * step)) / n
+    pts = start + k * step
+    out[(pts < g.x_min - 0.5 * g.dx) | (pts > g.x_min + (n - 0.5) * g.dx)] = 0.0
     return out
 
 
-def _chirp_fourier_densities(f: np.ndarray, grid: Grid1D, c, start, step, count: int,
-                             mirror: int = 0) -> np.ndarray:
-    """|F[exp(i*c*x^2/(2*hbar)) * f](p)|^2 at p = start + k*step (k < count)
-    for one state ``f`` on ``grid`` and one row per entry of ``c``,
-    ``start`` and ``step``: the densities of :func:`chirp_fourier_rows`,
-    zero outside the same window.  Of the Fourier sum only what |.|^2 keeps
-    is computed; the phase exp(-i*p*x_min/hbar) and the chirp-z output chirp
-    have modulus 1.
+def _chirp_z_rows(f: np.ndarray, grid: Grid1D, c, start, step, count: int,
+                  mirror: int = 0) -> np.ndarray:
+    """The chirp-z sums, without their output chirp, that give
+    F[exp(i*c*x^2/(2*hbar)) * f](p) at p = start + k*step (k < count) up to
+    phases of modulus 1 and the constant dx/sqrt(2*pi*hbar), for one state
+    ``f`` on ``grid`` and one row per entry of ``c``, ``start`` and
+    ``step``; zero where p lies outside the window of the dual grid.
 
     A nonzero ``mirror`` adds to each row the row of chirp -c at p*mirror,
     from the same chirp-z kernel spectrum.  At p its input is the row's
     with the chirp conjugated; at -p it is, by conjugation of the whole
-    sum, the row of conj(f) at c and p.  Returns (R, 1, count), or
-    (R, 2, count) with a mirror.
+    sum, the row of conj(f) at c and p.  Returns (R, 1 or 2, count).
     """
     c, start, step = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (c, start, step))
     g, hbar = grid, grid.hbar
@@ -338,15 +288,45 @@ def _chirp_fourier_densities(f: np.ndarray, grid: Grid1D, c, start, step, count:
         if mirror:
             np.multiply(np.conj(f), shift, out=rows[:, 1])
     y = _bluestein_rows(rows, count, -step[:, None] * g.dx / hbar)
-    out = y.real ** 2
-    out += y.imag ** 2
-    out *= g.dx**2 / (2.0 * np.pi * hbar)
     p = start[:, None, None] + step[:, None, None] * np.arange(count)
     if mirror:
         p = p * np.array([1.0, mirror])[:, None]
     dual = g.momentum_grid()
     outside = (p < dual.x_min - 0.5 * dual.dx) | (p > dual.x_max - 0.5 * dual.dx)
-    out[np.broadcast_to(outside, out.shape)] = 0.0
+    y[np.broadcast_to(outside, y.shape)] = 0.0
+    return y
+
+
+def chirp_fourier_rows(values: np.ndarray, grid: Grid1D, c: float, start: float, step: float,
+                       count: int) -> np.ndarray:
+    """F[exp(i*c*x^2/(2*hbar)) * values] at p = start + k*step
+    (k = 0..count-1), zero outside the window of the dual grid: the
+    chirp -> hbar-Fourier -> rescale core of the quadratic Fourier
+    transforms, for one state ``values`` on ``grid``.  The Fourier sum
+    (2*pi*hbar)**(-1/2) * dx * sum_m f(x_m) exp(-i*p*x_m/hbar) is one chirp-z
+    transform, the one whose |.|^2 the density rows take; for a state that
+    has decayed at the grid edges it is the band-limited interpolant of
+    :func:`hbar_fourier` at p.
+    """
+    g, hbar = grid, grid.hbar
+    k = np.arange(count, dtype=np.float64)
+    out = _chirp_z_rows(values, g, c, start, step, count)[0, 0]
+    out *= cis(0.5 * (-step * g.dx / hbar) * k * k)
+    out *= cis(-(start + step * k) * g.x_min / hbar) * (g.dx / np.sqrt(2.0 * np.pi * hbar))
+    return out
+
+
+def _chirp_fourier_densities(f: np.ndarray, grid: Grid1D, c, start, step, count: int,
+                             mirror: int = 0) -> np.ndarray:
+    """|F[exp(i*c*x^2/(2*hbar)) * f](p)|^2, the densities of
+    :func:`chirp_fourier_rows`, for one state ``f`` and one row per entry of
+    ``c``, ``start`` and ``step`` (with ``mirror``, also the mirror rows of
+    :func:`_chirp_z_rows`); shape (R, 1 or 2, count).  The phases that
+    |.|^2 discards are not computed."""
+    y = _chirp_z_rows(f, grid, c, start, step, count, mirror)
+    out = y.real ** 2
+    out += y.imag ** 2
+    out *= grid.dx**2 / (2.0 * np.pi * grid.hbar)
     return out
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "quadratic_fourier",
     "metaplectic_rotation",
     "rotation_form",
-    "rotate_rows",
     "quarter_turn",
 ]
 
@@ -195,18 +194,14 @@ def matrix_from_generating_form(P, L, Q) -> SymplecticMatrix:
     return SymplecticMatrix(np.block([[A, B], [C, D]]))
 
 
-def _quadratic_fourier_rows(values: np.ndarray, grid: Grid1D, P, L, Q, maslov) -> np.ndarray:
-    """Quadratic Fourier transforms of ``values`` ((n,) or (R, n)) for the
-    generating data P, L, Q and Maslov indices given per row: chirp(Q) ->
-    hbar-Fourier -> sample at L*x -> chirp(P), times
-    sqrt(|L|) * i**(m - 1/2).  Returns (R, n) rows on ``grid``."""
-    P, L, Q, maslov = (np.atleast_1d(np.asarray(a, dtype=np.float64))
-                       for a in (P, L, Q, maslov))
+def _quadratic_fourier(values: np.ndarray, grid: Grid1D, P, L, Q, maslov) -> np.ndarray:
+    """Quadratic Fourier transform of the samples ``values`` on ``grid`` for
+    the generating data P, L, Q and the Maslov index: chirp(Q) ->
+    hbar-Fourier -> sample at L*x -> chirp(P), times sqrt(|L|) * i**(m - 1/2)."""
     g = grid
-    vals = np.sqrt(np.abs(L))[:, None] * chirp_fourier_rows(
-        values, g, Q, L * g.x_min, L * g.dx, g.n_points)
+    vals = np.sqrt(abs(L)) * chirp_fourier_rows(values, g, Q, L * g.x_min, L * g.dx, g.n_points)
     phase = (np.pi / 2) * maslov - np.pi / 4
-    return vals * cis(P[:, None] * (g.points**2 / (2.0 * g.hbar)) + phase[:, None])
+    return vals * cis(P * (g.points**2 / (2.0 * g.hbar)) + phase)
 
 
 def quadratic_fourier(psi: SampledWavefunction, s: FreeSymplectic) -> SampledWavefunction:
@@ -225,22 +220,22 @@ def quadratic_fourier(psi: SampledWavefunction, s: FreeSymplectic) -> SampledWav
     """
     if s.base.n != 1:
         raise UnsupportedOperation("quadratic Fourier transforms are implemented for n = 1 only")
-    rows = _quadratic_fourier_rows(psi.values, psi.grid, s.P[0, 0], s.L[0, 0], s.Q[0, 0],
-                                   s.maslov_index)
-    return SampledWavefunction(psi.grid, rows[0])
+    return SampledWavefunction(psi.grid, _quadratic_fourier(
+        psi.values, psi.grid, s.P[0, 0], s.L[0, 0], s.Q[0, 0], s.maslov_index))
 
 
-def rotation_form(mu, nu) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def rotation_form(mu, nu):
     """Generating data (P, L, Q, maslov_index) of the rotations
-    [[mu, nu], [-nu, mu]] / lambda, in closed form for arrays of directions.
+    [[mu, nu], [-nu, mu]] / lambda, in closed form: scalars for one
+    direction, arrays for arrays of directions.
 
     With c = mu/lambda and s = nu/lambda the B block is s, so L = 1/s and
     P = Q = c/s; the Maslov index is the parity of the sign of 1/s.  The
     checks :meth:`FreeSymplectic.from_matrix` makes (SYMPLECTIC_TOL and
     FREE_DET_MIN) run once over all the directions.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
-    nu = np.atleast_1d(np.asarray(nu, dtype=np.float64))
+    mu = np.asarray(mu, dtype=np.float64)
+    nu = np.asarray(nu, dtype=np.float64)
     lam = np.hypot(mu, nu)
     c, s = mu / lam, nu / lam
     if not np.all(np.abs(c * c + s * s - 1.0) <= SYMPLECTIC_TOL):
@@ -249,48 +244,32 @@ def rotation_form(mu, nu) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
         raise NotFreeError("upper-right block B is singular; matrix is not free")
     inv_b = 1.0 / s
     pq = c * inv_b
-    return pq, inv_b, pq, np.where(inv_b > 0, 0, 1)
+    return pq, inv_b, pq, (inv_b < 0).astype(int)
 
 
 def quarter_turn(psi: SampledWavefunction) -> np.ndarray:
     """Values of U_(0,1) psi, the quarter turn that split rotations share."""
-    return _quadratic_fourier_rows(psi.values, psi.grid, *rotation_form(0.0, 1.0))[0]
-
-
-def rotate_rows(psi: SampledWavefunction, mu, nu) -> np.ndarray:
-    """Rows U_(mu_r, nu_r) psi, shape (R, n), for arrays of directions.
-
-    For |nu| >= |mu| each row is the quadratic Fourier transform of the
-    rotation matrix itself.  For 0 < |nu| < |mu| the rotation is split as
-    U_(mu,nu) = U_(nu,-mu) . U_(0,1) and both factors are realized as
-    well-conditioned quadratic Fourier transforms; the composition covers
-    the same rotation up to an overall sign (the double-cover ambiguity),
-    which is immaterial for every |.|^2-based quantity.  The quarter turn
-    U_(0,1) psi is computed once and shared by all split rows.  For nu = 0
-    the operator is the identity (mu > 0) or parity (mu < 0) up to phase.
-    """
-    mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
-    nu = np.atleast_1d(np.asarray(nu, dtype=np.float64))
-    if not np.all(np.hypot(mu, nu) > 0):
-        raise DomainError("every direction (mu, nu) must be nonzero")
-    g = psi.grid
-    out = np.empty((len(mu), g.n_points), dtype=np.complex128)
-    axis = nu == 0.0
-    out[axis & (mu > 0)] = psi.values
-    # parity on an FFT-convention grid: index j -> (n - j) mod n
-    out[axis & (mu < 0)] = np.roll(psi.values[::-1], 1)
-    direct = ~axis & (np.abs(nu) >= np.abs(mu))
-    if direct.any():
-        out[direct] = _quadratic_fourier_rows(
-            psi.values, g, *rotation_form(mu[direct], nu[direct]))
-    split = ~axis & ~direct
-    if split.any():
-        out[split] = _quadratic_fourier_rows(
-            quarter_turn(psi), g, *rotation_form(nu[split], -mu[split]))
-    return out
+    return _quadratic_fourier(psi.values, psi.grid, *rotation_form(0.0, 1.0))
 
 
 def metaplectic_rotation(psi: SampledWavefunction, params: RotationParams) -> SampledWavefunction:
-    """Unitary operator covering the phase-space rotation U_(mu,nu); the
-    one-direction case of :func:`rotate_rows`."""
-    return SampledWavefunction(psi.grid, rotate_rows(psi, params.mu, params.nu)[0])
+    """Unitary operator covering the phase-space rotation U_(mu,nu).
+
+    For |nu| >= |mu| it is the quadratic Fourier transform of the rotation
+    matrix itself.  For 0 < |nu| < |mu| the rotation is split as
+    U_(mu,nu) = U_(nu,-mu) . U_(0,1) and both factors are realized as
+    well-conditioned quadratic Fourier transforms; the composition covers
+    the same rotation up to an overall sign (the double-cover ambiguity),
+    which is immaterial for every |.|^2-based quantity.  For nu = 0 the
+    operator is the identity (mu > 0) or parity (mu < 0) up to phase.
+    """
+    mu, nu = params.mu, params.nu
+    g = psi.grid
+    if nu == 0.0:
+        # parity on an FFT-convention grid: index j -> (n - j) mod n
+        values = psi.values if mu > 0 else np.roll(psi.values[::-1], 1)
+    elif abs(nu) >= abs(mu):
+        values = _quadratic_fourier(psi.values, g, *rotation_form(mu, nu))
+    else:
+        values = _quadratic_fourier(quarter_turn(psi), g, *rotation_form(nu, -mu))
+    return SampledWavefunction(g, values)

@@ -163,7 +163,7 @@ def _metaplectic_rows(psi: SampledWavefunction, mu: np.ndarray, nu: np.ndarray,
     ``mirror`` (R, 2, count), whose second row is the direction (-mu, nu).
 
     The last quadratic Fourier transform of U_(mu,nu) (see
-    :func:`rotate_rows`) is evaluated directly at p = L*X/lambda, as
+    :func:`metaplectic_rotation`) is evaluated directly at p = L*X/lambda, as
     R(X) = |L|/lambda * |F[chirp(Q) f](p)|^2: on f = psi when |nu| >= |mu|,
     and otherwise on the quarter turn f = U_(0,1) psi (``quarter``,
     computed here when not given), which also covers the axis nu = 0.  Its

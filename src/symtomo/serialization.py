@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import tempfile
+import uuid
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -226,19 +226,22 @@ def _csv_lines(*columns: np.ndarray) -> np.ndarray:
 
 
 def _csv_rows(header: bytes, *columns):
-    """``header``, then one line of cells per index of the 1-d columns,
-    CSV_BLOCK lines at a time."""
+    """``header``, then one line of cells per index of the columns,
+    CSV_BLOCK lines at a time.  A column is 1-d floats, formatted a block at
+    a time, or the 2-d cells :func:`_g17` made of them."""
     yield header
     for i in range(0, len(columns[0]), CSV_BLOCK):
-        yield _csv_lines(*(_g17(c[i:i + CSV_BLOCK]) for c in columns))
+        yield _csv_lines(*(c[i:i + CSV_BLOCK] if c.ndim == 2 else _g17(c[i:i + CSV_BLOCK])
+                           for c in columns))
 
 
 def _atomic_write(path, chunks, mode: str):
-    """Write the iterable ``chunks`` to a temp file beside ``path``, then
-    rename it over ``path``."""
+    """Write the iterable ``chunks`` to a new file beside ``path``, created
+    with mode 0666 less the umask, then rename it over ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode) as fh:
             fh.writelines(chunks)
@@ -403,7 +406,8 @@ def save_tomogram_set(ts: TomogramSet, out_dir, storage: str = "binary") -> Path
         "hbar": ts.hbar,
         "n_angles": len(ts),
         "angles": ts.angles.tolist(),
-        "x": {"start": float(x[0]), "step": float(x[1] - x[0]), "count": len(x)},
+        "x": {"start": float(x[0]), "step": float(x[1] - x[0]), "count": len(x),
+              "values": x.tolist()},
         "routes": list(ts.routes),
         "warnings": ts.warnings.tolist(),
         "storage": storage,
@@ -413,8 +417,9 @@ def save_tomogram_set(ts: TomogramSet, out_dir, storage: str = "binary") -> Path
         atomic_write_bytes(out_dir / "tomograms.bin", ts.values.tobytes())
     else:
         doc["files"] = [f"tomogram_{k:04d}.csv" for k in range(len(ts))]
-        for t, name in zip(ts, doc["files"]):
-            save_tomogram_csv(t, out_dir / name)
+        x_cells = _g17(x)
+        for row, name in zip(ts.values, doc["files"]):
+            _atomic_write(out_dir / name, _csv_rows(b"x,value\n", x_cells, row), "wb")
     manifest = out_dir / MANIFEST_NAME
     atomic_write_text(manifest, json.dumps(doc))
     return manifest
@@ -428,7 +433,9 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
         n_angles = int(doc["n_angles"])
         angles = np.asarray(doc["angles"], dtype=np.float64)
         xspec = doc["x"]
-        x = float(xspec["start"]) + float(xspec["step"]) * np.arange(int(xspec["count"]))
+        # Manifests written before the X values were stored carry none.
+        x = np.asarray(xspec["values"], dtype=np.float64) if "values" in xspec else (
+            float(xspec["start"]) + float(xspec["step"]) * np.arange(int(xspec["count"])))
         storage = doc["storage"]
         routes = doc.get("routes") or [""] * n_angles
         # Manifests written before the flags were stored carry no key.

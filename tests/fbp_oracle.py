@@ -21,7 +21,7 @@ from symtomo.serialization import atomic_write_text, fmt
 from symtomo.wigner import WignerMap, default_momentum_window
 
 
-def _trig_resample(values, x0, dx, start, step, count):
+def czt_resample(values, x0, dx, start, step, count):
     n = len(values)
     alpha = 2.0 * np.pi / (n * dx)
     shift = start - x0
@@ -71,8 +71,8 @@ def inverse_radon_reference(tomos, x_grid, p_grid=None, upsample=4):
         filt, pad_x0 = _ramp_filtered(t.values, float(x[0]), dX, n, hbar)
         fine = upsample * len(filt)
         fine_x = pad_x0 + fine_dx * np.arange(fine)
-        filt = _trig_resample(filt.astype(np.complex128), pad_x0, dX,
-                              pad_x0, fine_dx, fine).real
+        filt = czt_resample(filt.astype(np.complex128), pad_x0, dX,
+                            pad_x0, fine_dx, fine).real
         tval = xs * np.cos(theta) + ps * np.sin(theta)
         out += np.interp(tval, fine_x, filt, left=0.0, right=0.0)
     out *= d_theta / (2.0 * np.pi * hbar)

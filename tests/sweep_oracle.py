@@ -9,17 +9,18 @@ quadratic Fourier transform directly on the X grid as a density, so the two
 agree to rounding on states resolved on their grids.
 
 ``resampled_rotation`` is the library's earlier metaplectic row: the
-rotated state on the state grid (``rotate_rows``), resampled onto X/lambda
-by the library's band-limited resampling.  It is the sharper reference for
-a single row: the per-angle oracle's ``scipy.signal.czt`` resamples lose
-about 1e-12 of a unit peak.
+rotated state on the state grid (``metaplectic_rotation``), resampled onto
+X/lambda by the library's band-limited resampling (``sample_uniform``).  It
+is the sharper reference for a single row: the per-angle oracle's
+``scipy.signal.czt`` resamples lose about 1e-12 of a unit peak.
 """
 
 import numpy as np
-from fbp_oracle import _trig_resample
+from fbp_oracle import czt_resample
 
-from symtomo.grids import _trig_resample as library_resample
-from symtomo.metaplectic import FreeSymplectic, rotate_rows, rotation_from_mu_nu
+from symtomo.grids import sample_uniform
+from symtomo.metaplectic import (FreeSymplectic, RotationParams, metaplectic_rotation,
+                                 rotation_from_mu_nu)
 from symtomo.radon import chirp_resolvable, sweep_angles
 
 
@@ -41,8 +42,8 @@ def _quadratic_fourier(values, grid, mu, nu):
     s = FreeSymplectic.from_matrix(rotation_from_mu_nu(mu, nu))
     P, L, Q = s.P[0, 0], s.L[0, 0], s.Q[0, 0]
     ft, dual = _fourier(_chirp(values, grid, Q), grid)
-    vals = np.sqrt(abs(L)) * _trig_resample(ft, dual.x_min, dual.dx, L * grid.x_min,
-                                            L * grid.dx, grid.n_points)
+    vals = np.sqrt(abs(L)) * czt_resample(ft, dual.x_min, dual.dx, L * grid.x_min,
+                                          L * grid.dx, grid.n_points)
     phase = np.exp(1j * np.pi * s.maslov_index / 2) * np.exp(-1j * np.pi / 4)
     return vals * np.exp(1j * P * grid.points**2 / (2.0 * grid.hbar)) * phase
 
@@ -69,12 +70,12 @@ def tomogram_set_reference(psi, n_angles, route="metaplectic", x=None):
             start, step, count = x[0], x[1] - x[0], len(x)
         if route == "chirp-fft" and nu != 0.0 and chirp_resolvable(psi, mu, nu):
             ft, dual = _fourier(_chirp(psi.values, g, mu / nu), g)
-            vals = _trig_resample(ft, dual.x_min, dual.dx, start / nu, step / nu, count)
+            vals = czt_resample(ft, dual.x_min, dual.dx, start / nu, step / nu, count)
             rows.append(np.abs(vals) ** 2 / abs(nu))
             routes.append("chirp-fft")
         else:
-            vals = _trig_resample(_rotate(psi.values, g, mu, nu), g.x_min, g.dx,
-                                  start / lam, step / lam, count)
+            vals = czt_resample(_rotate(psi.values, g, mu, nu), g.x_min, g.dx,
+                                start / lam, step / lam, count)
             rows.append(np.abs(vals) ** 2 / lam)
             routes.append("metaplectic")
     return np.array(rows), routes
@@ -83,8 +84,7 @@ def tomogram_set_reference(psi, n_angles, route="metaplectic", x=None):
 def resampled_rotation(psi, mu, nu, start, step, count):
     """|U_(mu,nu) psi(X/lambda)|^2 / lambda at X = start + k*step, by the
     library's earlier path: rotate onto the state grid, then resample."""
-    g = psi.grid
     lam = float(np.hypot(mu, nu))
-    vals = library_resample(rotate_rows(psi, mu, nu)[0], g.x_min, g.dx,
-                            start / lam, step / lam, count)
+    vals = sample_uniform(metaplectic_rotation(psi, RotationParams(mu, nu)),
+                          start / lam, step / lam, count)
     return np.abs(vals) ** 2 / lam

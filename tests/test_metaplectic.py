@@ -106,7 +106,7 @@ class TestGeneratingForm:
                 rotation_form(1.0, s)
         else:
             fs = FreeSymplectic.from_matrix(rotation_from_mu_nu(1.0, s))
-            assert rotation_form(1.0, s)[1][0] == fs.L[0, 0]
+            assert rotation_form(1.0, s)[1] == fs.L[0, 0]
 
     @pytest.mark.parametrize("defect, ok", [(0.5e-10, True), (2e-10, False)])
     def test_symplectic_threshold(self, defect, ok):

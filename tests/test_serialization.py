@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import tracemalloc
 from fractions import Fraction
 
@@ -25,7 +27,7 @@ from symtomo import (
     wigner_transform,
 )
 from symtomo.cli import main
-from symtomo.radon import compute_tomogram_set
+from symtomo.radon import TomogramSet, compute_tomogram_set, sweep_angles
 from symtomo.serialization import (
     _g17,
     fmt,
@@ -175,6 +177,69 @@ def test_tomogram_set_round_trip_keeps_warnings(tmp_path, storage):
     back = load_tomogram_set(save_tomogram_set(ts, tmp_path, storage=storage))
     assert np.array_equal(back.warnings, ts.warnings)
     assert back.routes == ts.routes
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_angles=st.integers(1, 40), n_x=st.integers(2, 300), start=st.floats(-20.0, 20.0),
+       step=st.floats(0.05, 2.0), decades=st.tuples(st.integers(-330, 260), st.integers(0, 40)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_tomogram_set_round_trip_is_bit_exact(tmp_path_factory, n_angles, n_x, start, step,
+                                              decades, seed, data):
+    """Both storages give back the angles, the X grid, the values, the routes
+    and the flags bit for bit: an off-lattice X grid, values over up to 40
+    decades (subnormals and zeros too)."""
+    rng = np.random.default_rng(seed)
+    lo, span = decades
+    values = rng.random((n_angles, n_x)) * 10.0 ** rng.integers(lo, lo + span + 1, (n_angles, n_x))
+    values[rng.random(values.shape) < 0.1] = 0.0
+    routes = data.draw(st.lists(st.sampled_from(["metaplectic", "chirp-fft", "line-integral"]),
+                                min_size=n_angles, max_size=n_angles))
+    warnings = data.draw(st.lists(st.booleans(), min_size=n_angles, max_size=n_angles))
+    ts = TomogramSet(sweep_angles(n_angles), start + step * np.arange(n_x), values, HBAR,
+                     routes, warnings)
+    for storage in ("binary", "csv"):
+        back = load_tomogram_set(save_tomogram_set(ts, tmp_path_factory.mktemp(storage),
+                                                   storage=storage))
+        for name in ("angles", "x", "values", "warnings"):
+            assert np.array_equal(getattr(back, name), getattr(ts, name)), (storage, name)
+        assert back.routes == ts.routes
+
+
+def test_manifest_without_x_values_loads_from_start_and_step(psi, tmp_path):
+    ts = compute_tomogram_set(psi, 4)
+    manifest = save_tomogram_set(ts, tmp_path)
+    doc = json.loads(manifest.read_text())
+    del doc["x"]["values"]
+    manifest.write_text(json.dumps(doc))
+    assert np.array_equal(load_tomogram_set(manifest).x, ts.x)  # a dyadic grid
+
+
+@pytest.mark.parametrize("umask, want", [(0o022, 0o644), (0o077, 0o600)])
+def test_files_take_mode_0666_less_umask(tmp_path, umask, want):
+    small = gaussian_wavefunction(GaussianState.from_position_data(0.7, 0.2, HBAR),
+                                  make_grid(-8.0, 8.0, 64, HBAR))
+    old = os.umask(umask)
+    try:
+        save_wigner(wigner_transform(small), tmp_path / "wigner.json")
+        save_wavefunction_json(small, tmp_path / "state.json")
+        save_tomogram_set(compute_tomogram_set(small, 4), tmp_path / "set", storage="csv")
+    finally:
+        os.umask(old)
+    files = sorted(tmp_path.glob("*")) + sorted((tmp_path / "set").glob("*"))
+    assert [f.name for f in files if f.is_file()] == [
+        "state.json", "wigner.bin", "wigner.json", "manifest.json",
+        "tomogram_0000.csv", "tomogram_0001.csv", "tomogram_0002.csv", "tomogram_0003.csv"]
+    assert {stat.S_IMODE(f.stat().st_mode) for f in files if f.is_file()} == {want}
+
+
+def test_atomic_write_leaves_nothing_on_error(tmp_path):
+    def chunks():
+        yield b"partial"
+        raise RuntimeError("write failed")
+
+    with pytest.raises(RuntimeError):
+        serialization._atomic_write(tmp_path / "out.bin", chunks(), "wb")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_without_warnings_loads_unflagged(tmp_path):

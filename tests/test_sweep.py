@@ -232,8 +232,8 @@ def test_no_metaplectic_row_resamples(psi, monkeypatch):
     def no_resample(*args):
         raise AssertionError("a tomogram row must not resample a rotated state")
 
-    monkeypatch.setattr(symtomo.grids, "_trig_resample", no_resample)
-    assert not hasattr(symtomo.radon, "_trig_resample")
+    monkeypatch.setattr(symtomo.grids, "sample_uniform", no_resample)
+    assert not hasattr(symtomo.radon, "sample_uniform")
     for route in ("metaplectic", "chirp-fft"):
         assert len(compute_tomogram_set(psi, 360, route=route)) == 360
     for mu, nu in ((1.0, 0.0), (0.8, 0.3), (0.3, -0.8)):
