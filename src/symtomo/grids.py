@@ -28,7 +28,6 @@ __all__ = [
     "resample_onto",
     "bluestein_czt",
     "cis",
-    "chirp_fourier_rows",
     "inner_product",
 ]
 
@@ -261,11 +260,14 @@ def sample_uniform(psi: SampledWavefunction, start: float, step: float, count: i
 
 def _chirp_z_rows(f: np.ndarray, grid: Grid1D, c, start, step, count: int,
                   mirror: int = 0) -> np.ndarray:
-    """The chirp-z sums, without their output chirp, that give
-    F[exp(i*c*x^2/(2*hbar)) * f](p) at p = start + k*step (k < count) up to
-    phases of modulus 1 and the constant dx/sqrt(2*pi*hbar), for one state
-    ``f`` on ``grid`` and one row per entry of ``c``, ``start`` and
-    ``step``; zero where p lies outside the window of the dual grid.
+    """The chirp-z sums y_k of the hbar-Fourier transform
+    F[exp(i*c*x^2/(2*hbar)) * f](p_k) =
+    dx/sqrt(2*pi*hbar) * exp(-i*(p_k*x_min + step*dx*k^2/2)/hbar) * y_k at
+    p_k = start + k*step (k < count), for one state ``f`` on ``grid`` and
+    one row per entry of ``c``, ``start`` and ``step``; zero where p lies
+    outside the window of the dual grid.  For a state that has decayed at
+    the grid edges this is the band-limited interpolant of
+    :func:`hbar_fourier` at p.
 
     A nonzero ``mirror`` adds to each row the row of chirp -c at p*mirror,
     from the same chirp-z kernel spectrum.  At p its input is the row's
@@ -295,39 +297,6 @@ def _chirp_z_rows(f: np.ndarray, grid: Grid1D, c, start, step, count: int,
     outside = (p < dual.x_min - 0.5 * dual.dx) | (p > dual.x_max - 0.5 * dual.dx)
     y[np.broadcast_to(outside, y.shape)] = 0.0
     return y
-
-
-def chirp_fourier_rows(values: np.ndarray, grid: Grid1D, c: float, start: float, step: float,
-                       count: int) -> np.ndarray:
-    """F[exp(i*c*x^2/(2*hbar)) * values] at p = start + k*step
-    (k = 0..count-1), zero outside the window of the dual grid: the
-    chirp -> hbar-Fourier -> rescale core of the quadratic Fourier
-    transforms, for one state ``values`` on ``grid``.  The Fourier sum
-    (2*pi*hbar)**(-1/2) * dx * sum_m f(x_m) exp(-i*p*x_m/hbar) is one chirp-z
-    transform, the one whose |.|^2 the density rows take; for a state that
-    has decayed at the grid edges it is the band-limited interpolant of
-    :func:`hbar_fourier` at p.
-    """
-    g, hbar = grid, grid.hbar
-    k = np.arange(count, dtype=np.float64)
-    out = _chirp_z_rows(values, g, c, start, step, count)[0, 0]
-    out *= cis(0.5 * (-step * g.dx / hbar) * k * k)
-    out *= cis(-(start + step * k) * g.x_min / hbar) * (g.dx / np.sqrt(2.0 * np.pi * hbar))
-    return out
-
-
-def _chirp_fourier_densities(f: np.ndarray, grid: Grid1D, c, start, step, count: int,
-                             mirror: int = 0) -> np.ndarray:
-    """|F[exp(i*c*x^2/(2*hbar)) * f](p)|^2, the densities of
-    :func:`chirp_fourier_rows`, for one state ``f`` and one row per entry of
-    ``c``, ``start`` and ``step`` (with ``mirror``, also the mirror rows of
-    :func:`_chirp_z_rows`); shape (R, 1 or 2, count).  The phases that
-    |.|^2 discards are not computed."""
-    y = _chirp_z_rows(f, grid, c, start, step, count, mirror)
-    out = y.real ** 2
-    out += y.imag ** 2
-    out *= grid.dx**2 / (2.0 * np.pi * grid.hbar)
-    return out
 
 
 def resample_onto(psi: SampledWavefunction, grid: Grid1D) -> SampledWavefunction:

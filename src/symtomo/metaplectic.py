@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NotFreeError, UnsupportedOperation
-from .grids import Grid1D, SampledWavefunction, chirp_fourier_rows, cis
+from .grids import Grid1D, SampledWavefunction, _chirp_z_rows, cis
 
 __all__ = [
     "CheckResult",
@@ -196,12 +196,15 @@ def matrix_from_generating_form(P, L, Q) -> SymplecticMatrix:
 
 def _quadratic_fourier(values: np.ndarray, grid: Grid1D, P, L, Q, maslov) -> np.ndarray:
     """Quadratic Fourier transform of the samples ``values`` on ``grid`` for
-    the generating data P, L, Q and the Maslov index: chirp(Q) ->
-    hbar-Fourier -> sample at L*x -> chirp(P), times sqrt(|L|) * i**(m - 1/2)."""
-    g = grid
-    vals = np.sqrt(abs(L)) * chirp_fourier_rows(values, g, Q, L * g.x_min, L * g.dx, g.n_points)
-    phase = (np.pi / 2) * maslov - np.pi / 4
-    return vals * cis(P * (g.points**2 / (2.0 * g.hbar)) + phase)
+    the generating data P, L, Q and the Maslov index m: chirp(Q) ->
+    hbar-Fourier at p = L*x -> chirp(P), times sqrt(|L|) * i**(m - 1/2).
+    At p = L*x the phases of :func:`_chirp_z_rows` add up to
+    -L*(x^2 + x_min^2)/(2*hbar), so chirp(P) and i**(m - 1/2) join them in one cis."""
+    g, hbar = grid, grid.hbar
+    y = _chirp_z_rows(values, g, Q, L * g.x_min, L * g.dx, g.n_points)[0, 0]
+    phase = ((P - L) * g.points**2 - L * g.x_min**2) / (2.0 * hbar)
+    phase += (np.pi / 2) * maslov - np.pi / 4
+    return y * cis(phase) * (np.sqrt(abs(L)) * g.dx / np.sqrt(2.0 * np.pi * hbar))
 
 
 def quadratic_fourier(psi: SampledWavefunction, s: FreeSymplectic) -> SampledWavefunction:
@@ -210,7 +213,7 @@ def quadratic_fourier(psi: SampledWavefunction, s: FreeSymplectic) -> SampledWav
     Realized as chirp(Q) -> hbar-Fourier -> scale(L) -> chirp(P), with the
     constant i**(m - 1/2) * sqrt(|det B^-1|) absorbed in the pipeline.  The
     Fourier transform is evaluated directly at L*x on the input grid (one
-    chirp-z transform, see :func:`chirp_fourier_rows`), so the output
+    chirp-z transform, see :func:`_chirp_z_rows`), so the output
     shares the input grid and subsequent operators compose without loss.
     Accuracy requires the chirped input (coefficient Q) and the chirped
     output (coefficient P) to stay below the grid Nyquist rate over their

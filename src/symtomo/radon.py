@@ -18,9 +18,9 @@ import numpy as np
 import scipy.fft
 
 from .errors import ConfigError, DomainError, UnsupportedOperation
-from .grids import Grid1D, SampledWavefunction, _chirp_fourier_densities, bluestein_czt, cis
+from .grids import Grid1D, SampledWavefunction, _chirp_z_rows, bluestein_czt, cis
 from .grids import hbar_fourier  # noqa: F401  (perfbench's tracer patches it here too)
-from .metaplectic import RotationParams, quarter_turn, rotation_form
+from .metaplectic import RotationParams, quarter_turn
 from .wigner import WignerMap, default_momentum_window
 
 __all__ = [
@@ -40,8 +40,8 @@ NEGATIVE_FLOOR = 1e-10
 # the Wigner map for the line integral, of psi for the rotation route.
 EDGE_DECAY_FLAG = 1e-10
 MIN_ANGLES = 8
-# Rows per row block of a sweep (a block of mirror pairs holds half as many
-# pairs): bounds the (rows, 2n) CZT temporaries.  At 32 rows (about 5 MB of
+# Rows per row block of a sweep (half of them lead rows, half their mirror
+# rows): bounds the (rows, 2n) CZT temporaries.  At 32 rows (about 5 MB of
 # them for n = 1024) the allocator could return a block's memory to the OS
 # and fault it in again for the next block: 15.8k page faults per 360-angle
 # sweep against 2.1k at 16 rows.
@@ -155,50 +155,34 @@ def _resolve_x_grid(x_grid, lam: float, base: Grid1D) -> tuple[float, float, int
     return float(pts[0]), float(pts[1] - pts[0]), len(pts)
 
 
-def _metaplectic_rows(psi: SampledWavefunction, mu: np.ndarray, nu: np.ndarray,
-                      start: float, step: float, count: int,
-                      quarter: np.ndarray | None = None, mirror: bool = False) -> np.ndarray:
-    """Densities R(X) = |U_(mu,nu) psi(X/lambda)|^2 / lambda at
-    X = start + k*step, one row per direction: shape (R, 1, count), or with
-    ``mirror`` (R, 2, count), whose second row is the direction (-mu, nu).
+def _density_rows(psi: SampledWavefunction, mu: np.ndarray, nu: np.ndarray, split: bool,
+                  start: float, step: float, count: int,
+                  quarter: np.ndarray | None = None, mirror: bool = False) -> np.ndarray:
+    """Densities R(X) at X = start + k*step, one row per direction (mu, nu):
+    shape (R, 1, count), or with ``mirror`` (R, 2, count), whose second row
+    is the direction (-mu, nu).
 
-    The last quadratic Fourier transform of U_(mu,nu) (see
-    :func:`metaplectic_rotation`) is evaluated directly at p = L*X/lambda, as
-    R(X) = |L|/lambda * |F[chirp(Q) f](p)|^2: on f = psi when |nu| >= |mu|,
-    and otherwise on the quarter turn f = U_(0,1) psi (``quarter``,
-    computed here when not given), which also covers the axis nu = 0.  Its
-    output chirp and Maslov phase have modulus 1 and are not computed.  The
-    mirror direction negates Q, and for a split rotation also L."""
-    lam = np.hypot(mu, nu)
-    out = np.empty((len(mu), 1 + mirror, count))
-    direct = np.abs(nu) >= np.abs(mu)
-    for rows, split in ((direct, False), (~direct, True)):
-        if not rows.any():
-            continue
-        if split:
-            f = quarter_turn(psi) if quarter is None else quarter
-            _, L, Q, _ = rotation_form(nu[rows], -mu[rows])
-        else:
-            f = psi.values
-            _, L, Q, _ = rotation_form(mu[rows], nu[rows])
-        scale = L / lam[rows]
-        dens = _chirp_fourier_densities(f, psi.grid, Q, scale * start, scale * step, count,
-                                        mirror * (-1 if split else 1))
-        dens *= np.abs(scale)[:, None, None]
-        out[rows] = dens
-    return out
-
-
-def _chirp_rows(psi: SampledWavefunction, mu: np.ndarray, nu: np.ndarray,
-                start: float, step: float, count: int, mirror: bool = False) -> np.ndarray:
-    """Densities R(X) = |F[exp(i*mu*x'^2/(2*hbar*nu)) psi](X/nu)|^2 / |nu|
-    at X = start + k*step, one row per direction (nu != 0): shape
-    (R, 1, count), or with ``mirror`` (R, 2, count), whose second row is
-    the direction (-mu, nu) and conjugates the chirp."""
-    out = _chirp_fourier_densities(psi.values, psi.grid, mu / nu, start / nu, step / nu,
-                                   count, int(mirror))
-    out /= np.abs(nu)[:, None, None]
-    return out
+    Each row is |s|*dx^2/(2*pi*hbar)*|y|^2, where y are the chirp-z sums of
+    F[exp(i*Q*x^2/(2*hbar)) f] at p = s*X (:func:`_chirp_z_rows`).  A direct
+    row takes f = psi, Q = mu/nu and s = 1/nu: the chirp-FFT formula, and
+    the last quadratic Fourier transform of U_(mu,nu) (see
+    :func:`metaplectic_rotation`), whose generating data are Q and
+    L/lambda = s.  A ``split`` row takes the rotation (nu, -mu) of the
+    quarter turn f = U_(0,1) psi (``quarter``, computed here when not
+    given), Q = -nu/mu and s = -1/mu, which also covers the axis nu = 0.
+    The output chirp and Maslov phase, which |.|^2 discards, are not
+    computed.  The mirror direction negates Q, and for a split row also s."""
+    f, a, d = psi.values, mu, nu  # Q = a/d and s = 1/d
+    if split:
+        f = quarter_turn(psi) if quarter is None else quarter
+        a, d = nu, -mu
+    out = _chirp_z_rows(f, psi.grid, a / d, start / d, step / d, count,
+                        (-1 if split else 1) if mirror else 0)
+    dens = out.real ** 2
+    dens += out.imag ** 2
+    dens *= psi.grid.dx ** 2 / (2.0 * np.pi * psi.grid.hbar)
+    dens /= np.abs(d)[:, None, None]
+    return dens
 
 
 def radon_metaplectic(psi: SampledWavefunction, mu: float, nu: float,
@@ -210,8 +194,9 @@ def radon_metaplectic(psi: SampledWavefunction, mu: float, nu: float,
     EDGE_DECAY_FLAG: the rotation treats the sampled state as periodic."""
     params = RotationParams(mu, nu)
     start, step, count = _resolve_x_grid(x_grid, params.lam, psi.grid)
-    values = _metaplectic_rows(psi, np.array([mu], dtype=np.float64),
-                               np.array([nu], dtype=np.float64), start, step, count)
+    values = _density_rows(psi, np.array([mu], dtype=np.float64),
+                           np.array([nu], dtype=np.float64), abs(nu) < abs(mu),
+                           start, step, count)
     return Tomogram(mu, nu, start + step * np.arange(count), values[0, 0],
                     psi.grid.hbar, route="metaplectic",
                     accuracy_warning=psi.edge_decay() > EDGE_DECAY_FLAG)
@@ -241,8 +226,8 @@ def radon_chirp_fft(psi: SampledWavefunction, mu: float, nu: float,
     params = RotationParams(mu, nu)
     warn = not chirp_resolvable(psi, mu, nu)
     start, step, count = _resolve_x_grid(x_grid, params.lam, psi.grid)
-    values = _chirp_rows(psi, np.array([mu], dtype=np.float64),
-                         np.array([nu], dtype=np.float64), start, step, count)
+    values = _density_rows(psi, np.array([mu], dtype=np.float64),
+                           np.array([nu], dtype=np.float64), False, start, step, count)
     return Tomogram(mu, nu, start + step * np.arange(count), values[0, 0],
                     psi.grid.hbar, route="chirp-fft", accuracy_warning=warn)
 
@@ -416,15 +401,16 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
     ``route`` selects the forward algorithm; the chirp-FFT route falls back
     to the rotation-operator route for angles where it is undefined
     (nu = 0) or where the chirp would exceed the grid Nyquist rate.  The
-    angles run through the same row kernels as :func:`radon_chirp_fft` and
-    :func:`radon_metaplectic`, in blocks of ROW_BLOCK rows; the split
-    rotations share one quarter turn of the state.  Angle theta_k pairs
-    with pi - theta_k, which takes the exact mirror direction
+    angles run through the row kernel of :func:`radon_chirp_fft` and
+    :func:`radon_metaplectic`, which differ only in the rows they split;
+    the split rows share one quarter turn of the state.  Angle theta_k
+    pairs with pi - theta_k, which takes the exact mirror direction
     (-mu_k, nu_k): the pair shares |nu|, its p grid and one chirp-z kernel
-    spectrum, and only the pre-chirp or the state is conjugated.  ``x_grid``
-    is the common X grid (default: the state grid).  ``threads`` must be at
-    least 1 (ConfigError otherwise); with more than one, worker threads
-    take whole blocks, so the result does not depend on the thread count.
+    spectrum, and only the pre-chirp or the state is conjugated.  A block
+    holds ROW_BLOCK/2 pairs.  ``x_grid`` is the common X grid (default: the
+    state grid).  ``threads`` must be at least 1 (ConfigError otherwise);
+    with more than one, worker threads take whole blocks, so the result
+    does not depend on the thread count.
     The rotation-route rows carry the flag of
     :func:`radon_metaplectic`, and the chirp-FFT rows, all resolvable,
     carry none.
@@ -436,7 +422,8 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
         raise ConfigError(f"the thread count must be at least 1, got {threads}")
     mu, nu = np.cos(angles), np.sin(angles)
     # Angle k leads the pair with angle n_angles - k, whose row the kernels
-    # compute for (-mu_k, nu_k); theta = 0 and pi/2 stand alone.
+    # compute for (-mu_k, nu_k); the mirror rows of theta = 0 and pi/2 are
+    # no angles of the sweep and are dropped.
     lead = np.arange(n_angles // 2 + 1)
     paired = (lead > 0) & (2 * lead < n_angles)
     start, step, count = _resolve_x_grid(x_grid, 1.0, psi.grid)
@@ -445,30 +432,29 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
         off_axis = lead[nu[lead] != 0.0]
         chirp[off_axis] = chirp_resolvable(psi, mu[off_axis], nu[off_axis])
         chirp[n_angles - lead[paired]] = chirp[lead[paired]]
-    quarter = quarter_turn(psi)  # theta = 0 is always a split rotation
+    split = ~chirp[lead] & (np.abs(nu[lead]) < np.abs(mu[lead]))
+    quarter = quarter_turn(psi)  # theta = 0 is always a split row
 
     def run(block):
-        rows, is_chirp, pair = block
-        if is_chirp:
-            return _chirp_rows(psi, mu[rows], nu[rows], start, step, count, pair)
-        return _metaplectic_rows(psi, mu[rows], nu[rows], start, step, count, quarter, pair)
+        rows, is_split = block
+        return _density_rows(psi, mu[rows], nu[rows], is_split, start, step, count,
+                             quarter, mirror=True)
 
+    size = ROW_BLOCK // 2
     blocks = []
-    for is_chirp in (True, False):
-        for pair in (True, False):
-            rows = lead[(chirp[lead] == is_chirp) & (paired == pair)]
-            size = ROW_BLOCK // 2 if pair else ROW_BLOCK
-            blocks += [(rows[lo:lo + size], is_chirp, pair) for lo in range(0, len(rows), size)]
+    for is_split in (False, True):
+        rows = lead[split == is_split]
+        blocks += [(rows[lo:lo + size], is_split) for lo in range(0, len(rows), size)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, blocks))
     else:
         results = [run(b) for b in blocks]
     values = np.empty((n_angles, count))
-    for (rows, _, pair), block_values in zip(blocks, results):
+    for (rows, _), block_values in zip(blocks, results):
         values[rows] = block_values[:, 0]
-        if pair:
-            values[n_angles - rows] = block_values[:, 1]
+        pair = paired[rows]
+        values[n_angles - rows[pair]] = block_values[pair, 1]
     routes = tuple("chirp-fft" if c else "metaplectic" for c in chirp)
     warnings = ~chirp & (psi.edge_decay() > EDGE_DECAY_FLAG)
     return TomogramSet(angles, start + step * np.arange(count), values, psi.grid.hbar,

@@ -273,7 +273,7 @@ def _malformed(path, what: str):
         yield
     except KeyError as exc:
         raise ConfigError(f"{path}: {what} missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise ConfigError(f"{path}: malformed {what} ({exc})") from exc
 
 
@@ -359,13 +359,18 @@ def load_wigner(json_path) -> WignerMap:
         p_grid = _grid_from_dict(doc["p_grid"])
         data_file = json_path.parent / doc["data_file"]
         hbar = float(doc["hbar"])
-    raw = np.fromfile(data_file, dtype=np.float64)
+        # Headers written without the flag carry no key; any other value
+        # than a JSON boolean is malformed, as the manifest's warnings are.
+        flag = doc.get("accuracy_warning", False)
+        if not isinstance(flag, bool):
+            raise TypeError(f"accuracy_warning must be true or false, got {flag!r}")
+    with _malformed(data_file, "Wigner block"):  # ValueError: a NUL byte in the name
+        raw = np.fromfile(data_file, dtype=np.float64)
     expected = x_grid.n_points * p_grid.n_points
     if raw.size != expected:
         raise ConfigError(f"{json_path}: binary block has {raw.size} values, expected {expected}")
     values = raw.reshape(x_grid.n_points, p_grid.n_points)
-    return WignerMap(x_grid, p_grid, values, hbar,
-                     accuracy_warning=bool(doc.get("accuracy_warning", False)))
+    return WignerMap(x_grid, p_grid, values, hbar, accuracy_warning=flag)
 
 
 def save_wigner_csv(w: WignerMap, path):
@@ -430,21 +435,27 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
     doc = _read_json(manifest_path, TOMOGRAM_SET_FORMAT, "tomogram-set manifest")
     with _malformed(manifest_path, "manifest"):
         hbar = float(doc["hbar"])
-        n_angles = int(doc["n_angles"])
+        n_angles = doc["n_angles"]
+        if type(n_angles) is not int:  # not a float such as 8.7, nor a bool
+            raise TypeError(f"n_angles must be an integer, got {n_angles!r}")
         angles = np.asarray(doc["angles"], dtype=np.float64)
         xspec = doc["x"]
         # Manifests written before the X values were stored carry none.
         x = np.asarray(xspec["values"], dtype=np.float64) if "values" in xspec else (
             float(xspec["start"]) + float(xspec["step"]) * np.arange(int(xspec["count"])))
+        if x.ndim != 1:
+            raise TypeError("the X values must be a list of numbers")
         storage = doc["storage"]
-        routes = doc.get("routes") or [""] * n_angles
-        # Manifests written before the flags were stored carry no key.
-        warnings = doc.get("warnings", [False] * n_angles)
+        # Manifests written before the routes and flags were stored carry none.
+        routes = doc.get("routes") or [""] * len(angles)
+        warnings = doc.get("warnings", [False] * len(angles))
+        if not (isinstance(routes, list) and all(isinstance(r, str) for r in routes)):
+            raise TypeError("routes must be a list of strings")
         lengths = {"angles": len(angles), "routes": len(routes), "warnings": len(warnings)}
         if storage == "binary":
             data_file = manifest_path.parent / doc["data_file"]
         elif storage == "csv":
-            files = doc["files"]
+            files = [manifest_path.parent / name for name in doc["files"]]
             lengths["files"] = len(files)
     if not all(isinstance(flag, bool) for flag in warnings):
         raise ConfigError(f"{manifest_path}: warnings must be a list of true/false flags")
@@ -454,14 +465,14 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
             + ", ".join(f"{key}={k}" for key, k in lengths.items()))
     n_x = len(x)
     if storage == "binary":
-        raw = np.fromfile(data_file, dtype=np.float64)
+        with _malformed(data_file, "tomogram block"):  # ValueError: a NUL byte in the name
+            raw = np.fromfile(data_file, dtype=np.float64)
         if raw.size != n_angles * n_x:
             raise ConfigError(f"{manifest_path}: binary block size mismatch")
         rows = raw.reshape(n_angles, n_x)
     elif storage == "csv":
         rows = np.empty((n_angles, n_x))
-        for k, name in enumerate(files):
-            path = manifest_path.parent / name
+        for k, path in enumerate(files):
             with _malformed(path, "tomogram CSV"):
                 data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
             if data.shape != (n_x, 2):

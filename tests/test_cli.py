@@ -193,6 +193,19 @@ class TestInvertCommand:
         manifest.write_text(json.dumps(doc))
         assert run(["invert", "--set", str(manifest), "--out", str(tmp_path / "rec")]) == 2
 
+    @pytest.mark.parametrize("key, value", [("files", 1), ("routes", 1), ("n_angles", 8.7)])
+    def test_manifest_entry_of_wrong_type(self, tmp_path, key, value):
+        assert run(["tomogram", "--grid=-12:12:256", "--state", "gaussian:1,0",
+                    "--angles", "8", "--storage", "csv", "--out", str(tmp_path / "set")]) == 0
+        manifest = tmp_path / "set" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        if isinstance(doc[key], list):
+            doc[key][0] = value
+        else:
+            doc[key] = value
+        manifest.write_text(json.dumps(doc))
+        assert run(["invert", "--set", str(manifest), "--out", str(tmp_path / "rec")]) == 2
+
     def test_manifest_not_json(self, tmp_path):
         bad = tmp_path / "manifest.json"
         bad.write_text("not json")

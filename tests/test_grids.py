@@ -13,9 +13,8 @@ from symtomo import (
 )
 from symtomo.grids import (
     Grid1D,
-    _chirp_fourier_densities,
+    _chirp_z_rows,
     bluestein_czt,
-    chirp_fourier_rows,
     chirp_multiply,
     hbar_fourier,
     sample_uniform,
@@ -203,8 +202,9 @@ def test_bluestein_czt_matches_direct_sum(n, m, rows, beta, per_row, seed):
 
 @pytest.mark.parametrize("mirror", [0, 1, -1])
 def test_chirp_fourier_densities_match_rows(mirror):
-    """The densities, and each mirror row (chirp -c at p*mirror), against
-    |chirp_fourier_rows|^2, on an off-lattice grid and a window reaching
+    """Each row of a batched call, and each mirror row (chirp -c at
+    p*mirror), against an unmirrored one-row call, as densities
+    dx^2/(2*pi*hbar)*|y|^2, on an off-lattice grid and a window reaching
     past the dual window at both ends."""
     grid = make_grid(-9.7, 10.3, 128, HBAR)
     rng = np.random.default_rng(3)
@@ -213,17 +213,18 @@ def test_chirp_fourier_densities_match_rows(mirror):
     start = np.array([-21.0, -6.0, 2.0])
     step = np.array([0.31, 0.07, -0.13])
     count = 141
-    got = _chirp_fourier_densities(f, grid, c, start, step, count, mirror)
+
+    def density(y):
+        return grid.dx**2 / (2 * np.pi * HBAR) * np.abs(y) ** 2
+
+    got = density(_chirp_z_rows(f, grid, c, start, step, count, mirror))
     assert got.shape == (3, 2 if mirror else 1, count)
     for r in range(3):
-        want = np.abs(chirp_fourier_rows(f, grid, c[r], start[r], step[r], count)) ** 2
-        assert np.max(np.abs(got[r, 0] - want)) <= 1e-14
-        if mirror:
-            sign = float(mirror)
-            want = np.abs(chirp_fourier_rows(f, grid, -c[r], sign * start[r], sign * step[r],
-                                             count)) ** 2
-            assert np.max(np.abs(got[r, 1] - want)) <= 1e-14
-            assert np.array_equal(got[r, 1] == 0.0, want == 0.0)
+        calls = [(c[r], 1.0)] + ([(-c[r], float(mirror))] if mirror else [])
+        for i, (cr, sign) in enumerate(calls):
+            want = density(_chirp_z_rows(f, grid, cr, sign * start[r], sign * step[r], count))
+            assert np.max(np.abs(got[r, i] - want[0, 0])) <= 1e-14
+            assert np.array_equal(got[r, i] == 0.0, want[0, 0] == 0.0)
 
 
 def test_inner_product_across_grids(ground):

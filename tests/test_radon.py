@@ -98,6 +98,14 @@ class TestRouteEquivalence:
             b = radon_chirp_fft(psi, mu, nu)
             assert np.max(np.abs(a.values - b.values)) < 1e-7, (mu, nu)
 
+    @pytest.mark.parametrize("mu, nu", [(0.3, 0.9), (-0.7, 0.7), (0.9, -1.3), (0.0, 2.0)])
+    def test_direct_rows_are_the_chirp_rows(self, psi, mu, nu):
+        # For |nu| >= |mu| the rotation's last quadratic Fourier transform
+        # has Q = mu/nu and L/lambda = 1/nu: the chirp-FFT formula itself.
+        a = radon_metaplectic(psi, mu, nu)
+        b = radon_chirp_fft(psi, mu, nu)
+        assert np.array_equal(a.values, b.values)
+
     def test_vs_line_integral(self, grid, psi):
         w = wigner_transform(psi, p_grid=grid)  # square window
         rng = np.random.default_rng(23)

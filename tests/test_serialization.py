@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import HBAR, flagged_chirp_set
 from fbp_oracle import (
@@ -19,6 +20,7 @@ from fbp_oracle import (
 from symtomo import (
     ConfigError,
     GaussianState,
+    Grid1D,
     SampledWavefunction,
     Tomogram,
     gaussian_wavefunction,
@@ -124,6 +126,75 @@ def test_wigner_binary_round_trip(psi, tmp_path):
     back = load_wigner(path)
     assert np.array_equal(back.values, w.values)
     assert back.x_grid == w.x_grid and back.p_grid == w.p_grid
+
+
+@pytest.mark.parametrize("flag, want", [(True, True), (False, False), (None, False),
+                                        ("false", ConfigError), (0, ConfigError)],
+                         ids=["true", "false", "missing", "string", "zero"])
+def test_wigner_header_flag_is_a_json_boolean(psi, tmp_path, flag, want):
+    path = save_wigner(wigner_transform(psi), tmp_path / "wigner.json")
+    doc = json.loads(path.read_text())
+    doc.pop("accuracy_warning")
+    if flag is not None:
+        doc["accuracy_warning"] = flag
+    path.write_text(json.dumps(doc))
+    if want is ConfigError:
+        with pytest.raises(ConfigError, match="accuracy_warning"):
+            load_wigner(path)
+    else:
+        assert load_wigner(path).accuracy_warning is want
+
+
+def _grids(n):
+    """Grids of n points over a wide envelope, hbar included."""
+    return st.builds(Grid1D, st.floats(-1e6, 1e6), st.just(n), st.floats(1e-6, 1e3),
+                     st.floats(1e-3, 1e3))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), nx=st.sampled_from([8, 16]), np_=st.sampled_from([8, 32]),
+       flag=st.booleans())
+def test_wigner_round_trip_is_bit_exact(tmp_path_factory, data, nx, np_, flag):
+    """save_wigner/load_wigner give back the values (any finite floats,
+    signed zeros and subnormals too), both grids, hbar and the flag bit for
+    bit."""
+    x_grid, p_grid = data.draw(_grids(nx)), data.draw(_grids(np_))
+    values = data.draw(arrays(np.float64, (nx, np_),
+                              elements=st.floats(allow_nan=False, allow_infinity=False)))
+    w = WignerMap(x_grid, p_grid, values, x_grid.hbar, accuracy_warning=flag)
+    back = load_wigner(save_wigner(w, tmp_path_factory.mktemp("w") / "wigner.json"))
+    assert _bits(back.values) == _bits(w.values)
+    assert (back.x_grid, back.p_grid, back.hbar) == (w.x_grid, w.p_grid, w.hbar)
+    assert back.accuracy_warning is flag
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.sampled_from([8, 64, 512]))
+def test_wavefunction_round_trip_is_bit_exact(tmp_path_factory, data, n):
+    """JSON gives back the grid and the values bit for bit.  CSV gives back
+    the values bit for bit and the grid from its points: x_min exactly, and
+    dx = x_1 - x_0 to the rounding of x_1.  The grid spans -n*dx..n*dx at
+    most, where its points are uniform to the CSV loader's 1e-12."""
+    dx = data.draw(st.floats(1e-3, 1e2))
+    grid = Grid1D(data.draw(st.floats(-1.0, 0.5)) * n * dx, n, dx,
+                  data.draw(st.floats(1e-3, 1e3)))
+    parts = data.draw(arrays(np.float64, (2, n),
+                             elements=st.floats(allow_nan=False, allow_infinity=False)))
+    psi = SampledWavefunction(grid, parts[0] + 1j * parts[1])
+    tmp = tmp_path_factory.mktemp("psi")
+    save_wavefunction_json(psi, tmp / "psi.json")
+    back = load_wavefunction_json(tmp / "psi.json")
+    assert back.grid == grid and _bits(back.values) == _bits(psi.values)
+    save_wavefunction_csv(psi, tmp / "psi.csv")
+    back = load_wavefunction_csv(tmp / "psi.csv", hbar=grid.hbar)
+    assert _bits(back.values) == _bits(psi.values)
+    assert (back.grid.x_min, back.grid.n_points, back.grid.hbar) == (
+        grid.x_min, n, grid.hbar)
+    assert abs(back.grid.dx - grid.dx) <= np.spacing(abs(grid.x_min) + grid.dx)
 
 
 def test_wigner_csv_layout(psi, tmp_path):
@@ -260,6 +331,59 @@ def test_manifest_bad_warnings_rejected(tmp_path, warnings):
         load_tomogram_set(manifest)
 
 
+# Any JSON value, nested a little.  Floats include NaN and the infinities,
+# which json writes and reads back, and integers are unbounded.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _fields(doc, prefix=()):
+    """The key path of every field of a manifest, of the fields of its
+    nested objects and of every list entry."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _fields(value, prefix + (key,))
+        elif isinstance(value, list):
+            yield from (prefix + (key, k) for k in range(len(value)))
+
+
+@pytest.fixture(scope="module")
+def saved_sets(tmp_path_factory):
+    """A flagged eight-angle set in each storage, with its manifest."""
+    sets = {}
+    for storage in ("binary", "csv"):
+        manifest = save_tomogram_set(flagged_chirp_set(), tmp_path_factory.mktemp(storage),
+                                     storage=storage)
+        sets[storage] = manifest, json.loads(manifest.read_text())
+    return sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(storage=st.sampled_from(["binary", "csv"]), value=JSON_VALUES, data=st.data())
+def test_fuzzed_manifest_loads_or_raises_config_error(saved_sets, storage, value, data):
+    """One field or list entry of a manifest replaced by any JSON value either
+    loads or raises ConfigError or OSError, the errors the CLI maps to
+    exit 2."""
+    manifest, doc = saved_sets[storage]
+    doc = json.loads(json.dumps(doc))
+    *parents, last = data.draw(st.sampled_from(list(_fields(doc))))
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    fuzzed = manifest.with_name("fuzzed.json")
+    fuzzed.write_text(json.dumps(doc))
+    try:
+        ts = load_tomogram_set(fuzzed)
+    except (ConfigError, OSError):
+        return
+    assert isinstance(ts, TomogramSet)
+
+
 def test_manifest_contents(psi, tmp_path):
     ts = compute_tomogram_set(psi, 8)
     manifest = save_tomogram_set(ts, tmp_path, storage="binary")
@@ -295,6 +419,17 @@ def _edit_manifest(psi, tmp_path, storage, edit):
 def test_manifest_list_length_mismatch_rejected(psi, tmp_path, storage, edit):
     manifest = _edit_manifest(psi, tmp_path, storage, edit)
     with pytest.raises(ConfigError, match="lengths"):
+        load_tomogram_set(manifest)
+
+
+@pytest.mark.parametrize("storage, edit, match", [
+    ("csv", lambda d: d["files"].__setitem__(3, 1), "malformed manifest"),
+    ("binary", lambda d: d["routes"].__setitem__(3, 1), "routes"),
+    ("binary", lambda d: d.update(n_angles=16.7), "n_angles"),
+], ids=["files", "routes", "n_angles"])
+def test_manifest_entry_of_wrong_type_rejected(psi, tmp_path, storage, edit, match):
+    manifest = _edit_manifest(psi, tmp_path, storage, edit)
+    with pytest.raises(ConfigError, match=match):
         load_tomogram_set(manifest)
 
 
