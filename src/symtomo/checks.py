@@ -119,11 +119,11 @@ def _homogeneity(psi, mu, nu) -> float:
 
 
 def _fbp_round_trip(psi, reference, constant_scale) -> float:
-    """360-angle sweep inverted onto the window of the ``reference`` map,
-    against it; ``constant_scale`` as in :func:`inverse_radon`."""
-    recon = inverse_radon(compute_tomogram_set(psi, 360), reference.x_grid, reference.p_grid,
-                          constant_scale=constant_scale)
-    return _max_abs(recon.values, reference.values)
+    """360-angle sweep inverted onto the window of the ``reference`` map and
+    multiplied by ``constant_scale``, against the map; a scale other than 1
+    is the negative control of ``symtomo check --debug-break-fbp``."""
+    recon = inverse_radon(compute_tomogram_set(psi, 360), reference.x_grid, reference.p_grid)
+    return _max_abs(constant_scale * recon.values, reference.values)
 
 
 def _tomogram_variance(psi, state, mu, nu) -> float:

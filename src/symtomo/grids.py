@@ -25,7 +25,6 @@ __all__ = [
     "chirp_multiply",
     "scale",
     "sample_uniform",
-    "resample_onto",
     "bluestein_czt",
     "cis",
     "inner_product",
@@ -299,18 +298,13 @@ def _chirp_z_rows(f: np.ndarray, grid: Grid1D, c, start, step, count: int,
     return y
 
 
-def resample_onto(psi: SampledWavefunction, grid: Grid1D) -> SampledWavefunction:
-    """Band-limited resampling of psi onto another grid (zero outside support)."""
-    vals = sample_uniform(psi, grid.x_min, grid.dx, grid.n_points)
-    return SampledWavefunction(grid, vals)
-
-
 def inner_product(f: SampledWavefunction, g: SampledWavefunction) -> complex:
     """L2 inner product <f, g> = integral conj(f) g dx.
 
     When the grids differ, g is band-limited resampled onto the grid of f;
     both states must be well resolved on the finer of the two grids.
     """
+    values = g.values
     if not f.grid.close_to(g.grid):
-        g = resample_onto(g, f.grid)
-    return complex(f.grid.dx * np.sum(np.conj(f.values) * g.values))
+        values = sample_uniform(g, f.grid.x_min, f.grid.dx, f.grid.n_points)
+    return complex(f.grid.dx * np.sum(np.conj(f.values) * values))

@@ -27,11 +27,10 @@ __all__ = [
     "matrix_from_generating_form",
     "quadratic_fourier",
     "metaplectic_rotation",
-    "rotation_form",
     "quarter_turn",
 ]
 
-# What makes a matrix free symplectic, in from_matrix and rotation_form alike:
+# What makes a matrix free symplectic in from_matrix:
 # block conditions within SYMPLECTIC_TOL, and |det B| at least FREE_DET_MIN.
 SYMPLECTIC_TOL = 1e-10
 FREE_DET_MIN = 1e-12
@@ -227,32 +226,11 @@ def quadratic_fourier(psi: SampledWavefunction, s: FreeSymplectic) -> SampledWav
         psi.values, psi.grid, s.P[0, 0], s.L[0, 0], s.Q[0, 0], s.maslov_index))
 
 
-def rotation_form(mu, nu):
-    """Generating data (P, L, Q, maslov_index) of the rotations
-    [[mu, nu], [-nu, mu]] / lambda, in closed form: scalars for one
-    direction, arrays for arrays of directions.
-
-    With c = mu/lambda and s = nu/lambda the B block is s, so L = 1/s and
-    P = Q = c/s; the Maslov index is the parity of the sign of 1/s.  The
-    checks :meth:`FreeSymplectic.from_matrix` makes (SYMPLECTIC_TOL and
-    FREE_DET_MIN) run once over all the directions.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    nu = np.asarray(nu, dtype=np.float64)
-    lam = np.hypot(mu, nu)
-    c, s = mu / lam, nu / lam
-    if not np.all(np.abs(c * c + s * s - 1.0) <= SYMPLECTIC_TOL):
-        raise DomainError("rotation matrix is not symplectic")
-    if not np.all(np.abs(s) >= FREE_DET_MIN):
-        raise NotFreeError("upper-right block B is singular; matrix is not free")
-    inv_b = 1.0 / s
-    pq = c * inv_b
-    return pq, inv_b, pq, (inv_b < 0).astype(int)
-
-
 def quarter_turn(psi: SampledWavefunction) -> np.ndarray:
-    """Values of U_(0,1) psi, the quarter turn that split rotations share."""
-    return _quadratic_fourier(psi.values, psi.grid, *rotation_form(0.0, 1.0))
+    """Values of U_(0,1) psi, the quarter turn that split rotations share:
+    the quadratic Fourier transform of J, with P = Q = 0, L = 1 and Maslov
+    index 0."""
+    return _quadratic_fourier(psi.values, psi.grid, 0.0, 1.0, 0.0, 0)
 
 
 def metaplectic_rotation(psi: SampledWavefunction, params: RotationParams) -> SampledWavefunction:
@@ -260,19 +238,19 @@ def metaplectic_rotation(psi: SampledWavefunction, params: RotationParams) -> Sa
 
     For |nu| >= |mu| it is the quadratic Fourier transform of the rotation
     matrix itself.  For 0 < |nu| < |mu| the rotation is split as
-    U_(mu,nu) = U_(nu,-mu) . U_(0,1) and both factors are realized as
-    well-conditioned quadratic Fourier transforms; the composition covers
+    U_(mu,nu) = U_(nu,-mu) . U_(0,1): the quadratic Fourier transform of the
+    rotation (nu, -mu) applied to the quarter turn, both factors
+    well-conditioned free symplectic matrices; the composition covers
     the same rotation up to an overall sign (the double-cover ambiguity),
     which is immaterial for every |.|^2-based quantity.  For nu = 0 the
     operator is the identity (mu > 0) or parity (mu < 0) up to phase.
     """
     mu, nu = params.mu, params.nu
-    g = psi.grid
     if nu == 0.0:
         # parity on an FFT-convention grid: index j -> (n - j) mod n
-        values = psi.values if mu > 0 else np.roll(psi.values[::-1], 1)
-    elif abs(nu) >= abs(mu):
-        values = _quadratic_fourier(psi.values, g, *rotation_form(mu, nu))
-    else:
-        values = _quadratic_fourier(quarter_turn(psi), g, *rotation_form(nu, -mu))
-    return SampledWavefunction(g, values)
+        return SampledWavefunction(
+            psi.grid, psi.values if mu > 0 else np.roll(psi.values[::-1], 1))
+    if abs(nu) >= abs(mu):
+        return quadratic_fourier(psi, FreeSymplectic.from_matrix(rotation_from_mu_nu(mu, nu)))
+    turned = SampledWavefunction(psi.grid, quarter_turn(psi))
+    return quadratic_fourier(turned, FreeSymplectic.from_matrix(rotation_from_mu_nu(nu, -mu)))

@@ -80,10 +80,6 @@ class Tomogram:
         object.__setattr__(self, "values", v)
 
     @property
-    def lam(self) -> float:
-        return float(np.hypot(self.mu, self.nu))
-
-    @property
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
@@ -108,9 +104,16 @@ class Tomogram:
 
 
 def _uniform(x: np.ndarray) -> bool:
-    """Whether the steps of the 1-d grid ``x`` agree to 1e-12 relative."""
-    steps = np.diff(x)
-    return len(x) < 2 or bool(np.allclose(steps, steps[0], rtol=1e-12, atol=0))
+    """Whether each point of the 1-d grid ``x`` lies within 1e-12 of the step
+    plus 8 ulps of max |x| of x_0 + k*step, step = (x_(n-1) - x_0)/(n - 1).
+    The ulps admit a grid rounded point by point, as start + k*step is: its
+    points and the line through its ends each lie within 4 ulps of the exact
+    grid."""
+    if len(x) < 2:
+        return True
+    step = (x[-1] - x[0]) / (len(x) - 1)
+    tol = 1e-12 * abs(step) + 8.0 * np.spacing(np.max(np.abs(x)))
+    return bool(np.all(np.abs(x - (x[0] + step * np.arange(len(x)))) <= tol))
 
 
 def _checked_samples(x, values) -> tuple[np.ndarray, np.ndarray]:
@@ -304,24 +307,14 @@ def radon_line_integral(w: WignerMap, mu: float, nu: float, x_grid=None,
                     route="line-integral", accuracy_warning=warn)
 
 
-def _check_shared_grid(tms):
-    """Raise ConfigError unless all tomograms share the first one's X grid and hbar."""
-    first = tms[0]
-    for t in tms[1:]:
-        if t.x.shape != first.x.shape or not np.allclose(t.x, first.x, rtol=0, atol=1e-12):
-            raise ConfigError("tomograms must share one X grid")
-        if abs(t.hbar - first.hbar) > 1e-12 * first.hbar:
-            raise ConfigError("tomograms must share hbar")
-
-
 @dataclass(frozen=True)
 class TomogramSet:
     """Tomograms at strictly increasing, equispaced angles theta in [0, pi)
     with (mu, nu) = (cos theta, sin theta), stored as arrays: ``values[k]``
     is the density over the common X grid ``x`` at ``angles[k]``, computed
     by ``routes[k]`` and flagged by ``warnings[k]``.  Indexing and iteration
-    yield :class:`Tomogram` slices; :meth:`from_tomograms` builds a set from
-    them.  Every row obeys the :class:`Tomogram` rules."""
+    yield :class:`Tomogram` slices.  Every row obeys the :class:`Tomogram`
+    rules."""
 
     angles: np.ndarray
     x: np.ndarray = field(repr=False)
@@ -359,19 +352,6 @@ class TomogramSet:
                             ("hbar", float(self.hbar)), ("routes", routes),
                             ("warnings", warnings)):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_tomograms(cls, tomograms) -> "TomogramSet":
-        """Set of per-angle tomograms with unit (mu, nu), one X grid and one hbar."""
-        tms = tuple(tomograms)
-        if not tms:
-            raise ConfigError("empty tomogram set")
-        if any(abs(t.lam - 1.0) > 1e-12 for t in tms):
-            raise ConfigError("tomogram set entries must have unit (mu, nu)")
-        _check_shared_grid(tms)
-        return cls(np.array([np.arctan2(t.nu, t.mu) for t in tms]), tms[0].x,
-                   np.stack([t.values for t in tms]), tms[0].hbar,
-                   tuple(t.route for t in tms), [t.accuracy_warning for t in tms])
 
     def __len__(self) -> int:
         return len(self.angles)
@@ -514,8 +494,7 @@ def _back_project_pairs(acc: np.ndarray, tables: np.ndarray, ux: np.ndarray,
                 block_acc[j] += v
 
 
-def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = None,
-                  constant_scale: float = 1.0) -> WignerMap:
+def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = None) -> WignerMap:
     """Filtered back-projection reconstruction of the Wigner map.
 
     Each tomogram is zero-padded PAD_FACTOR-fold: the ramp kernel has
@@ -551,10 +530,6 @@ def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = No
         as from ``make_grid(-L, L, n)``); DomainError otherwise.
         ``p_grid`` defaults to the alias-free momentum window of
         ``x_grid``.
-    constant_scale : float
-        Multiplies the analytically derived overall constant
-        1/(2*pi*hbar).  Leave at 1; exists as a negative-control hook for
-        the self-check suite.
     """
     n_angles = len(tomos)
     if n_angles < MIN_ANGLES:
@@ -629,6 +604,6 @@ def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = No
     out = np.empty((nx, 2 * hp))
     out[:, hp:] = t.real[:nx, :hp] + t.imag[nx:0:-1, :hp]
     out[:, :hp] = r.real[nx:0:-1, hp:0:-1] + r.imag[:nx, hp:0:-1]
-    out *= constant_scale * (np.pi / n_angles) / (2.0 * np.pi * hbar)
+    out *= (np.pi / n_angles) / (2.0 * np.pi * hbar)
     warn = bool(tomos.warnings.any())
     return WignerMap(x_grid, p_grid, out, hbar, accuracy_warning=warn)

@@ -314,7 +314,9 @@ def load_wavefunction_json(path) -> SampledWavefunction:
         flat = np.asarray(doc["values"], dtype=np.float64)
     if flat.shape != (2 * grid.n_points,):
         raise ConfigError(f"{path}: expected {2 * grid.n_points} interleaved values")
-    return SampledWavefunction(grid, flat[0::2] + 1j * flat[1::2])
+    # Paired as complex128 bit for bit: re + 1j*im would turn a -0.0 real
+    # part beside a +0.0 imaginary part into +0.0.
+    return SampledWavefunction(grid, flat.view(np.complex128))
 
 
 def save_wavefunction_csv(psi: SampledWavefunction, path):
@@ -328,7 +330,7 @@ def load_wavefunction_csv(path, hbar: float = 1.0) -> SampledWavefunction:
     if len(x) < 2 or not _uniform(x):
         raise ConfigError(f"{path}: x column is not a uniform grid")
     grid = Grid1D(float(x[0]), len(x), float(x[1] - x[0]), hbar)
-    return SampledWavefunction(grid, re + 1j * im)
+    return SampledWavefunction(grid, np.stack((re, im), axis=-1).view(np.complex128)[:, 0])
 
 
 def save_wigner(w: WignerMap, json_path) -> Path:
@@ -446,8 +448,8 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
         if x.ndim != 1:
             raise TypeError("the X values must be a list of numbers")
         storage = doc["storage"]
-        # Manifests written before the routes and flags were stored carry none.
-        routes = doc.get("routes") or [""] * len(angles)
+        # Manifests written before the routes and flags were stored carry no key.
+        routes = doc.get("routes", [""] * len(angles))
         warnings = doc.get("warnings", [False] * len(angles))
         if not (isinstance(routes, list) and all(isinstance(r, str) for r in routes)):
             raise TypeError("routes must be a list of strings")

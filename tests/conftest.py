@@ -31,9 +31,11 @@ def flagged_chirp_set():
     rate, so the chirp-FFT route flags them (theta = 0 is taken by the
     rotation route, which needs no chirp)."""
     psi = gaussian_wavefunction(GaussianState.ground_state(HBAR), make_grid(-8, 8, 64, HBAR))
+    angles = np.pi * np.arange(8) / 8
     tms = [radon_metaplectic(psi, 1.0, 0.0)]
-    tms += [radon_chirp_fft(psi, np.cos(t), np.sin(t)) for t in np.pi * np.arange(1, 8) / 8]
-    return TomogramSet.from_tomograms(tms)
+    tms += [radon_chirp_fft(psi, np.cos(t), np.sin(t)) for t in angles[1:]]
+    return TomogramSet(angles, tms[0].x, [t.values for t in tms], HBAR,
+                       [t.route for t in tms], [t.accuracy_warning for t in tms])
 
 
 def random_gaussian_state(rng, sxp_min=0.0):

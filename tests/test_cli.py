@@ -74,6 +74,16 @@ class TestTomogramCommand:
         want = np.exp(-data[:, 0] ** 2 / 2) / np.sqrt(2 * np.pi)
         assert np.max(np.abs(data[:, 1] - want)) < 1e-7
 
+    def test_fine_grid_tomogram(self, tmp_path):
+        # lambda*(state grid) for lambda = hypot(1, 0.5): a rounded X grid
+        # whose steps differ by 3.3e-12 relative
+        code = run(["tomogram", "--grid=-64:64:16384", "--state", "gaussian:1,0.3",
+                    "--mu", "1", "--nu", "0.5", "--out", str(tmp_path)])
+        assert code == 0
+        meta = json.loads((tmp_path / "tomogram_meta.json").read_text())
+        assert meta["accuracy_warning"] is False
+        assert abs(meta["mass"] - 1.0) <= 1e-7
+
     def test_sweep_manifest(self, tmp_path):
         code = run(["tomogram", "--grid=-12:12:512", "--state", "gaussian:1,0.2",
                     "--angles", "36", "--out", str(tmp_path)])

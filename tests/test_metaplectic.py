@@ -25,7 +25,7 @@ from symtomo import (
     wigner_transform,
 )
 from symtomo.grids import hbar_fourier, sample_uniform
-from symtomo.metaplectic import matrix_from_generating_form, rotation_form
+from symtomo.metaplectic import matrix_from_generating_form, quarter_turn
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -98,15 +98,13 @@ class TestGeneratingForm:
 
     @pytest.mark.parametrize("s", [5e-13, -5e-13, 2e-12, -2e-12])
     def test_det_b_threshold_shared_with_closed_form(self, s):
-        # rotation_from_mu_nu(1, s) has B = s exactly (lambda rounds to 1)
+        # rotation_from_mu_nu(1, s) has B = s exactly (lambda rounds to 1):
+        # free from |det B| = 1e-12 on, with L = 1/s
         if abs(s) < 1e-12:
             with pytest.raises(NotFreeError):
                 FreeSymplectic.from_matrix(rotation_from_mu_nu(1.0, s))
-            with pytest.raises(NotFreeError):
-                rotation_form(1.0, s)
         else:
-            fs = FreeSymplectic.from_matrix(rotation_from_mu_nu(1.0, s))
-            assert rotation_form(1.0, s)[1] == fs.L[0, 0]
+            assert FreeSymplectic.from_matrix(rotation_from_mu_nu(1.0, s)).L[0, 0] == 1.0 / s
 
     @pytest.mark.parametrize("defect, ok", [(0.5e-10, True), (2e-10, False)])
     def test_symplectic_threshold(self, defect, ok):
@@ -121,27 +119,10 @@ class TestGeneratingForm:
 
     @pytest.mark.parametrize("mu, nu", [(5e-324, 5e-324), (np.nan, 1.0)])
     def test_symplectic_check_shared_with_closed_form(self, mu, nu):
-        # The closed form normalizes (mu, nu), so only a direction whose
-        # normalization fails (a subnormal length, a non-finite entry)
-        # reaches its symplectic check; the matrix route rejects it too.
-        with pytest.raises(DomainError, match="not symplectic"):
-            rotation_form(mu, nu)
+        # A direction whose normalization fails (a subnormal length, a
+        # non-finite entry) gives a rotation matrix that is not symplectic.
         with pytest.raises(DomainError, match="not symplectic"):
             FreeSymplectic.from_matrix(rotation_from_mu_nu(mu, nu))
-
-    def test_closed_form_rotation_data_matches_matrix_route(self):
-        rng = np.random.default_rng(8)
-        theta = np.r_[rng.uniform(-np.pi, np.pi, 40), 0.5 * np.pi, -0.5 * np.pi, np.pi / 4]
-        lam = rng.uniform(0.3, 3.0, len(theta))
-        mu, nu = lam * np.cos(theta), lam * np.sin(theta)
-        P, L, Q, maslov = rotation_form(mu, nu)
-        for k in range(len(theta)):
-            fs = FreeSymplectic.from_matrix(rotation_from_mu_nu(mu[k], nu[k]))
-            assert np.allclose([P[k], L[k], Q[k]], [fs.P[0, 0], fs.L[0, 0], fs.Q[0, 0]],
-                               rtol=1e-14, atol=1e-14)
-            assert maslov[k] == fs.maslov_index
-        with pytest.raises(NotFreeError):
-            rotation_form([1.0, 0.5], [0.3, 0.0])
 
     def test_gradient_relations_reconstruct_matrix(self):
         # oracle: push random (x', p') through the gradient relations
@@ -181,6 +162,8 @@ class TestQuadraticFourier:
         want = hbar_fourier(ground)
         direct = sample_uniform(want, got.grid.x_min, got.grid.dx, got.grid.n_points)
         assert np.max(np.abs(got.values - np.exp(-1j * np.pi / 4) * direct)) < 1e-9
+        # the quarter turn that split rotations share passes J's data literally
+        assert np.array_equal(quarter_turn(ground), got.values)
 
     def test_ground_state_eigenfunction(self, ground):
         fs = FreeSymplectic.from_matrix(J2)

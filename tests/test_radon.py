@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import HBAR, random_direction
 from fbp_oracle import inverse_radon_affine, inverse_radon_reference
@@ -22,6 +24,7 @@ from symtomo import (
     radon_metaplectic,
     wigner_transform,
 )
+from symtomo.checks import CONTRACT
 
 
 def closed_form_density(x, state, mu, nu):
@@ -149,6 +152,22 @@ class TestHomogeneity:
             assert np.max(np.abs(ts.values - t.values / s)) < 1e-7
 
 
+@settings(max_examples=25, deadline=None)
+@given(log_sxx=st.floats(-0.7, 0.7), sxp=st.floats(-0.6, 0.6),
+       theta=st.floats(0.0, np.pi, exclude_max=True), lam=st.floats(0.5, 2.0))
+@example(log_sxx=0.7, sxp=0.6, theta=0.0, lam=2.0)
+@example(log_sxx=-0.7, sxp=-0.6, theta=np.pi / 2, lam=0.5)
+@pytest.mark.parametrize("name", ["tomogram_mass", "tomogram_homogeneity"])
+def test_contract_holds_over_envelope(grid, name, log_sxx, sxp, theta, lam):
+    """Unit mass and homogeneity of the rotation route within their contract
+    tolerances, over the states the checks draw, any angle in [0, pi) (the
+    axes included) and lengths lambda in [0.5, 2]."""
+    state = GaussianState.from_position_data(float(np.exp(log_sxx)) * HBAR, sxp * HBAR, HBAR)
+    psi = gaussian_wavefunction(state, grid)
+    inv = CONTRACT[name]
+    assert inv.measure(psi, lam * np.cos(theta), lam * np.sin(theta)) <= inv.tol
+
+
 class TestTomogramType:
     def test_negative_floor_rejected(self):
         x = np.linspace(-1, 1, 16)
@@ -173,16 +192,10 @@ class TestTomogramSet:
         assert np.allclose(np.diff(ts.angles), np.pi / 16)
 
     def test_rejects_non_equispaced(self, psi):
-        t0 = radon_metaplectic(psi, 1.0, 0.0)
-        t1 = radon_metaplectic(psi, np.cos(0.3), np.sin(0.3))
-        t2 = radon_metaplectic(psi, np.cos(1.5), np.sin(1.5))
-        with pytest.raises(Exception):
-            TomogramSet.from_tomograms((t0, t1, t2))
-
-    def test_rejects_non_unit_direction(self, psi):
-        t0 = radon_metaplectic(psi, 2.0, 0.0)
-        with pytest.raises(Exception):
-            TomogramSet.from_tomograms((t0,))
+        angles = np.array([0.0, 0.3, 1.5])
+        tms = [radon_metaplectic(psi, np.cos(th), np.sin(th)) for th in angles]
+        with pytest.raises(ConfigError, match="equispaced"):
+            TomogramSet(angles, tms[0].x, [t.values for t in tms], HBAR)
 
     def test_chirp_route_falls_back_near_axis(self, psi):
         ts = compute_tomogram_set(psi, 180, route="chirp-fft")
@@ -242,12 +255,9 @@ class TestInverseRadon:
 
     def test_off_center_x_grid_rejected(self, psi, grid):
         x = np.linspace(0, 10, 64)
-        tms = tuple(
-            Tomogram(np.cos(th), np.sin(th), x, np.exp(-x**2), HBAR)
-            for th in np.pi * np.arange(16) / 16
-        )
+        tomos = TomogramSet(np.pi * np.arange(16) / 16, x, np.tile(np.exp(-x**2), (16, 1)), HBAR)
         with pytest.raises(DomainError):
-            inverse_radon(TomogramSet.from_tomograms(tms), grid)
+            inverse_radon(tomos, grid)
 
     @pytest.mark.parametrize("n, n_angles", [(256, 64), (512, 180)])
     def test_matches_reference_fbp(self, n, n_angles):
@@ -281,13 +291,12 @@ class TestInverseRadon:
             inverse_radon(tomos, x_grid, p_grid=p_grid)
 
     def test_partial_arc_rejected(self, psi, grid):
-        tms = tuple(radon_metaplectic(psi, np.cos(th), np.sin(th))
-                    for th in np.linspace(0.0, 0.7, 8))
+        angles = np.linspace(0.0, 0.7, 8)
+        tms = [radon_metaplectic(psi, np.cos(th), np.sin(th)) for th in angles]
+        tomos = TomogramSet(angles, tms[0].x, [t.values for t in tms], HBAR)
         with pytest.raises(DomainError, match="full sweep"):
-            inverse_radon(TomogramSet.from_tomograms(tms), grid)
+            inverse_radon(tomos, grid)
 
-    def test_wrong_constant_breaks_round_trip(self, ground, grid):
-        tomos = compute_tomogram_set(ground, 90)
-        recon = inverse_radon(tomos, grid, constant_scale=1.05)
-        ref = wigner_transform(ground, p_grid=recon.p_grid)
-        assert np.max(np.abs(recon.values - ref.values)) > 1e-2
+    def test_wrong_constant_breaks_round_trip(self, ground):
+        # the negative control of ``symtomo check --debug-break-fbp``
+        assert CONTRACT["fbp_round_trip"].measure(ground, wigner_transform(ground), 1.05) > 1e-2

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -172,19 +172,29 @@ def test_wigner_round_trip_is_bit_exact(tmp_path_factory, data, nx, np_, flag):
     assert back.accuracy_warning is flag
 
 
+@st.composite
+def _wavefunctions(draw):
+    """Any finite values on grids of 8, 64 or 512 points whose x_min reaches
+    1e6 times their length n*dx."""
+    n = draw(st.sampled_from([8, 64, 512]))
+    dx = draw(st.floats(1e-3, 1e2))
+    grid = Grid1D(draw(st.floats(-1e6, 1e6)) * n * dx, n, dx, draw(st.floats(1e-3, 1e3)))
+    parts = draw(arrays(np.float64, (2, n),
+                        elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return SampledWavefunction(grid, np.ascontiguousarray(parts.T).view(np.complex128)[:, 0])
+
+
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), n=st.sampled_from([8, 64, 512]))
-def test_wavefunction_round_trip_is_bit_exact(tmp_path_factory, data, n):
+@given(psi=_wavefunctions())
+@example(psi=SampledWavefunction(Grid1D(8.0, 8, 0.001), np.arange(8) * (1 - 0.5j)))
+@example(psi=SampledWavefunction(Grid1D(0.0, 8, 1.0), np.full(8, complex(-0.0, 0.0))))
+def test_wavefunction_round_trip_is_bit_exact(tmp_path_factory, psi):
     """JSON gives back the grid and the values bit for bit.  CSV gives back
     the values bit for bit and the grid from its points: x_min exactly, and
-    dx = x_1 - x_0 to the rounding of x_1.  The grid spans -n*dx..n*dx at
-    most, where its points are uniform to the CSV loader's 1e-12."""
-    dx = data.draw(st.floats(1e-3, 1e2))
-    grid = Grid1D(data.draw(st.floats(-1.0, 0.5)) * n * dx, n, dx,
-                  data.draw(st.floats(1e-3, 1e3)))
-    parts = data.draw(arrays(np.float64, (2, n),
-                             elements=st.floats(allow_nan=False, allow_infinity=False)))
-    psi = SampledWavefunction(grid, parts[0] + 1j * parts[1])
+    dx = x_1 - x_0 to the rounding of x_1.  Its points, rounded to an ulp of
+    max |x|, are uniform by the loader's rule, however far the grid lies
+    from 0 (the pinned grid's steps differ by 1.8e-12 relative)."""
+    grid = psi.grid
     tmp = tmp_path_factory.mktemp("psi")
     save_wavefunction_json(psi, tmp / "psi.json")
     back = load_wavefunction_json(tmp / "psi.json")
@@ -193,7 +203,7 @@ def test_wavefunction_round_trip_is_bit_exact(tmp_path_factory, data, n):
     back = load_wavefunction_csv(tmp / "psi.csv", hbar=grid.hbar)
     assert _bits(back.values) == _bits(psi.values)
     assert (back.grid.x_min, back.grid.n_points, back.grid.hbar) == (
-        grid.x_min, n, grid.hbar)
+        grid.x_min, grid.n_points, grid.hbar)
     assert abs(back.grid.dx - grid.dx) <= np.spacing(abs(grid.x_min) + grid.dx)
 
 
@@ -321,6 +331,14 @@ def test_manifest_without_warnings_loads_unflagged(tmp_path):
     assert not load_tomogram_set(manifest).warnings.any()
 
 
+def test_manifest_without_routes_loads_unnamed(tmp_path):
+    manifest = save_tomogram_set(flagged_chirp_set(), tmp_path)
+    doc = json.loads(manifest.read_text())
+    del doc["routes"]
+    manifest.write_text(json.dumps(doc))
+    assert load_tomogram_set(manifest).routes == ("",) * 8
+
+
 @pytest.mark.parametrize("warnings", [["yes"] * 8, 3], ids=["not-bools", "not-a-list"])
 def test_manifest_bad_warnings_rejected(tmp_path, warnings):
     manifest = save_tomogram_set(flagged_chirp_set(), tmp_path)
@@ -426,7 +444,14 @@ def test_manifest_list_length_mismatch_rejected(psi, tmp_path, storage, edit):
     ("csv", lambda d: d["files"].__setitem__(3, 1), "malformed manifest"),
     ("binary", lambda d: d["routes"].__setitem__(3, 1), "routes"),
     ("binary", lambda d: d.update(n_angles=16.7), "n_angles"),
-], ids=["files", "routes", "n_angles"])
+    # only a missing key means a set without route names
+    ("binary", lambda d: d.update(routes=0), "routes"),
+    ("binary", lambda d: d.update(routes=False), "routes"),
+    ("binary", lambda d: d.update(routes=""), "routes"),
+    ("binary", lambda d: d.update(routes={}), "routes"),
+    ("binary", lambda d: d.update(routes=[]), "routes"),
+], ids=["files", "routes", "n_angles", "routes-zero", "routes-false", "routes-empty-string",
+        "routes-empty-object", "routes-empty-list"])
 def test_manifest_entry_of_wrong_type_rejected(psi, tmp_path, storage, edit, match):
     manifest = _edit_manifest(psi, tmp_path, storage, edit)
     with pytest.raises(ConfigError, match=match):

@@ -88,9 +88,6 @@ def test_set_indexing_yields_tomogram_slices(psi):
         assert (t.mu, t.nu) == (np.cos(ts.angles[k]), np.sin(ts.angles[k]))
         assert t.route == ts.routes[k] and t.hbar == ts.hbar
         assert np.array_equal(t.values, ts.values[k]) and np.array_equal(t.x, ts.x)
-    back = TomogramSet.from_tomograms(items)
-    assert np.allclose(back.angles, ts.angles, rtol=0, atol=1e-15)
-    assert np.array_equal(back.values, ts.values) and back.routes == ts.routes
 
 
 def _set_args(n_angles=8, n=16):
