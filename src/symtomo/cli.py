@@ -33,7 +33,7 @@ from .radon import (
     radon_metaplectic,
 )
 from .serialization import (
-    atomic_write_text,
+    atomic_write,
     load_tomogram_set,
     load_wavefunction_json,
     load_wigner,
@@ -84,12 +84,10 @@ def _parse_state(spec: str, grid: Grid1D, hbar: float):
     raise SymtomoError(f"--state expects gaussian:... or file:PATH, got {spec!r}")
 
 
-def _add_common(parser: argparse.ArgumentParser, need_state: bool = True):
+def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--hbar", type=float, default=1.0)
     parser.add_argument("--grid", default="-16:16:1024", metavar="MIN:MAX:N")
-    if need_state:
-        parser.add_argument("--state", required=True,
-                            metavar="gaussian:SXX,SXP[,SPP]|file:PATH")
+    parser.add_argument("--state", required=True, metavar="gaussian:SXX,SXP[,SPP]|file:PATH")
     parser.add_argument("--out", required=True, metavar="DIR")
 
 
@@ -136,7 +134,7 @@ def cmd_tomogram(args) -> int:
         "mu": t.mu, "nu": t.nu, "hbar": t.hbar, "route": t.route,
         "mass": t.mass(), "accuracy_warning": t.accuracy_warning,
     }
-    atomic_write_text(out / "tomogram_meta.json", json.dumps(meta))
+    atomic_write(out / "tomogram_meta.json", (json.dumps(meta).encode(),))
     print(f"wrote {out / 'tomogram.csv'} (route={t.route}, mass={t.mass():.9f})")
     return 0
 
@@ -166,7 +164,7 @@ def cmd_invert(args) -> int:
         resid = float(np.max(np.abs(recon.values - reference.values)))
         report["reference"] = str(args.reference)
         report["linf_residual"] = resid
-    atomic_write_text(out / "report.json", json.dumps(report))
+    atomic_write(out / "report.json", (json.dumps(report).encode(),))
     print(json.dumps(report))
     return 0
 
@@ -232,7 +230,7 @@ def cmd_pauli_demo(args) -> int:
     text = json.dumps(report, indent=2)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "pauli_report.json", text)
+    atomic_write(out / "pauli_report.json", (text.encode(),))
     print(text)
     return 0
 

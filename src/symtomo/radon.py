@@ -76,6 +76,8 @@ class Tomogram:
         if np.ndim(self.values) != 1:
             raise ConfigError("x and values must be 1-d arrays of equal length")
         x, v = _checked_samples(self.x, self.values)
+        if not 0 < self.hbar < np.inf:
+            raise ConfigError(f"hbar must be positive and finite, got {self.hbar}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", v)
 
@@ -104,13 +106,11 @@ class Tomogram:
 
 
 def _uniform(x: np.ndarray) -> bool:
-    """Whether each point of the 1-d grid ``x`` lies within 1e-12 of the step
-    plus 8 ulps of max |x| of x_0 + k*step, step = (x_(n-1) - x_0)/(n - 1).
-    The ulps admit a grid rounded point by point, as start + k*step is: its
-    points and the line through its ends each lie within 4 ulps of the exact
-    grid."""
-    if len(x) < 2:
-        return True
+    """Whether each point of the 1-d grid ``x`` of two or more points lies
+    within 1e-12 of the step plus 8 ulps of max |x| of x_0 + k*step, step =
+    (x_(n-1) - x_0)/(n - 1).  The ulps admit a grid rounded point by point,
+    as start + k*step is: its points and the line through its ends each lie
+    within 4 ulps of the exact grid."""
     step = (x[-1] - x[0]) / (len(x) - 1)
     tol = 1e-12 * abs(step) + 8.0 * np.spacing(np.max(np.abs(x)))
     return bool(np.all(np.abs(x - (x[0] + step * np.arange(len(x)))) <= tol))
@@ -119,12 +119,15 @@ def _uniform(x: np.ndarray) -> bool:
 def _checked_samples(x, values) -> tuple[np.ndarray, np.ndarray]:
     """Read-only float copies of an X grid and of the densities on it (the
     last axis of ``values``), after the rules every tomogram obeys: finite
-    samples, a uniform X grid, and no value below -NEGATIVE_FLOOR times
-    max(1, the row's peak).  Values in that floor are clipped to 0."""
+    samples, a uniform X grid of two or more points, and no value below
+    -NEGATIVE_FLOOR times max(1, the row's peak).  Values in that floor are
+    clipped to 0."""
     x = np.array(x, dtype=np.float64)
     v = np.array(values, dtype=np.float64)
     if x.ndim != 1 or v.shape[-1:] != x.shape:
         raise ConfigError("x and values must be 1-d arrays of equal length")
+    if len(x) < 2:
+        raise ConfigError(f"a tomogram X grid needs at least 2 points, got {len(x)}")
     if not (np.isfinite(x).all() and np.isfinite(v).all()):
         raise ConfigError("tomogram X grid and values must be finite")
     if not _uniform(x):
@@ -309,14 +312,15 @@ def radon_line_integral(w: WignerMap, mu: float, nu: float, x_grid=None,
 
 @dataclass(frozen=True)
 class TomogramSet:
-    """Tomograms at strictly increasing, equispaced angles theta in [0, pi)
-    with (mu, nu) = (cos theta, sin theta), stored as arrays: ``values[k]``
-    is the density over the common X grid ``x`` at ``angles[k]``, computed
-    by ``routes[k]`` and flagged by ``warnings[k]``.  Indexing and iteration
-    yield :class:`Tomogram` slices.  Every row obeys the :class:`Tomogram`
-    rules."""
+    """The tomograms of a full sweep, stored as arrays: ``values[k]`` is the
+    density over the common X grid ``x`` at theta_k = k*pi/A, A =
+    len(values), in the direction (mu, nu) = (cos theta_k, sin theta_k),
+    computed by ``routes[k]`` and flagged by ``warnings[k]``.  ``angles``
+    holds the sweep :func:`sweep_angles` (A), read-only.  Indexing and
+    iteration yield :class:`Tomogram` slices.  Every row obeys the
+    :class:`Tomogram` rules."""
 
-    angles: np.ndarray
+    angles: np.ndarray = field(init=False)
     x: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     hbar: float = 1.0
@@ -324,23 +328,13 @@ class TomogramSet:
     warnings: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        angles = np.array(self.angles, dtype=np.float64)
-        if angles.ndim != 1 or len(angles) == 0:
-            raise ConfigError("empty tomogram set")
-        n_angles = len(angles)
-        if np.ndim(self.values) != 2 or len(self.values) != n_angles:
-            raise ConfigError(f"values must hold one row for each of the {n_angles} angles")
+        if np.ndim(self.values) != 2 or len(self.values) == 0:
+            raise ConfigError("values must be a 2-d array of one or more rows")
         x, values = _checked_samples(self.x, self.values)
         if not 0 < self.hbar < np.inf:
             raise ConfigError(f"hbar must be positive and finite, got {self.hbar}")
-        if not np.all((angles >= -1e-12) & (angles < np.pi - 1e-12)):
-            raise ConfigError("tomogram angles must lie in [0, pi)")
-        if n_angles > 1:
-            d = np.diff(angles)
-            if np.any(d <= 0):
-                raise ConfigError("tomogram angles must be strictly increasing")
-            if not np.allclose(d, d[0], rtol=1e-9, atol=1e-12):
-                raise ConfigError("tomogram angles must be equispaced")
+        n_angles = len(values)
+        angles = sweep_angles(n_angles)
         routes = ("",) * n_angles if self.routes is None else tuple(self.routes)
         warnings = (np.zeros(n_angles, dtype=bool) if self.warnings is None
                     else np.array(self.warnings, dtype=bool))
@@ -437,8 +431,8 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
         values[n_angles - rows[pair]] = block_values[pair, 1]
     routes = tuple("chirp-fft" if c else "metaplectic" for c in chirp)
     warnings = ~chirp & (psi.edge_decay() > EDGE_DECAY_FLAG)
-    return TomogramSet(angles, start + step * np.arange(count), values, psi.grid.hbar,
-                       routes, warnings)
+    return TomogramSet(start + step * np.arange(count), values, psi.grid.hbar, routes,
+                       warnings)
 
 
 def _tapered_ramp(n_pad: int, dx: float, hbar: float) -> np.ndarray:
@@ -522,8 +516,8 @@ def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = No
     Parameters
     ----------
     tomos : TomogramSet
-        At least 8 tomograms at the full sweep theta_k = k*pi/A; accuracy
-        targets assume A >= 64.  The common X grid must be centered at zero
+        At least 8 tomograms (a set is a full sweep); accuracy targets
+        assume A >= 64.  The common X grid must be centered at zero
         (FFT layout) and edge-decayed.
     x_grid, p_grid : Grid1D
         Output window, each mirror-symmetric about zero (x_min = -n*dx/2,
@@ -534,11 +528,6 @@ def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = No
     n_angles = len(tomos)
     if n_angles < MIN_ANGLES:
         raise DomainError(f"need at least {MIN_ANGLES} angles, got {n_angles}")
-    angles = tomos.angles
-    if not np.allclose(angles, sweep_angles(n_angles), rtol=0, atol=1e-9):
-        raise DomainError(
-            f"back-projection needs the full sweep theta_k = k*pi/{n_angles}; "
-            f"got angles {angles[0]:.6g}..{angles[-1]:.6g}")
     if p_grid is None:
         p_grid = default_momentum_window(x_grid)
     for name, g in (("x_grid", x_grid), ("p_grid", p_grid)):
@@ -594,7 +583,7 @@ def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = No
         tables = np.zeros((len(ks), 2 * width + 1), dtype=np.complex128)
         tables.real[:, lo:hi + 1] = fine[:, 0, lo - first:hi + 1 - first]
         tables.imag[:, lo:hi + 1] = fine[:, 1, lo - first:hi + 1 - first]
-        theta = angles[ks]
+        theta = tomos.angles[ks]
         _back_project_pairs(acc, tables, np.outer(np.cos(theta), x_idx) + width,
                             np.outer(np.sin(theta), p_idx), lo, hi)
     # Table t = f_theta + i*f_(pi-theta) at u = x*cos(theta) + p*sin(theta)

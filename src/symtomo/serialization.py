@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import Grid1D, SampledWavefunction
-from .radon import Tomogram, TomogramSet, _uniform
+from .radon import Tomogram, TomogramSet, _uniform, sweep_angles
 from .wigner import WignerMap
 
 __all__ = [
@@ -33,21 +33,13 @@ __all__ = [
     "save_tomogram_csv",
     "save_tomogram_set",
     "load_tomogram_set",
-    "atomic_write_text",
-    "atomic_write_bytes",
-    "fmt",
+    "atomic_write",
 ]
 
 WAVEFUNCTION_FORMAT = "symtomo.wavefunction.v1"
 WIGNER_FORMAT = "symtomo.wigner.v1"
 TOMOGRAM_SET_FORMAT = "symtomo.tomogram_set.v1"
 MANIFEST_NAME = "manifest.json"
-
-
-def fmt(value: float) -> str:
-    """Full round-trip decimal formatting."""
-    return format(float(value), ".17g")
-
 
 CSV_BLOCK = 8192
 """Values formatted per block by the CSV writers: a writer holds the text of
@@ -235,29 +227,21 @@ def _csv_rows(header: bytes, *columns):
                            for c in columns))
 
 
-def _atomic_write(path, chunks, mode: str):
-    """Write the iterable ``chunks`` to a new file beside ``path``, created
-    with mode 0666 less the umask, then rename it over ``path``."""
+def atomic_write(path, chunks):
+    """Write the iterable of bytes ``chunks`` to a new file beside ``path``,
+    created with mode 0666 less the umask, then rename it over ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, mode) as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path, text: str):
-    _atomic_write(path, (text,), "w")
-
-
-def atomic_write_bytes(path, data: bytes):
-    _atomic_write(path, (data,), "wb")
 
 
 def _grid_to_dict(grid: Grid1D) -> dict:
@@ -304,7 +288,7 @@ def save_wavefunction_json(psi: SampledWavefunction, path):
         "grid": _grid_to_dict(psi.grid),
         "values": interleaved.tolist(),
     }
-    atomic_write_text(path, json.dumps(doc))
+    atomic_write(path, (json.dumps(doc).encode(),))
 
 
 def load_wavefunction_json(path) -> SampledWavefunction:
@@ -320,8 +304,8 @@ def load_wavefunction_json(path) -> SampledWavefunction:
 
 
 def save_wavefunction_csv(psi: SampledWavefunction, path):
-    _atomic_write(path, _csv_rows(b"x,re,im\n", psi.grid.points, psi.values.real,
-                                  psi.values.imag), "wb")
+    atomic_write(path, _csv_rows(b"x,re,im\n", psi.grid.points, psi.values.real,
+                                 psi.values.imag))
 
 
 def load_wavefunction_csv(path, hbar: float = 1.0) -> SampledWavefunction:
@@ -347,9 +331,9 @@ def save_wigner(w: WignerMap, json_path) -> Path:
         "accuracy_warning": w.accuracy_warning,
         "data_file": bin_name,
     }
-    atomic_write_bytes(json_path.parent / bin_name,
-                       np.ascontiguousarray(w.values, dtype=np.float64).tobytes())
-    atomic_write_text(json_path, json.dumps(doc))
+    atomic_write(json_path.parent / bin_name,
+                 (np.ascontiguousarray(w.values, dtype=np.float64).tobytes(),))
+    atomic_write(json_path, (json.dumps(doc).encode(),))
     return json_path
 
 
@@ -379,11 +363,11 @@ def save_wigner_csv(w: WignerMap, path):
     """Long format: one (x, p, w) row per sample, each cell the text of
     ``%.17g``.
 
-    Each x and p is formatted once, by :func:`fmt`; the values are formatted
-    by the vectorised ``%.17g`` and written a block of whole x rows, about
-    CSV_BLOCK values, at a time, so memory stays bounded by one block's
-    text."""
-    xs, ps = (np.array([fmt(v).encode() for v in g.points]).view(np.uint8).reshape(g.n_points, -1)
+    Each x and p is formatted once, by ``%.17g`` itself; the values are
+    formatted by the vectorised ``%.17g`` and written a block of whole x
+    rows, about CSV_BLOCK values, at a time, so memory stays bounded by one
+    block's text."""
+    xs, ps = (np.array([b"%.17g" % v for v in g.points]).view(np.uint8).reshape(g.n_points, -1)
               for g in (w.x_grid, w.p_grid))
     step = max(1, CSV_BLOCK // len(ps))
 
@@ -394,11 +378,11 @@ def save_wigner_csv(w: WignerMap, path):
             yield _csv_lines(xs[i:i + step, None], ps[None],
                              _g17(rows.ravel()).reshape(*rows.shape, -1))
 
-    _atomic_write(path, blocks(), "wb")
+    atomic_write(path, blocks())
 
 
 def save_tomogram_csv(t: Tomogram, path):
-    _atomic_write(path, _csv_rows(b"x,value\n", t.x, t.values), "wb")
+    atomic_write(path, _csv_rows(b"x,value\n", t.x, t.values))
 
 
 def save_tomogram_set(ts: TomogramSet, out_dir, storage: str = "binary") -> Path:
@@ -421,18 +405,22 @@ def save_tomogram_set(ts: TomogramSet, out_dir, storage: str = "binary") -> Path
     }
     if storage == "binary":
         doc["data_file"] = "tomograms.bin"
-        atomic_write_bytes(out_dir / "tomograms.bin", ts.values.tobytes())
+        atomic_write(out_dir / "tomograms.bin", (ts.values.tobytes(),))
     else:
         doc["files"] = [f"tomogram_{k:04d}.csv" for k in range(len(ts))]
         x_cells = _g17(x)
         for row, name in zip(ts.values, doc["files"]):
-            _atomic_write(out_dir / name, _csv_rows(b"x,value\n", x_cells, row), "wb")
+            atomic_write(out_dir / name, _csv_rows(b"x,value\n", x_cells, row))
     manifest = out_dir / MANIFEST_NAME
-    atomic_write_text(manifest, json.dumps(doc))
+    atomic_write(manifest, (json.dumps(doc).encode(),))
     return manifest
 
 
 def load_tomogram_set(manifest_path) -> TomogramSet:
+    """The set that :func:`save_tomogram_set` wrote.  Its ``angles`` must be
+    ``n_angles`` long and lie within 1e-9 of the sweep theta_k =
+    k*pi/n_angles, which the set then holds exactly: a partial, offset or
+    decreasing arc is a ConfigError."""
     manifest_path = Path(manifest_path)
     doc = _read_json(manifest_path, TOMOGRAM_SET_FORMAT, "tomogram-set manifest")
     with _malformed(manifest_path, "manifest"):
@@ -441,38 +429,38 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
         if type(n_angles) is not int:  # not a float such as 8.7, nor a bool
             raise TypeError(f"n_angles must be an integer, got {n_angles!r}")
         angles = np.asarray(doc["angles"], dtype=np.float64)
-        xspec = doc["x"]
-        # Manifests written before the X values were stored carry none.
-        x = np.asarray(xspec["values"], dtype=np.float64) if "values" in xspec else (
-            float(xspec["start"]) + float(xspec["step"]) * np.arange(int(xspec["count"])))
-        if x.ndim != 1:
-            raise TypeError("the X values must be a list of numbers")
-        storage = doc["storage"]
-        # Manifests written before the routes and flags were stored carry no key.
-        routes = doc.get("routes", [""] * len(angles))
-        warnings = doc.get("warnings", [False] * len(angles))
+        x = np.asarray(doc["x"]["values"], dtype=np.float64)
+        if angles.ndim != 1 or x.ndim != 1:
+            raise TypeError("the angles and the X values must be lists of numbers")
+        routes, warnings = doc["routes"], doc["warnings"]
         if not (isinstance(routes, list) and all(isinstance(r, str) for r in routes)):
             raise TypeError("routes must be a list of strings")
-        lengths = {"angles": len(angles), "routes": len(routes), "warnings": len(warnings)}
-        if storage == "binary":
-            data_file = manifest_path.parent / doc["data_file"]
-        elif storage == "csv":
-            files = [manifest_path.parent / name for name in doc["files"]]
-            lengths["files"] = len(files)
-    if not all(isinstance(flag, bool) for flag in warnings):
-        raise ConfigError(f"{manifest_path}: warnings must be a list of true/false flags")
+        if not (isinstance(warnings, list) and all(isinstance(f, bool) for f in warnings)):
+            raise TypeError("warnings must be a list of true/false flags")
+        storage = doc["storage"]
+    lengths = {"angles": len(angles), "routes": len(routes), "warnings": len(warnings)}
     if any(k != n_angles for k in lengths.values()):
         raise ConfigError(
             f"{manifest_path}: n_angles is {n_angles} but the lists have lengths "
             + ", ".join(f"{key}={k}" for key, k in lengths.items()))
+    if not np.all(np.abs(angles - sweep_angles(n_angles)) <= 1e-9):
+        raise ConfigError(f"{manifest_path}: the angles are not the sweep "
+                          f"theta_k = k*pi/{n_angles} (to 1e-9)")
     n_x = len(x)
     if storage == "binary":
+        with _malformed(manifest_path, "manifest"):
+            data_file = manifest_path.parent / doc["data_file"]
         with _malformed(data_file, "tomogram block"):  # ValueError: a NUL byte in the name
             raw = np.fromfile(data_file, dtype=np.float64)
         if raw.size != n_angles * n_x:
             raise ConfigError(f"{manifest_path}: binary block size mismatch")
         rows = raw.reshape(n_angles, n_x)
     elif storage == "csv":
+        with _malformed(manifest_path, "manifest"):
+            files = [manifest_path.parent / name for name in doc["files"]]
+        if len(files) != n_angles:
+            raise ConfigError(f"{manifest_path}: n_angles is {n_angles} but the lists have "
+                              f"lengths files={len(files)}")
         rows = np.empty((n_angles, n_x))
         for k, path in enumerate(files):
             with _malformed(path, "tomogram CSV"):
@@ -484,4 +472,4 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
             rows[k] = data[:, 1]
     else:
         raise ConfigError(f"{manifest_path}: unknown storage {storage!r}")
-    return TomogramSet(angles, x, rows, hbar, tuple(routes), warnings)
+    return TomogramSet(x, rows, hbar, tuple(routes), warnings)

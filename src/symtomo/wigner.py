@@ -47,6 +47,8 @@ class WignerMap:
             )
         if not np.isfinite(v).all():
             raise ConfigError("Wigner map values must be finite")
+        if not 0 < self.hbar < np.inf:
+            raise ConfigError(f"hbar must be positive and finite, got {self.hbar}")
         if v.flags.writeable or not v.flags.owndata:
             v = v.copy()
             v.setflags(write=False)

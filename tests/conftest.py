@@ -34,7 +34,7 @@ def flagged_chirp_set():
     angles = np.pi * np.arange(8) / 8
     tms = [radon_metaplectic(psi, 1.0, 0.0)]
     tms += [radon_chirp_fft(psi, np.cos(t), np.sin(t)) for t in angles[1:]]
-    return TomogramSet(angles, tms[0].x, [t.values for t in tms], HBAR,
+    return TomogramSet(tms[0].x, [t.values for t in tms], HBAR,
                        [t.route for t in tms], [t.accuracy_warning for t in tms])
 
 

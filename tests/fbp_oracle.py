@@ -9,15 +9,16 @@ time.  The library's FBP shares one index between four samples (angles
 theta and pi - theta, points +-(x, p)), so it agrees with the affine
 oracle to rounding.  ``save_wigner_csv_reference``,
 ``save_tomogram_csv_reference`` and ``save_wavefunction_csv_reference`` are
-the earlier one-``fmt``-per-cell CSV writers.
+the earlier CSV writers that format one cell at a time with ``%.17g``.
 """
+
+from pathlib import Path
 
 import numpy as np
 from scipy.signal import czt
 
 from symtomo.grids import Grid1D, SampledWavefunction, hbar_fourier
 from symtomo.radon import GATHER_BLOCK, PAD_FACTOR, UPSAMPLE, _tapered_ramp
-from symtomo.serialization import atomic_write_text, fmt
 from symtomo.wigner import WignerMap, default_momentum_window
 
 
@@ -136,18 +137,18 @@ def save_wigner_csv_reference(w, path):
     ps = w.p_grid.points
     for i, xi in enumerate(xs):
         row = w.values[i]
-        sx = fmt(xi)
+        sx = "%.17g" % xi
         for pj, val in zip(ps, row):
-            lines.append(f"{sx},{fmt(pj)},{fmt(val)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            lines.append("%s,%.17g,%.17g" % (sx, pj, val))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def save_tomogram_csv_reference(t, path):
-    lines = ["x,value"] + [f"{fmt(xi)},{fmt(v)}" for xi, v in zip(t.x, t.values)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lines = ["x,value"] + ["%.17g,%.17g" % (xi, v) for xi, v in zip(t.x, t.values)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def save_wavefunction_csv_reference(psi, path):
-    lines = ["x,re,im"] + [f"{fmt(xi)},{fmt(v.real)},{fmt(v.imag)}"
+    lines = ["x,re,im"] + ["%.17g,%.17g,%.17g" % (xi, v.real, v.imag)
                            for xi, v in zip(psi.grid.points, psi.values)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +27,7 @@ from symtomo import (
     wigner_transform,
 )
 from symtomo.checks import CONTRACT
+from symtomo.serialization import load_tomogram_set, save_tomogram_set
 
 
 def closed_form_density(x, state, mu, nu):
@@ -184,6 +187,27 @@ class TestTomogramType:
         with pytest.raises(Exception):
             Tomogram(1.0, 0.0, x, np.zeros(3), HBAR)
 
+    def test_one_point_grid_rejected(self):
+        # one point has no spacing: mass() and the FBP would index x[1]
+        with pytest.raises(ConfigError, match="2 points"):
+            Tomogram(1.0, 0.0, [0.0], [1.0], HBAR)
+        with pytest.raises(ConfigError, match="2 points"):
+            TomogramSet([0.0], np.ones((8, 1)), HBAR)
+
+    @pytest.mark.parametrize("hbar", [-1.0, 0.0, np.nan, np.inf])
+    def test_hbar_must_be_positive_and_finite(self, hbar):
+        with pytest.raises(ConfigError, match="hbar"):
+            Tomogram(1.0, 0.0, np.linspace(-1, 1, 16), np.zeros(16), hbar)
+
+
+def _with_angles(ts, angles, tmp_path):
+    """The manifest of ``ts`` saved with its angles replaced by ``angles``."""
+    manifest = save_tomogram_set(ts, tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["angles"] = list(angles)
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
 
 class TestTomogramSet:
     def test_sweep_properties(self, psi):
@@ -191,11 +215,11 @@ class TestTomogramSet:
         assert len(ts) == 16
         assert np.allclose(np.diff(ts.angles), np.pi / 16)
 
-    def test_rejects_non_equispaced(self, psi):
-        angles = np.array([0.0, 0.3, 1.5])
-        tms = [radon_metaplectic(psi, np.cos(th), np.sin(th)) for th in angles]
-        with pytest.raises(ConfigError, match="equispaced"):
-            TomogramSet(angles, tms[0].x, [t.values for t in tms], HBAR)
+    def test_rejects_non_equispaced(self, psi, tmp_path):
+        # angles enter from outside only through a manifest
+        manifest = _with_angles(compute_tomogram_set(psi, 3), [0.0, 0.3, 1.5], tmp_path)
+        with pytest.raises(ConfigError, match="sweep"):
+            load_tomogram_set(manifest)
 
     def test_chirp_route_falls_back_near_axis(self, psi):
         ts = compute_tomogram_set(psi, 180, route="chirp-fft")
@@ -242,7 +266,7 @@ class TestInverseRadon:
         n_ang = 180
         ta = compute_tomogram_set(a, n_ang)
         tb = compute_tomogram_set(b, n_ang)
-        mixed = TomogramSet(ta.angles, ta.x, 0.5 * (ta.values + tb.values), HBAR)
+        mixed = TomogramSet(ta.x, 0.5 * (ta.values + tb.values), HBAR)
         recon = inverse_radon(mixed, grid)
         ra = inverse_radon(ta, grid)
         rb = inverse_radon(tb, grid)
@@ -255,7 +279,7 @@ class TestInverseRadon:
 
     def test_off_center_x_grid_rejected(self, psi, grid):
         x = np.linspace(0, 10, 64)
-        tomos = TomogramSet(np.pi * np.arange(16) / 16, x, np.tile(np.exp(-x**2), (16, 1)), HBAR)
+        tomos = TomogramSet(x, np.tile(np.exp(-x**2), (16, 1)), HBAR)
         with pytest.raises(DomainError):
             inverse_radon(tomos, grid)
 
@@ -290,12 +314,11 @@ class TestInverseRadon:
         with pytest.raises(DomainError, match="centered at zero"):
             inverse_radon(tomos, x_grid, p_grid=p_grid)
 
-    def test_partial_arc_rejected(self, psi, grid):
-        angles = np.linspace(0.0, 0.7, 8)
-        tms = [radon_metaplectic(psi, np.cos(th), np.sin(th)) for th in angles]
-        tomos = TomogramSet(angles, tms[0].x, [t.values for t in tms], HBAR)
-        with pytest.raises(DomainError, match="full sweep"):
-            inverse_radon(tomos, grid)
+    def test_partial_arc_rejected(self, psi, tmp_path):
+        # a set is always the full sweep, so the arc is refused when loaded
+        manifest = _with_angles(compute_tomogram_set(psi, 8), np.linspace(0.0, 0.7, 8), tmp_path)
+        with pytest.raises(ConfigError, match="sweep"):
+            load_tomogram_set(manifest)
 
     def test_wrong_constant_breaks_round_trip(self, ground):
         # the negative control of ``symtomo check --debug-break-fbp``

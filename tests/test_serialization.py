@@ -29,10 +29,9 @@ from symtomo import (
     wigner_transform,
 )
 from symtomo.cli import main
-from symtomo.radon import TomogramSet, compute_tomogram_set, sweep_angles
+from symtomo.radon import TomogramSet, compute_tomogram_set
 from symtomo.serialization import (
     _g17,
-    fmt,
     load_tomogram_set,
     load_wavefunction_csv,
     load_wavefunction_json,
@@ -143,6 +142,22 @@ def test_wigner_header_flag_is_a_json_boolean(psi, tmp_path, flag, want):
             load_wigner(path)
     else:
         assert load_wigner(path).accuracy_warning is want
+
+
+@pytest.mark.parametrize("hbar", [-1.0, 0.0, float("nan"), float("inf")])
+def test_wigner_header_hbar_must_be_positive_and_finite(tmp_path, hbar):
+    grid = ["--grid=-8:8:64", "--state", "gaussian:0.5,0"]
+    assert main(["wigner", *grid, "--out", str(tmp_path / "ref")]) == 0
+    assert main(["tomogram", *grid, "--angles", "8", "--out", str(tmp_path / "set")]) == 0
+    path = tmp_path / "ref" / "wigner.json"
+    doc = json.loads(path.read_text())
+    doc["hbar"] = hbar
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="hbar"):
+        load_wigner(path)
+    assert main(["invert", "--set", str(tmp_path / "set" / "manifest.json"),
+                 "--reference", str(path), "--out", str(tmp_path / "rec")]) == 2
+    assert not (tmp_path / "rec").exists()
 
 
 def _grids(n):
@@ -276,23 +291,13 @@ def test_tomogram_set_round_trip_is_bit_exact(tmp_path_factory, n_angles, n_x, s
     routes = data.draw(st.lists(st.sampled_from(["metaplectic", "chirp-fft", "line-integral"]),
                                 min_size=n_angles, max_size=n_angles))
     warnings = data.draw(st.lists(st.booleans(), min_size=n_angles, max_size=n_angles))
-    ts = TomogramSet(sweep_angles(n_angles), start + step * np.arange(n_x), values, HBAR,
-                     routes, warnings)
+    ts = TomogramSet(start + step * np.arange(n_x), values, HBAR, routes, warnings)
     for storage in ("binary", "csv"):
         back = load_tomogram_set(save_tomogram_set(ts, tmp_path_factory.mktemp(storage),
                                                    storage=storage))
         for name in ("angles", "x", "values", "warnings"):
             assert np.array_equal(getattr(back, name), getattr(ts, name)), (storage, name)
         assert back.routes == ts.routes
-
-
-def test_manifest_without_x_values_loads_from_start_and_step(psi, tmp_path):
-    ts = compute_tomogram_set(psi, 4)
-    manifest = save_tomogram_set(ts, tmp_path)
-    doc = json.loads(manifest.read_text())
-    del doc["x"]["values"]
-    manifest.write_text(json.dumps(doc))
-    assert np.array_equal(load_tomogram_set(manifest).x, ts.x)  # a dyadic grid
 
 
 @pytest.mark.parametrize("umask, want", [(0o022, 0o644), (0o077, 0o600)])
@@ -319,24 +324,8 @@ def test_atomic_write_leaves_nothing_on_error(tmp_path):
         raise RuntimeError("write failed")
 
     with pytest.raises(RuntimeError):
-        serialization._atomic_write(tmp_path / "out.bin", chunks(), "wb")
+        serialization.atomic_write(tmp_path / "out.bin", chunks())
     assert list(tmp_path.iterdir()) == []
-
-
-def test_manifest_without_warnings_loads_unflagged(tmp_path):
-    manifest = save_tomogram_set(flagged_chirp_set(), tmp_path)
-    doc = json.loads(manifest.read_text())
-    del doc["warnings"]
-    manifest.write_text(json.dumps(doc))
-    assert not load_tomogram_set(manifest).warnings.any()
-
-
-def test_manifest_without_routes_loads_unnamed(tmp_path):
-    manifest = save_tomogram_set(flagged_chirp_set(), tmp_path)
-    doc = json.loads(manifest.read_text())
-    del doc["routes"]
-    manifest.write_text(json.dumps(doc))
-    assert load_tomogram_set(manifest).routes == ("",) * 8
 
 
 @pytest.mark.parametrize("warnings", [["yes"] * 8, 3], ids=["not-bools", "not-a-list"])
@@ -402,6 +391,32 @@ def test_fuzzed_manifest_loads_or_raises_config_error(saved_sets, storage, value
     assert isinstance(ts, TomogramSet)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n_angles=st.integers(1, 40), data=st.data())
+def test_manifest_angles_near_the_sweep_load_as_the_sweep(tmp_path_factory, n_angles, data):
+    """Stored angles each within 1e-9 of theta_k = k*pi/n_angles load as the
+    exact sweep; one entry 1e-8 or more off is a ConfigError."""
+    ts = TomogramSet(np.linspace(-4.0, 4.0, 16, endpoint=False), np.ones((n_angles, 16)), HBAR)
+    manifest = save_tomogram_set(ts, tmp_path_factory.mktemp("set"))
+    doc = json.loads(manifest.read_text())
+    shifts = data.draw(st.lists(st.floats(-1e-9, 1e-9), min_size=n_angles, max_size=n_angles))
+    stored = ts.angles + shifts
+    doc["angles"] = stored.tolist()
+    manifest.write_text(json.dumps(doc))
+    if np.all(np.abs(stored - ts.angles) <= 1e-9):
+        assert np.array_equal(load_tomogram_set(manifest).angles, ts.angles)
+    else:  # a shift of 1e-9 that rounding took past it
+        with pytest.raises(ConfigError, match="sweep"):
+            load_tomogram_set(manifest)
+    k = data.draw(st.integers(0, n_angles - 1))
+    stored[k] = ts.angles[k] + data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(
+        st.floats(1e-8, 4.0))
+    doc["angles"] = stored.tolist()
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="sweep"):
+        load_tomogram_set(manifest)
+
+
 def test_manifest_contents(psi, tmp_path):
     ts = compute_tomogram_set(psi, 8)
     manifest = save_tomogram_set(ts, tmp_path, storage="binary")
@@ -444,7 +459,6 @@ def test_manifest_list_length_mismatch_rejected(psi, tmp_path, storage, edit):
     ("csv", lambda d: d["files"].__setitem__(3, 1), "malformed manifest"),
     ("binary", lambda d: d["routes"].__setitem__(3, 1), "routes"),
     ("binary", lambda d: d.update(n_angles=16.7), "n_angles"),
-    # only a missing key means a set without route names
     ("binary", lambda d: d.update(routes=0), "routes"),
     ("binary", lambda d: d.update(routes=False), "routes"),
     ("binary", lambda d: d.update(routes=""), "routes"),
@@ -458,7 +472,8 @@ def test_manifest_entry_of_wrong_type_rejected(psi, tmp_path, storage, edit, mat
         load_tomogram_set(manifest)
 
 
-@pytest.mark.parametrize("key", ["hbar", "n_angles", "x", "storage", "data_file"])
+@pytest.mark.parametrize("key", ["hbar", "n_angles", "x", "storage", "data_file", "routes",
+                                 "warnings"])
 def test_manifest_missing_key_rejected(psi, tmp_path, key):
     manifest = _edit_manifest(psi, tmp_path, "binary", lambda d: d.pop(key))
     with pytest.raises(ConfigError, match="missing key"):
@@ -480,12 +495,6 @@ def test_manifest_not_json_rejected(tmp_path):
     bad.write_text('{"format": "symtomo.tomogram_set.v1", ')
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_tomogram_set(bad)
-
-
-def test_fmt_round_trip():
-    values = [0.1, 1 / 3, np.pi, 1e-300, 123456.789012345678]
-    for v in values:
-        assert float(fmt(v)) == v
 
 
 def test_deterministic_bytes(psi, tmp_path):

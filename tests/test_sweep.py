@@ -1,6 +1,8 @@
 """The batched angle sweep against the per-angle oracle, the closed form
 and the single-angle routes; the array-backed TomogramSet."""
 
+import json
+
 import numpy as np
 import pytest
 from conftest import HBAR
@@ -22,6 +24,8 @@ from symtomo import (
     radon_chirp_fft,
     radon_metaplectic,
 )
+from symtomo.cli import main
+from symtomo.serialization import load_tomogram_set, save_tomogram_set
 
 SWEEPS = {(256, 64): (-12.0, 12.0), (1024, 360): (-16.0, 16.0)}
 
@@ -92,40 +96,76 @@ def test_set_indexing_yields_tomogram_slices(psi):
 
 def _set_args(n_angles=8, n=16):
     x = np.linspace(-4.0, 4.0, n, endpoint=False)
-    angles = np.pi * np.arange(n_angles) / n_angles
-    return angles, x, np.tile(np.exp(-x**2), (n_angles, 1))
+    return x, np.tile(np.exp(-x**2), (n_angles, 1))
+
+
+def test_set_angles_are_the_sweep():
+    ts = TomogramSet(*_set_args(n_angles=12))
+    assert np.array_equal(ts.angles, np.pi * np.arange(12) / 12)
+    assert not ts.angles.flags.writeable
+    with pytest.raises(TypeError):
+        TomogramSet(*_set_args(), angles=ts.angles)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_set_rejects_non_finite_values(bad):
-    angles, x, values = _set_args()
+    x, values = _set_args()
     values[5, 3] = bad
     with pytest.raises(ConfigError, match="finite"):
-        TomogramSet(angles, x, values)
+        TomogramSet(x, values)
 
 
 def test_set_floor_and_clip_per_row():
-    angles, x, values = _set_args()
+    x, values = _set_args()
     values[2, 0] = -0.5e-10  # within the floor: clipped
-    ts = TomogramSet(angles, x, values)
+    ts = TomogramSet(x, values)
     assert ts.values.min() == 0.0
     values[6, 0] = -1e-9
     with pytest.raises(DomainError, match="floor"):
-        TomogramSet(angles, x, values)
+        TomogramSet(x, values)
+
+
+def _one_point_x(doc, out):
+    doc["x"]["values"] = [0.0]
+    np.ones(len(doc["angles"])).tofile(out / doc["data_file"])
+
+
+def _drop_row(doc, out):
+    block = out / doc["data_file"]
+    np.fromfile(block)[:-len(doc["x"]["values"])].tofile(block)
 
 
 @pytest.mark.parametrize("edit, match", [
-    (lambda a, x, v: (a[::-1].copy(), x, v), "increasing"),
-    (lambda a, x, v: (a * 1.5, x, v), r"\[0, pi\)"),
-    (lambda a, x, v: (np.r_[a[:-1], a[-1] - 0.1], x, v), "equispaced"),
-    (lambda a, x, v: (a, x ** 3, v), "uniform"),
-    (lambda a, x, v: (a, x, v[:-1]), "one row"),
-    (lambda a, x, v: (np.r_[a[:-1], np.nan], x, v), r"\[0, pi\)"),
+    (lambda d, out: d.update(angles=d["angles"][::-1]), "sweep"),
+    (lambda d, out: d.update(angles=[1.5 * a for a in d["angles"]]), "sweep"),
+    (lambda d, out: d["angles"].__setitem__(-1, d["angles"][-1] - 0.1), "sweep"),
+    (lambda d, out: d["x"].update(values=[v**3 for v in d["x"]["values"]]), "uniform"),
+    (_drop_row, "size mismatch"),
+    (lambda d, out: d["angles"].__setitem__(-1, float("nan")), "sweep"),
+    (lambda d, out: d.update(angles=[0.5 * a for a in d["angles"]]), "sweep"),
+    (lambda d, out: d.update(angles=[a + 1e-6 for a in d["angles"]]), "sweep"),
+    (lambda d, out: d["angles"].__setitem__(3, float("inf")), "sweep"),
+    (lambda d, out: d.update(angles=d["angles"][:-1]), "lengths"),
+    (lambda d, out: d["x"].pop("values"), "missing key"),
+    (lambda d, out: d.pop("routes"), "missing key"),
+    (lambda d, out: d.pop("warnings"), "missing key"),
+    (_one_point_x, "2 points"),
 ], ids=["decreasing", "beyond_pi", "not_equispaced", "non_uniform_x", "missing_row",
-        "nan_angle"])
-def test_set_rejects_bad_layout(edit, match):
+        "nan_angle", "partial_arc", "offset", "inf_angle", "short_angles", "no_x_values",
+        "no_routes", "no_warnings", "one_point_x"])
+def test_set_rejects_bad_layout(tmp_path, edit, match):
+    """A set enters the program from outside only through a manifest: every
+    breach of the set's layout, its angles included, is a ConfigError there,
+    and ``symtomo invert`` exits 2 without writing anything."""
+    out = tmp_path / "set"
+    manifest = save_tomogram_set(TomogramSet(*_set_args()), out)
+    doc = json.loads(manifest.read_text())
+    edit(doc, out)
+    manifest.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=match):
-        TomogramSet(*edit(*_set_args()))
+        load_tomogram_set(manifest)
+    assert main(["invert", "--set", str(manifest), "--out", str(tmp_path / "rec")]) == 2
+    assert not (tmp_path / "rec").exists()
 
 
 def test_set_rejects_route_count_mismatch():
