@@ -191,6 +191,17 @@ def _density_rows(psi: SampledWavefunction, mu: np.ndarray, nu: np.ndarray, spli
     return dens
 
 
+def _direct_tomogram(psi: SampledWavefunction, mu: float, nu: float, x_grid, split: bool,
+                     route: str, warn: bool) -> Tomogram:
+    """The one tomogram of :func:`radon_metaplectic` and :func:`radon_chirp_fft`:
+    a direct or ``split`` row of :func:`_density_rows` on ``x_grid``."""
+    start, step, count = _resolve_x_grid(x_grid, RotationParams(mu, nu).lam, psi.grid)
+    values = _density_rows(psi, np.array([mu], dtype=np.float64),
+                           np.array([nu], dtype=np.float64), split, start, step, count)
+    return Tomogram(mu, nu, start + step * np.arange(count), values[0, 0],
+                    psi.grid.hbar, route=route, accuracy_warning=warn)
+
+
 def radon_metaplectic(psi: SampledWavefunction, mu: float, nu: float,
                       x_grid=None) -> Tomogram:
     """Tomogram via the rotation-operator identity
@@ -198,14 +209,8 @@ def radon_metaplectic(psi: SampledWavefunction, mu: float, nu: float,
 
     Flagged (``accuracy_warning``) when psi's edge decay exceeds
     EDGE_DECAY_FLAG: the rotation treats the sampled state as periodic."""
-    params = RotationParams(mu, nu)
-    start, step, count = _resolve_x_grid(x_grid, params.lam, psi.grid)
-    values = _density_rows(psi, np.array([mu], dtype=np.float64),
-                           np.array([nu], dtype=np.float64), abs(nu) < abs(mu),
-                           start, step, count)
-    return Tomogram(mu, nu, start + step * np.arange(count), values[0, 0],
-                    psi.grid.hbar, route="metaplectic",
-                    accuracy_warning=psi.edge_decay() > EDGE_DECAY_FLAG)
+    return _direct_tomogram(psi, mu, nu, x_grid, abs(nu) < abs(mu), "metaplectic",
+                            psi.edge_decay() > EDGE_DECAY_FLAG)
 
 
 def chirp_resolvable(psi: SampledWavefunction, mu: float, nu: float) -> bool:
@@ -229,13 +234,8 @@ def radon_chirp_fft(psi: SampledWavefunction, mu: float, nu: float,
     """
     if nu == 0.0:
         raise UnsupportedOperation("chirp-FFT route requires nu != 0; use radon_metaplectic")
-    params = RotationParams(mu, nu)
-    warn = not chirp_resolvable(psi, mu, nu)
-    start, step, count = _resolve_x_grid(x_grid, params.lam, psi.grid)
-    values = _density_rows(psi, np.array([mu], dtype=np.float64),
-                           np.array([nu], dtype=np.float64), False, start, step, count)
-    return Tomogram(mu, nu, start + step * np.arange(count), values[0, 0],
-                    psi.grid.hbar, route="chirp-fft", accuracy_warning=warn)
+    return _direct_tomogram(psi, mu, nu, x_grid, False, "chirp-fft",
+                            not chirp_resolvable(psi, mu, nu))
 
 
 def radon_line_integral(w: WignerMap, mu: float, nu: float, x_grid=None,
@@ -272,7 +272,10 @@ def radon_line_integral(w: WignerMap, mu: float, nu: float, x_grid=None,
     x_out = start + step * np.arange(count)
     corners = np.add.outer(mu * gx.points[[0, -1]], nu * gp.points[[0, -1]])
     lo, hi = corners.min(), corners.max()
-    inside = np.flatnonzero((x_out >= lo) & (x_out <= hi))
+    # Points rounded just past an end, as by a grid rebuilt as start + k*step,
+    # count as inside: the period exceeds hi - lo by 2*|b|*d_b, so none aliases.
+    edge = 1e-12 * (hi - lo)
+    inside = np.flatnonzero((x_out >= lo - edge) & (x_out <= hi + edge))
 
     values = np.zeros(count)
     if len(inside):
@@ -339,7 +342,8 @@ class TomogramSet:
         warnings = (np.zeros(n_angles, dtype=bool) if self.warnings is None
                     else np.array(self.warnings, dtype=bool))
         if len(routes) != n_angles or warnings.shape != (n_angles,):
-            raise ConfigError(f"need one route and one warning for each of the {n_angles} angles")
+            raise ConfigError(f"need one route and one warning for each of the {n_angles} "
+                              f"rows, got lengths routes={len(routes)}, warnings={warnings.size}")
         angles.setflags(write=False)
         warnings.setflags(write=False)
         for name, value in (("angles", angles), ("x", x), ("values", values),

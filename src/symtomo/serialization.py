@@ -1,4 +1,8 @@
-"""File formats: JSON/CSV wavefunctions, Wigner maps, tomogram-set manifests.
+"""File formats: JSON wavefunctions, Wigner maps and tomogram sets.
+
+Each loader reads only the schema its writer writes and leaves every rule
+about the object to the object's constructor; any error in a file names the
+file (see :func:`_malformed`).
 
 CSV cells are the text of ``%.17g`` so round trips are bit exact and
 regression diffs are stable; a vectorised formatter writes that text a block
@@ -17,16 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SymtomoError
 from .grids import Grid1D, SampledWavefunction
-from .radon import Tomogram, TomogramSet, _uniform, sweep_angles
+from .radon import Tomogram, TomogramSet, sweep_angles
 from .wigner import WignerMap
 
 __all__ = [
     "save_wavefunction_json",
     "load_wavefunction_json",
-    "save_wavefunction_csv",
-    "load_wavefunction_csv",
     "save_wigner",
     "load_wigner",
     "save_wigner_csv",
@@ -251,14 +253,26 @@ def _grid_to_dict(grid: Grid1D) -> dict:
 
 @contextmanager
 def _malformed(path, what: str):
-    """The one rule for malformed input files: a missing key or a value of the
-    wrong type or form (a non-numeric CSV cell, too) becomes a ConfigError."""
+    """The one rule for errors in an input file, and the one place that names
+    the file: an error raised while the file is read, or while the object it
+    holds is built, comes out with ``path`` in front of its message.  A
+    SymtomoError keeps its type; a missing key, or a value of the wrong type
+    or form (a non-numeric CSV cell, too), becomes a ConfigError.  The error's
+    ``filename`` is ``path``, as an OSError's is, and an error that already
+    has one, such as a tomogram CSV's under its manifest, passes unchanged."""
     try:
         yield
-    except KeyError as exc:
-        raise ConfigError(f"{path}: {what} missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
-        raise ConfigError(f"{path}: malformed {what} ({exc})") from exc
+    except (SymtomoError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        if hasattr(exc, "filename"):
+            raise
+        if isinstance(exc, SymtomoError):
+            err = type(exc)(f"{path}: {exc}")
+        elif isinstance(exc, KeyError):
+            err = ConfigError(f"{path}: {what} missing key {exc}")
+        else:  # OverflowError: float(10**400)
+            err = ConfigError(f"{path}: malformed {what} ({exc})")
+        err.filename = str(path)
+        raise err from exc
 
 
 def _read_json(path, fmt_name: str, what: str) -> dict:
@@ -268,9 +282,9 @@ def _read_json(path, fmt_name: str, what: str) -> dict:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or text that is not UTF-8
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+            raise ConfigError(f"not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != fmt_name:
-        raise ConfigError(f"{path}: not a {what} file")
+        raise ConfigError(f"not a {what} file")
     return doc
 
 
@@ -292,29 +306,13 @@ def save_wavefunction_json(psi: SampledWavefunction, path):
 
 
 def load_wavefunction_json(path) -> SampledWavefunction:
-    doc = _read_json(path, WAVEFUNCTION_FORMAT, "wavefunction")
     with _malformed(path, "wavefunction"):
+        doc = _read_json(path, WAVEFUNCTION_FORMAT, "wavefunction")
         grid = _grid_from_dict(doc["grid"])
-        flat = np.asarray(doc["values"], dtype=np.float64)
-    if flat.shape != (2 * grid.n_points,):
-        raise ConfigError(f"{path}: expected {2 * grid.n_points} interleaved values")
-    # Paired as complex128 bit for bit: re + 1j*im would turn a -0.0 real
-    # part beside a +0.0 imaginary part into +0.0.
-    return SampledWavefunction(grid, flat.view(np.complex128))
-
-
-def save_wavefunction_csv(psi: SampledWavefunction, path):
-    atomic_write(path, _csv_rows(b"x,re,im\n", psi.grid.points, psi.values.real,
-                                 psi.values.imag))
-
-
-def load_wavefunction_csv(path, hbar: float = 1.0) -> SampledWavefunction:
-    with _malformed(path, "wavefunction CSV"):  # also a row without three columns
-        x, re, im = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, unpack=True)
-    if len(x) < 2 or not _uniform(x):
-        raise ConfigError(f"{path}: x column is not a uniform grid")
-    grid = Grid1D(float(x[0]), len(x), float(x[1] - x[0]), hbar)
-    return SampledWavefunction(grid, np.stack((re, im), axis=-1).view(np.complex128)[:, 0])
+        # Paired as complex128 bit for bit: re + 1j*im would turn a -0.0 real
+        # part beside a +0.0 imaginary part into +0.0.
+        return SampledWavefunction(
+            grid, np.asarray(doc["values"], dtype=np.float64).view(np.complex128))
 
 
 def save_wigner(w: WignerMap, json_path) -> Path:
@@ -339,24 +337,16 @@ def save_wigner(w: WignerMap, json_path) -> Path:
 
 def load_wigner(json_path) -> WignerMap:
     json_path = Path(json_path)
-    doc = _read_json(json_path, WIGNER_FORMAT, "Wigner map")
-    with _malformed(json_path, "Wigner header"):
-        x_grid = _grid_from_dict(doc["x_grid"])
-        p_grid = _grid_from_dict(doc["p_grid"])
-        data_file = json_path.parent / doc["data_file"]
+    with _malformed(json_path, "Wigner map"):
+        doc = _read_json(json_path, WIGNER_FORMAT, "Wigner map")
+        x_grid, p_grid = _grid_from_dict(doc["x_grid"]), _grid_from_dict(doc["p_grid"])
         hbar = float(doc["hbar"])
-        # Headers written without the flag carry no key; any other value
-        # than a JSON boolean is malformed, as the manifest's warnings are.
-        flag = doc.get("accuracy_warning", False)
-        if not isinstance(flag, bool):
+        flag = doc["accuracy_warning"]
+        if not isinstance(flag, bool):  # as strict as the manifest's warnings
             raise TypeError(f"accuracy_warning must be true or false, got {flag!r}")
-    with _malformed(data_file, "Wigner block"):  # ValueError: a NUL byte in the name
-        raw = np.fromfile(data_file, dtype=np.float64)
-    expected = x_grid.n_points * p_grid.n_points
-    if raw.size != expected:
-        raise ConfigError(f"{json_path}: binary block has {raw.size} values, expected {expected}")
-    values = raw.reshape(x_grid.n_points, p_grid.n_points)
-    return WignerMap(x_grid, p_grid, values, hbar, accuracy_warning=flag)
+        raw = np.fromfile(json_path.parent / doc["data_file"], dtype=np.float64)
+        return WignerMap(x_grid, p_grid, raw.reshape(x_grid.n_points, -1), hbar,
+                         accuracy_warning=flag)
 
 
 def save_wigner_csv(w: WignerMap, path):
@@ -422,8 +412,8 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
     k*pi/n_angles, which the set then holds exactly: a partial, offset or
     decreasing arc is a ConfigError."""
     manifest_path = Path(manifest_path)
-    doc = _read_json(manifest_path, TOMOGRAM_SET_FORMAT, "tomogram-set manifest")
     with _malformed(manifest_path, "manifest"):
+        doc = _read_json(manifest_path, TOMOGRAM_SET_FORMAT, "tomogram-set manifest")
         hbar = float(doc["hbar"])
         n_angles = doc["n_angles"]
         if type(n_angles) is not int:  # not a float such as 8.7, nor a bool
@@ -432,44 +422,37 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
         x = np.asarray(doc["x"]["values"], dtype=np.float64)
         if angles.ndim != 1 or x.ndim != 1:
             raise TypeError("the angles and the X values must be lists of numbers")
-        routes, warnings = doc["routes"], doc["warnings"]
+        routes, warnings, storage = doc["routes"], doc["warnings"], doc["storage"]
         if not (isinstance(routes, list) and all(isinstance(r, str) for r in routes)):
             raise TypeError("routes must be a list of strings")
         if not (isinstance(warnings, list) and all(isinstance(f, bool) for f in warnings)):
             raise TypeError("warnings must be a list of true/false flags")
-        storage = doc["storage"]
-    lengths = {"angles": len(angles), "routes": len(routes), "warnings": len(warnings)}
-    if any(k != n_angles for k in lengths.values()):
-        raise ConfigError(
-            f"{manifest_path}: n_angles is {n_angles} but the lists have lengths "
-            + ", ".join(f"{key}={k}" for key, k in lengths.items()))
-    if not np.all(np.abs(angles - sweep_angles(n_angles)) <= 1e-9):
-        raise ConfigError(f"{manifest_path}: the angles are not the sweep "
-                          f"theta_k = k*pi/{n_angles} (to 1e-9)")
-    n_x = len(x)
-    if storage == "binary":
-        with _malformed(manifest_path, "manifest"):
-            data_file = manifest_path.parent / doc["data_file"]
-        with _malformed(data_file, "tomogram block"):  # ValueError: a NUL byte in the name
-            raw = np.fromfile(data_file, dtype=np.float64)
-        if raw.size != n_angles * n_x:
-            raise ConfigError(f"{manifest_path}: binary block size mismatch")
-        rows = raw.reshape(n_angles, n_x)
-    elif storage == "csv":
-        with _malformed(manifest_path, "manifest"):
-            files = [manifest_path.parent / name for name in doc["files"]]
-        if len(files) != n_angles:
-            raise ConfigError(f"{manifest_path}: n_angles is {n_angles} but the lists have "
-                              f"lengths files={len(files)}")
-        rows = np.empty((n_angles, n_x))
-        for k, path in enumerate(files):
-            with _malformed(path, "tomogram CSV"):
-                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-            if data.shape != (n_x, 2):
-                raise ConfigError(f"{path}: expected {n_x} rows of x,value")
-            if not np.allclose(data[:, 0], x, rtol=1e-12, atol=1e-12):
-                raise ConfigError(f"{path}: x column differs from the manifest's X grid")
-            rows[k] = data[:, 1]
-    else:
-        raise ConfigError(f"{manifest_path}: unknown storage {storage!r}")
-    return TomogramSet(x, rows, hbar, tuple(routes), warnings)
+        lengths = {"angles": len(angles)}
+        if storage == "csv":
+            lengths["files"] = len(doc["files"])
+        if any(k != n_angles for k in lengths.values()):
+            raise ConfigError(f"n_angles is {n_angles} but the lists have lengths "
+                              + ", ".join(f"{key}={k}" for key, k in lengths.items()))
+        if not np.all(np.abs(angles - sweep_angles(n_angles)) <= 1e-9):
+            raise ConfigError(f"the angles are not the sweep theta_k = k*pi/{n_angles} (to 1e-9)")
+        n_x = len(x)
+        if storage == "binary":
+            rows = np.fromfile(manifest_path.parent / doc["data_file"], dtype=np.float64)
+            if rows.size != n_angles * n_x:
+                raise ConfigError(f"binary block size mismatch: {rows.size} values for "
+                                  f"{n_angles} rows of {n_x}")
+            rows = rows.reshape(n_angles, n_x)
+        elif storage == "csv":
+            rows = np.empty((n_angles, n_x))
+            for row, name in zip(rows, doc["files"]):
+                path = manifest_path.parent / name
+                with _malformed(path, "tomogram CSV"):
+                    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+                    if data.shape != (n_x, 2):
+                        raise ConfigError(f"expected {n_x} rows of x,value")
+                    if not np.allclose(data[:, 0], x, rtol=1e-12, atol=1e-12):
+                        raise ConfigError("x column differs from the manifest's X grid")
+                row[:] = data[:, 1]
+        else:
+            raise ConfigError(f"unknown storage {storage!r}")
+        return TomogramSet(x, rows, hbar, tuple(routes), warnings)

@@ -49,6 +49,9 @@ class WignerMap:
             raise ConfigError("Wigner map values must be finite")
         if not 0 < self.hbar < np.inf:
             raise ConfigError(f"hbar must be positive and finite, got {self.hbar}")
+        for name, g in (("x_grid", self.x_grid), ("p_grid", self.p_grid)):
+            if abs(g.hbar - self.hbar) > 1e-12 * self.hbar:
+                raise ConfigError(f"{name} hbar {g.hbar} differs from the map's hbar {self.hbar}")
         if v.flags.writeable or not v.flags.owndata:
             v = v.copy()
             v.setflags(write=False)
@@ -126,8 +129,6 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
     n, dx, hbar = g.n_points, g.dx, g.hbar
     if p_grid is None:
         p_grid = default_momentum_window(g)
-    if abs(p_grid.hbar - hbar) > 1e-12 * hbar:
-        raise ConfigError("p_grid hbar differs from state hbar")
     p_reach = max(-p_grid.x_min, p_grid.x_max - p_grid.dx)
     warn = (psi.edge_decay() > EDGE_DECAY_LIMIT
             or p_reach > np.pi * hbar / (2.0 * dx) * (1.0 + 1e-12))

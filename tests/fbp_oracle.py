@@ -7,9 +7,9 @@ computes the same trigonometric interpolant with one real FFT pair per
 angle and gathers it by affine index, one angle and one full map at a
 time.  The library's FBP shares one index between four samples (angles
 theta and pi - theta, points +-(x, p)), so it agrees with the affine
-oracle to rounding.  ``save_wigner_csv_reference``,
-``save_tomogram_csv_reference`` and ``save_wavefunction_csv_reference`` are
-the earlier CSV writers that format one cell at a time with ``%.17g``.
+oracle to rounding.  ``save_wigner_csv_reference`` and
+``save_tomogram_csv_reference`` are the earlier CSV writers that format one
+cell at a time with ``%.17g``.
 """
 
 from pathlib import Path
@@ -147,8 +147,3 @@ def save_tomogram_csv_reference(t, path):
     lines = ["x,value"] + ["%.17g,%.17g" % (xi, v) for xi, v in zip(t.x, t.values)]
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def save_wavefunction_csv_reference(psi, path):
-    lines = ["x,re,im"] + ["%.17g,%.17g,%.17g" % (xi, v.real, v.imag)
-                           for xi, v in zip(psi.grid.points, psi.values)]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -15,6 +15,12 @@ def run(args):
     return main(args)
 
 
+def fails_naming(args, path, capsys):
+    """Whether the command exits 2 with an error that begins with ``path``."""
+    capsys.readouterr()
+    return run(args) == 2 and f"error: {path}: " in capsys.readouterr().err
+
+
 class TestWignerCommand:
     def test_peak_value(self, tmp_path, capsys):
         code = run(["wigner", "--grid=-12:12:512", "--state", "gaussian:0.5,0",
@@ -24,24 +30,25 @@ class TestWignerCommand:
         raw = np.fromfile(tmp_path / doc["data_file"], dtype=np.float64)
         assert abs(raw.max() - 1 / np.pi) < 1e-6
 
-    def test_missing_state_file(self, tmp_path):
+    def test_missing_state_file(self, tmp_path, capsys):
         assert run(["wigner", "--grid=-12:12:512",
                     "--state", "file:/does/not/exist.json",
                     "--out", str(tmp_path)]) == 2
+        assert "/does/not/exist.json" in capsys.readouterr().err
 
     def test_non_power_of_two_grid(self, tmp_path):
         assert run(["wigner", "--grid=-12:12:1000", "--state", "gaussian:1,0",
                     "--out", str(tmp_path)]) == 2
 
-    def test_non_finite_state_file(self, tmp_path):
+    def test_non_finite_state_file(self, tmp_path, capsys):
         path = tmp_path / "psi.json"
         save_wavefunction_json(gaussian_wavefunction(GaussianState.ground_state(1.0),
                                                      make_grid(-8, 8, 64, 1.0)), path)
         doc = json.loads(path.read_text())
         doc["values"][40] = float("nan")
         path.write_text(json.dumps(doc))
-        assert run(["wigner", "--grid=-8:8:64", "--state", f"file:{path}",
-                    "--out", str(tmp_path / "out")]) == 2
+        assert fails_naming(["wigner", "--grid=-8:8:64", "--state", f"file:{path}",
+                             "--out", str(tmp_path / "out")], path, capsys)
         assert not (tmp_path / "out" / "wigner.json").exists()
 
     @pytest.mark.parametrize("edit", [
@@ -49,15 +56,15 @@ class TestWignerCommand:
         lambda d: d.pop("grid"),
         lambda d: d.update(values="abc"),
     ], ids=["values-missing", "grid-missing", "values-string"])
-    def test_malformed_state_file(self, tmp_path, edit):
+    def test_malformed_state_file(self, tmp_path, capsys, edit):
         path = tmp_path / "psi.json"
         save_wavefunction_json(gaussian_wavefunction(GaussianState.ground_state(1.0),
                                                      make_grid(-8, 8, 64, 1.0)), path)
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
-        assert run(["wigner", "--grid=-8:8:64", "--state", f"file:{path}",
-                    "--out", str(tmp_path / "out")]) == 2
+        assert fails_naming(["wigner", "--grid=-8:8:64", "--state", f"file:{path}",
+                             "--out", str(tmp_path / "out")], path, capsys)
         assert not (tmp_path / "out").exists()
 
     def test_bad_grid_spec(self, tmp_path):
@@ -189,22 +196,24 @@ class TestInvertCommand:
                     "--reference", str(tmp_path / "ref" / "wigner.json"),
                     "--out", str(tmp_path / "rec")]) == 2
 
-    def test_malformed_manifest(self, tmp_path):
+    def test_malformed_manifest(self, tmp_path, capsys):
         bad = tmp_path / "manifest.json"
         bad.write_text("{}")
-        assert run(["invert", "--set", str(bad), "--out", str(tmp_path / "rec")]) == 2
+        assert fails_naming(["invert", "--set", str(bad), "--out", str(tmp_path / "rec")],
+                            bad, capsys)
 
-    def test_manifest_missing_key(self, tmp_path):
+    def test_manifest_missing_key(self, tmp_path, capsys):
         assert run(["tomogram", "--grid=-12:12:256", "--state", "gaussian:1,0",
                     "--angles", "8", "--out", str(tmp_path / "set")]) == 0
         manifest = tmp_path / "set" / "manifest.json"
         doc = json.loads(manifest.read_text())
         del doc["hbar"]
         manifest.write_text(json.dumps(doc))
-        assert run(["invert", "--set", str(manifest), "--out", str(tmp_path / "rec")]) == 2
+        assert fails_naming(["invert", "--set", str(manifest), "--out", str(tmp_path / "rec")],
+                            manifest, capsys)
 
     @pytest.mark.parametrize("key, value", [("files", 1), ("routes", 1), ("n_angles", 8.7)])
-    def test_manifest_entry_of_wrong_type(self, tmp_path, key, value):
+    def test_manifest_entry_of_wrong_type(self, tmp_path, capsys, key, value):
         assert run(["tomogram", "--grid=-12:12:256", "--state", "gaussian:1,0",
                     "--angles", "8", "--storage", "csv", "--out", str(tmp_path / "set")]) == 0
         manifest = tmp_path / "set" / "manifest.json"
@@ -214,22 +223,25 @@ class TestInvertCommand:
         else:
             doc[key] = value
         manifest.write_text(json.dumps(doc))
-        assert run(["invert", "--set", str(manifest), "--out", str(tmp_path / "rec")]) == 2
+        assert fails_naming(["invert", "--set", str(manifest), "--out", str(tmp_path / "rec")],
+                            manifest, capsys)
 
-    def test_manifest_not_json(self, tmp_path):
+    def test_manifest_not_json(self, tmp_path, capsys):
         bad = tmp_path / "manifest.json"
         bad.write_text("not json")
-        assert run(["invert", "--set", str(bad), "--out", str(tmp_path / "rec")]) == 2
+        assert fails_naming(["invert", "--set", str(bad), "--out", str(tmp_path / "rec")],
+                            bad, capsys)
 
-    def test_csv_set_with_non_numeric_cell(self, tmp_path):
+    def test_csv_set_with_non_numeric_cell(self, tmp_path, capsys):
         assert run(["tomogram", "--grid=-12:12:256", "--state", "gaussian:1,0",
                     "--angles", "8", "--storage", "csv", "--out", str(tmp_path / "set")]) == 0
         with open(tmp_path / "set" / "tomogram_0003.csv", "a") as fh:
             fh.write("garbage,row\n")
-        assert run(["invert", "--set", str(tmp_path / "set" / "manifest.json"),
-                    "--out", str(tmp_path / "rec")]) == 2
+        assert fails_naming(["invert", "--set", str(tmp_path / "set" / "manifest.json"),
+                             "--out", str(tmp_path / "rec")],
+                            tmp_path / "set" / "tomogram_0003.csv", capsys)
 
-    def test_non_finite_reference(self, tmp_path):
+    def test_non_finite_reference(self, tmp_path, capsys):
         assert run(["wigner", "--grid=-12:12:256", "--state", "gaussian:0.5,0",
                     "--out", str(tmp_path / "ref")]) == 0
         assert run(["tomogram", "--grid=-12:12:256", "--state", "gaussian:0.5,0",
@@ -237,9 +249,10 @@ class TestInvertCommand:
         raw = np.fromfile(tmp_path / "ref" / "wigner.bin")
         raw[1000] = np.nan
         raw.tofile(tmp_path / "ref" / "wigner.bin")
-        assert run(["invert", "--set", str(tmp_path / "set" / "manifest.json"),
-                    "--reference", str(tmp_path / "ref" / "wigner.json"),
-                    "--out", str(tmp_path / "rec")]) == 2
+        assert fails_naming(["invert", "--set", str(tmp_path / "set" / "manifest.json"),
+                             "--reference", str(tmp_path / "ref" / "wigner.json"),
+                             "--out", str(tmp_path / "rec")],
+                            tmp_path / "ref" / "wigner.json", capsys)
         assert not (tmp_path / "rec").exists()
 
     def test_reference_with_off_centre_p_grid(self, tmp_path):
@@ -255,7 +268,7 @@ class TestInvertCommand:
         assert not (tmp_path / "rec").exists()
 
     @pytest.mark.parametrize("key", ["data_file", "hbar", "x_grid", "p_grid"])
-    def test_reference_missing_key(self, tmp_path, key):
+    def test_reference_missing_key(self, tmp_path, capsys, key):
         assert run(["wigner", "--grid=-12:12:256", "--state", "gaussian:0.5,0",
                     "--out", str(tmp_path / "ref")]) == 0
         assert run(["tomogram", "--grid=-12:12:256", "--state", "gaussian:0.5,0",
@@ -264,8 +277,9 @@ class TestInvertCommand:
         doc = json.loads(ref.read_text())
         del doc[key]
         ref.write_text(json.dumps(doc))
-        assert run(["invert", "--set", str(tmp_path / "set" / "manifest.json"),
-                    "--reference", str(ref), "--out", str(tmp_path / "rec")]) == 2
+        assert fails_naming(["invert", "--set", str(tmp_path / "set" / "manifest.json"),
+                             "--reference", str(ref), "--out", str(tmp_path / "rec")],
+                            ref, capsys)
 
 
 class TestPauliDemoCommand:

@@ -162,8 +162,9 @@ def test_set_rejects_bad_layout(tmp_path, edit, match):
     doc = json.loads(manifest.read_text())
     edit(doc, out)
     manifest.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(ConfigError, match=match) as err:
         load_tomogram_set(manifest)
+    assert str(err.value).startswith(f"{manifest}: ")
     assert main(["invert", "--set", str(manifest), "--out", str(tmp_path / "rec")]) == 2
     assert not (tmp_path / "rec").exists()
 
