@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .gaussian import (
     GaussianState,
@@ -230,6 +229,8 @@ def _well_conditioned(s: np.ndarray, cov: np.ndarray) -> bool:
 
 def random_free_symplectic(rng: np.random.Generator, cov: np.ndarray) -> FreeSymplectic:
     """Free symplectic matrix keeping S cov S^T representable on the grid."""
+    from scipy.linalg import expm  # only the random draws need scipy
+
     while True:
         h = rng.uniform(-0.8, 0.8, size=(2, 2))
         h = 0.5 * (h + h.T)
@@ -250,6 +251,8 @@ def _random_free_pair(rng: np.random.Generator, cov: np.ndarray):
 
 def random_symplectic(rng: np.random.Generator) -> np.ndarray:
     """exp(J H) for a random symmetric H in dimension 2n, n in {1, 2, 3}."""
+    from scipy.linalg import expm
+
     n = int(rng.integers(1, 4))
     h = rng.uniform(-1, 1, size=(2 * n, 2 * n))
     h = 0.5 * (h + h.T)

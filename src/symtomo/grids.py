@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigError, DomainError
 
@@ -206,15 +205,14 @@ def _bluestein_rows(x: np.ndarray, m: int, beta) -> np.ndarray:
     kernel = np.zeros(chirp.shape[:-1] + (nfft,), dtype=np.complex128)
     kernel[..., :m] = chirp[..., :m].conj()
     kernel[..., nfft - n + 1:] = chirp[..., n - 1:0:-1].conj()
-    # scipy.fft is numpy's pocketfft; its overwrite_x lets each transform
-    # reuse a buffer of ours (the zero-padded input, the kernel, the
-    # product) instead of allocating another.
+    # Each transform writes into a buffer of ours (out=: the zero-padded
+    # input, the kernel, the product) instead of allocating another.
     y = np.zeros(np.broadcast_shapes(x.shape[:-1], chirp.shape[:-1]) + (nfft,),
                  dtype=np.complex128)
     np.multiply(x, chirp[..., :n], out=y[..., :n])
-    y = scipy.fft.fft(y, overwrite_x=True)
-    y *= scipy.fft.fft(kernel, overwrite_x=True)
-    y = scipy.fft.ifft(y, overwrite_x=True)
+    np.fft.fft(y, out=y)
+    y *= np.fft.fft(kernel, out=kernel)
+    np.fft.ifft(y, out=y)
     return y[..., :m]
 
 

@@ -12,6 +12,7 @@ rename).
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
@@ -446,8 +447,13 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
             rows = np.empty((n_angles, n_x))
             for row, name in zip(rows, doc["files"]):
                 path = manifest_path.parent / name
-                with _malformed(path, "tomogram CSV"):
-                    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+                with _malformed(path, "tomogram CSV"), open(path) as fh:
+                    fh.readline()  # the header
+                    body = fh.read()
+                    # Checked here: np.loadtxt warns on a file without rows.
+                    if not body.strip():
+                        raise ConfigError(f"no x,value rows, expected {n_x}")
+                    data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
                     if data.shape != (n_x, 2):
                         raise ConfigError(f"expected {n_x} rows of x,value")
                     if not np.allclose(data[:, 0], x, rtol=1e-12, atol=1e-12):

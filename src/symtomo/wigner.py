@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
@@ -146,7 +145,7 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
     k = np.arange(p_grid.n_points)
     # The default window has beta = -2*pi/n up to rounding: a plain DFT.
     if p_grid.n_points == n and abs(beta * n / (2.0 * np.pi) + 1.0) < 1e-14:
-        w = scipy.fft.fft(z, axis=1, overwrite_x=True)
+        w = np.fft.fft(z, axis=1, out=z)
         post = 1.0 - 2.0 * (k % 2)
     else:
         w = bluestein_czt(z, p_grid.n_points, beta)

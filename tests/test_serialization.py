@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -579,6 +580,24 @@ def test_csv_set_errors_name_the_file_under_the_manifest(psi, tmp_path):
             load_tomogram_set(manifest)
     path.write_text(good)
     load_tomogram_set(manifest)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("x,value\n", "no x,value rows"),
+    ("", "no x,value rows"),
+    ("x,value\n\n  \n", "no x,value rows"),
+    ("x,value\n# 0,1\n", "malformed tomogram CSV"),
+], ids=["header-only", "empty", "blank-lines", "comment-line"])
+def test_csv_set_without_rows_names_the_file(psi, tmp_path, text, match):
+    # np.loadtxt warns on a file without data rows; with warnings as errors,
+    # that warning would leave the loader in place of the ConfigError.
+    manifest = save_tomogram_set(compute_tomogram_set(psi, 8), tmp_path, storage="csv")
+    path = tmp_path / "tomogram_0003.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with raises_naming(path, match=match):
+            load_tomogram_set(manifest)
 
 
 def texts(values):
