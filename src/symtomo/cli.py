@@ -112,9 +112,9 @@ def cmd_tomogram(args) -> int:
     if args.angles is not None:
         if args.route == "line-integral":
             raise SymtomoError("angle sweeps support the metaplectic and chirp-fft routes")
-        raw = os.environ.get("TOMO_THREADS", "1") if args.threads is None else args.threads
+        raw = os.environ.get("TOMO_THREADS") if args.threads is None else args.threads
         try:
-            threads = int(raw)
+            threads = None if raw is None else int(raw)
         except ValueError as exc:
             raise ConfigError(f"TOMO_THREADS must be an integer, got {raw!r}") from exc
         ts = compute_tomogram_set(psi, args.angles, route=args.route, threads=threads)
@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="metaplectic")
     p.add_argument("--storage", choices=["binary", "csv"], default="binary")
     p.add_argument("--threads", type=int, default=None,
-                   help="parallel workers for sweeps (default: TOMO_THREADS or 1)")
+                   help="parallel workers for sweeps (default: TOMO_THREADS, else every "
+                        "usable CPU); the count never changes the result")
     p.set_defaults(func=cmd_tomogram)
 
     p = sub.add_parser("invert", help="filtered back-projection of a tomogram set")

@@ -11,6 +11,7 @@ that is discretized, not the raw DFT.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -192,24 +193,104 @@ def cis(phase) -> np.ndarray:
     return out
 
 
-def _bluestein_rows(x: np.ndarray, m: int, beta) -> np.ndarray:
-    """:func:`bluestein_czt` without its output chirp exp(0.5j*beta*k^2),
-    which a caller that takes |y| does not need.  ``beta`` broadcasts
-    against ``x.shape[:-1]``: rows that share a beta share one kernel FFT."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[-1]
-    beta = np.asarray(beta, dtype=np.float64)[..., None]
-    nfft = 1 << int(n + m - 2).bit_length()
-    j = np.arange(max(n, m), dtype=np.float64)
-    chirp = cis(0.5 * beta * j * j)
-    kernel = np.zeros(chirp.shape[:-1] + (nfft,), dtype=np.complex128)
-    kernel[..., :m] = chirp[..., :m].conj()
-    kernel[..., nfft - n + 1:] = chirp[..., n - 1:0:-1].conj()
-    # Each transform writes into a buffer of ours (out=: the zero-padded
-    # input, the kernel, the product) instead of allocating another.
-    y = np.zeros(np.broadcast_shapes(x.shape[:-1], chirp.shape[:-1]) + (nfft,),
-                 dtype=np.complex128)
-    np.multiply(x, chirp[..., :n], out=y[..., :n])
+# 2*pi in three parts (Cody & Waite): the first two have at most 26
+# significant bits, so k*part is exact for integers |k| < 2**27, and the
+# three sum to 2*pi within 6e-33.
+_TWO_PI_PARTS = (float.fromhex("0x1.921fb58p+2"), float.fromhex("-0x1.dde974p-25"),
+                 float.fromhex("0x1.1a62633145c07p-52"))
+
+
+@lru_cache(maxsize=16)
+def _phase_plan(n: int) -> tuple[int, int, int, np.ndarray]:
+    """The tables of :func:`_quadratic_phase` for rows of n points, m =
+    M*q + r: (Q, M, L, ints).  Row i of ``ints`` holds the integer
+    multipliers of a, b and c (i = 0, 1, 2) for each table entry: the Q
+    coarse phases (m = M*q), the M fine phases (m = r < M), and the cross
+    phases 2*M*k*r for k = 2^l, l < L, Q <= 2^L."""
+    fine = 1 << max((n.bit_length() - 2) // 2, 0)
+    coarse = -(-n // fine)
+    levels = (coarse - 1).bit_length()
+    q, r = np.arange(coarse, dtype=np.float64), np.arange(fine, dtype=np.float64)
+    ints = np.zeros((3, coarse + fine * (1 + levels)))
+    ints[:, :coarse] = (fine * q) ** 2, fine * q, np.ones(coarse)
+    ints[:2, coarse:coarse + fine] = r * r, r
+    ints[0, coarse + fine:] = (2.0 * fine * np.ldexp(1.0, np.arange(levels))[:, None] * r).ravel()
+    ints.setflags(write=False)
+    return coarse, fine, levels, ints
+
+
+def _quadratic_phase(a, b, c, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(1j*(a*m^2 + b*m + c)) for m = 0..n-1: one row of n per entry of
+    the 1-d coefficient arrays ``a``, ``b`` and ``c``, each within a few
+    ulps of the exact phase of those float coefficients, at any size of
+    that phase.
+
+    With m = M*q + r (M a power of two near sqrt(n), r < M) the phase is a
+    coarse part in q, a*M^2*q^2 + b*M*q + c, a fine part a*r^2 + b*r and a
+    cross part 2*a*M*q*r, each a*A + b*B + c*C for integers A, B, C
+    (:func:`_phase_plan`).  Every row splits a, b and c into heads, on a
+    grid 2^e coarse enough that the heads' phase is an exact float, and
+    small tails.  The head phase is reduced mod 2*pi in the parts of
+    ``_TWO_PI_PARTS`` before the tail joins it, so only the O(sqrt(n)
+    log n) table phases of a row take a cosine and a sine.  The cross part
+    exp(2j*a*M*q*r) is the product of the tables exp(2j*a*M*k*r), k = 2^l,
+    over the bits of q: rows q in [k, 2k) are rows [0, k) times the table
+    of k (log-depth doubling, not a sequential product).  A row's result
+    depends only on its own coefficients.
+
+    Returns out[:, :n].  ``out`` (default: a new array) holds one row per
+    coefficient, each contiguous and at least n rounded up to a multiple
+    of M long, and its entries from n up to that multiple are overwritten
+    too.  For n a power of two that multiple is n."""
+    coarse, fine, levels, ints = _phase_plan(n)
+    coef = np.array([a, b, c], dtype=np.float64).reshape(3, -1)
+    rows = coef.shape[1]
+    bound = np.abs(coef[0]) * ints[0].max() + np.abs(coef[1]) * ints[1].max() + np.abs(coef[2])
+    # Heads are multiples of 2^e and the head phase of every entry stays
+    # below 2^(e+53), so each product and partial sum of heads is exact.
+    e = np.frexp(bound)[1] - 52
+    heads = np.ldexp(np.rint(np.ldexp(coef, -e)), e)
+    tails = coef - heads
+    phase = heads.T @ ints
+    tail = tails[0, :, None] * ints[0]
+    tail[:, :coarse + fine] += tails[1, :, None] * ints[1, :coarse + fine]
+    tail[:, :coarse] += tails[2, :, None]
+    turns = phase * (0.5 / np.pi)
+    np.rint(turns, out=turns)
+    part = turns * _TWO_PI_PARTS[0]
+    phase -= part
+    phase -= np.multiply(turns, _TWO_PI_PARTS[1], out=part)
+    tail -= np.multiply(turns, _TWO_PI_PARTS[2], out=part)
+    phase += tail
+    tables = cis(phase)
+    # The doubling runs over the first axis of a (q, row, r) array: its
+    # slices [0, k) and [k, 2k) are disjoint blocks, which numpy multiplies
+    # without the copy it makes for interleaved views of one array.
+    cross = np.empty((coarse, rows, fine), dtype=np.complex128)
+    cross[0] = tables[:, coarse:coarse + fine]
+    seeds = tables[:, coarse + fine:].reshape(rows, levels, fine)
+    for level in range(levels):
+        lo = 1 << level
+        hi = min(2 * lo, coarse)
+        np.multiply(cross[:hi - lo], seeds[:, level], out=cross[lo:hi])
+    cross *= tables[:, :coarse].T[:, :, None]
+    if out is None:
+        out = np.empty((rows, coarse * fine), dtype=np.complex128)
+    # A plain copy into (row, q, r) order: a multiply that wrote there would
+    # buffer its strided operands.
+    np.copyto(out[:, :coarse * fine].reshape(rows, coarse, fine), cross.transpose(1, 0, 2))
+    return out[:, :n]
+
+
+def _chirp_convolve(y: np.ndarray, kernel: np.ndarray, m: int) -> np.ndarray:
+    """Bluestein's convolution, in place: y holds the pre-chirped rows,
+    zero-padded to a power of two >= n + m - 1, and ``kernel`` the
+    conjugate chirp exp(-0.5j*beta*j^2) laid out for a circular
+    convolution (j at index j for j < m, at index nfft - j for 0 < j < n,
+    zero between), one row per row of y or broadcasting against them.
+    Returns y[..., :m]."""
+    # Each transform writes into a buffer of ours (out=) instead of
+    # allocating another.
     np.fft.fft(y, out=y)
     y *= np.fft.fft(kernel, out=kernel)
     np.fft.ifft(y, out=y)
@@ -227,9 +308,19 @@ def bluestein_czt(x: np.ndarray, m: int, beta) -> np.ndarray:
     (Rabiner, Schafer & Rader, 1969).  The chirp is the exponential of a
     real phase, so its error grows only with the rounding of beta*j^2.
     """
-    k = np.arange(m, dtype=np.float64)
-    chirp = cis(0.5 * np.asarray(beta, dtype=np.float64)[..., None] * k * k)
-    return _bluestein_rows(x, m, beta) * chirp
+    x = np.asarray(x, dtype=np.complex128)
+    n = x.shape[-1]
+    beta = np.asarray(beta, dtype=np.float64)[..., None]
+    nfft = 1 << int(n + m - 2).bit_length()
+    j = np.arange(max(n, m), dtype=np.float64)
+    chirp = cis(0.5 * beta * j * j)
+    y = np.zeros(np.broadcast_shapes(x.shape[:-1], chirp.shape[:-1]) + (nfft,),
+                 dtype=np.complex128)
+    np.multiply(x, chirp[..., :n], out=y[..., :n])
+    kernel = np.zeros(chirp.shape[:-1] + (nfft,), dtype=np.complex128)
+    kernel[..., :m] = chirp[..., :m].conj()
+    kernel[..., nfft - n + 1:] = chirp[..., n - 1:0:-1].conj()
+    return _chirp_convolve(y, kernel, m) * chirp[..., :m]
 
 
 def sample_uniform(psi: SampledWavefunction, start: float, step: float, count: int) -> np.ndarray:
@@ -272,27 +363,44 @@ def _chirp_z_rows(f: np.ndarray, grid: Grid1D, c, start, step, count: int,
     sum, the row of conj(f) at c and p.  Returns (R, 1 or 2, count).
     """
     c, start, step = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (c, start, step))
-    g, hbar = grid, grid.hbar
-    # p*x_m = p*x_min + start*m*dx + (k*m)*step*dx; the last term is the chirp-z kernel.
-    shift = cis(np.multiply.outer(-start * g.dx / hbar, np.arange(g.n_points)))
-    chirp = cis(np.multiply.outer(c / (2.0 * hbar), g.points**2))
-    rows = np.empty((len(c), 2 if mirror else 1, g.n_points), dtype=np.complex128)
+    g, hbar, n = grid, grid.hbar, grid.n_points
+    # p*x_m = p*x_min + start*m*dx + (k*m)*step*dx; the last term is the
+    # chirp-z kernel.  The input phase of a row, the linear shift
+    # -start*dx*m/hbar, the chirp c*x_m^2/(2*hbar) and Bluestein's pre-chirp
+    # -step*dx*m^2/(2*hbar), is one quadratic in m: pre + chirp, and
+    # pre - chirp for the mirror row of chirp -c.
+    zero = np.zeros_like(c)
+    pre = np.array([-0.5 * step * g.dx / hbar, -start * g.dx / hbar, zero])
+    chirp = np.array([c * g.dx**2 / (2.0 * hbar), c * g.x_min * g.dx / hbar,
+                      c * g.x_min**2 / (2.0 * hbar)])
+    # The generator writes the input phases and the kernel chirps
+    # exp(0.5j*step*dx*j^2/hbar), j < max(n, count), straight into the
+    # FFT buffers.
+    nfft = 1 << int(n + count - 2).bit_length()
+    y = np.zeros((len(c), 2 if mirror else 1, nfft), dtype=np.complex128)
     if mirror == 1:
-        shift *= f
-        np.multiply(shift, chirp, out=rows[:, 0])
-        np.multiply(shift, np.conjugate(chirp, out=chirp), out=rows[:, 1])
+        coef = np.stack([pre + chirp, pre - chirp], axis=-1).reshape(3, -1)
+        _quadratic_phase(*coef, n, out=y.reshape(-1, nfft))
+        y[..., :n] *= f
     else:
-        shift *= chirp
-        np.multiply(f, shift, out=rows[:, 0])
+        _quadratic_phase(*(pre + chirp), n, out=y[:, 0])
         if mirror:
-            np.multiply(np.conj(f), shift, out=rows[:, 1])
-    y = _bluestein_rows(rows, count, -step[:, None] * g.dx / hbar)
-    p = start[:, None, None] + step[:, None, None] * np.arange(count)
-    if mirror:
-        p = p * np.array([1.0, mirror])[:, None]
+            np.multiply(np.conj(f), y[:, 0, :n], out=y[:, 1, :n])
+        y[:, 0, :n] *= f
+    kernel = np.empty((len(c), nfft), dtype=np.complex128)
+    _quadratic_phase(-pre[0], zero, zero, max(n, count), out=kernel)
+    kernel[:, nfft - n + 1:] = kernel[:, n - 1:0:-1]
+    kernel[:, count:nfft - n + 1] = 0.0
+    y = _chirp_convolve(y, kernel[:, None], count)
     dual = g.momentum_grid()
-    outside = (p < dual.x_min - 0.5 * dual.dx) | (p > dual.x_max - 0.5 * dual.dx)
-    y[np.broadcast_to(outside, y.shape)] = 0.0
+    lo, hi = dual.x_min - 0.5 * dual.dx, dual.x_max - 0.5 * dual.dx
+    # p_k rounds monotonically in k, so a row whose two ends lie inside
+    # [lo, hi] lies inside.
+    ends = start[:, None] + step[:, None] * np.array([0.0, count - 1])
+    for j, sign in enumerate((1.0, float(mirror))[:y.shape[1]]):
+        if np.any((sign * ends < lo) | (sign * ends > hi)):
+            p = sign * (start[:, None] + step[:, None] * np.arange(count))
+            y[:, j][(p < lo) | (p > hi)] = 0.0
     return y
 
 

@@ -151,6 +151,18 @@ class TestTomogramCommand:
         monkeypatch.delenv("TOMO_THREADS")
         assert run(sweep + ["--threads", "-1"]) == 2
 
+    @pytest.mark.parametrize("route", ["metaplectic", "chirp-fft"])
+    def test_default_workers_write_the_bytes_of_one(self, tmp_path, monkeypatch, route):
+        """Without --threads or TOMO_THREADS a sweep runs on every usable
+        CPU and writes the bytes of a one-worker sweep."""
+        monkeypatch.delenv("TOMO_THREADS", raising=False)
+        sweep = ["tomogram", "--grid=-16:16:1024", "--state", "gaussian:0.8,0.3",
+                 "--angles", "360", "--route", route]
+        assert run(sweep + ["--out", str(tmp_path / "default")]) == 0
+        assert run(sweep + ["--threads", "1", "--out", str(tmp_path / "one")]) == 0
+        assert ((tmp_path / "default" / "tomograms.bin").read_bytes()
+                == (tmp_path / "one" / "tomograms.bin").read_bytes())
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -1,6 +1,10 @@
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symtomo import (
@@ -14,6 +18,7 @@ from symtomo import (
 from symtomo.grids import (
     Grid1D,
     _chirp_z_rows,
+    _quadratic_phase,
     bluestein_czt,
     chirp_multiply,
     hbar_fourier,
@@ -198,6 +203,57 @@ def test_bluestein_czt_matches_direct_sum(n, m, rows, beta, per_row, seed):
     scale_ = np.abs(x).sum(axis=1, keepdims=True)
     assert got.shape == (rows, m)
     assert np.max(np.abs(got - want) / scale_) <= 1e-12
+
+
+PI_40 = Decimal("3.141592653589793238462643383279502884197")
+ULP = 2.0**-52
+
+
+def _reference_phase(a: float, b: float, c: float, m: int) -> complex:
+    """exp(1j*(a*m^2 + b*m + c)) in stdlib arithmetic: the exact phase of
+    the float coefficients as a Fraction, reduced mod 2*pi with a 40-digit
+    pi, then math.cos and math.sin of the reduced phase."""
+    phase = Fraction(a) * m * m + Fraction(b) * m + Fraction(c)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(phase.numerator) / Decimal(phase.denominator)
+        reduced = float(x - 2 * PI_40 * (x / (2 * PI_40)).to_integral_value())
+    return complex(math.cos(reduced), math.sin(reduced))
+
+
+signed_magnitude = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-7.0, 0.2)).map(
+    lambda t: t[0] * 10.0 ** t[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 4200), a=signed_magnitude, b=st.floats(-4.0, 4.0),
+       c=st.one_of(st.just(0.0), signed_magnitude.map(lambda v: 1e4 * v)),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1024, a=1.5e-3, b=0.7, c=-128.0, seed=0)   # a 1024-point sweep row
+@example(n=4200, a=-1.58, b=-3.1, c=0.0, seed=1)    # phases near 2.8e7
+def test_quadratic_phase_matches_exact_reference(n, a, b, c, seed):
+    """The phase generator within 8 ulps of 1 of the stdlib reference, over
+    the coefficients that sweep rows (|a| ~ 1e-3, |b| ~ 1, |c| ~ 1e2),
+    their kernel chirps and Wigner windows (|a| = |beta|/2 up to pi/2)
+    produce.  cis of the rounded phase a*m^2 + b*m + c misses by 4e-13 on
+    the sweep row below and by 5e-9 on the 4200-point one."""
+    got = _quadratic_phase([a], [b], [c], n)
+    assert got.shape == (1, n)
+    rng = np.random.default_rng(seed)
+    for m in {0, n - 1, *rng.integers(0, n, 24).tolist()}:
+        assert abs(got[0, m] - _reference_phase(a, b, c, m)) <= 8 * ULP, m
+
+
+def test_quadratic_phase_rows_are_independent():
+    """A row's bits depend only on its own coefficients, not on the rows
+    beside it in a call."""
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-2e-3, 2e-3, 9), rng.uniform(-1.0, 1.0, 9)
+    c = rng.uniform(-300.0, 300.0, 9)
+    both = _quadratic_phase(a, b, c, 1024)
+    for r in range(9):
+        assert np.array_equal(_quadratic_phase(a[r], b[r], c[r], 1024)[0], both[r])
+    assert np.array_equal(_quadratic_phase(a[3:7], b[3:7], c[3:7], 1024), both[3:7])
 
 
 @pytest.mark.parametrize("mirror", [0, 1, -1])

@@ -2,6 +2,7 @@
 and the single-angle routes; the array-backed TomogramSet."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -176,9 +177,76 @@ def test_set_rejects_route_count_mismatch():
 
 @pytest.mark.parametrize("route", ["metaplectic", "chirp-fft"])
 def test_threads_take_whole_blocks(psi, route):
+    """The default count (every usable CPU) and any other give the same
+    bits: each worker takes whole blocks."""
     one = compute_tomogram_set(psi, 100, route=route, threads=1)
-    three = compute_tomogram_set(psi, 100, route=route, threads=3)
-    assert np.array_equal(one.values, three.values) and one.routes == three.routes
+    for threads in (None, 2, 5):
+        ts = compute_tomogram_set(psi, 100, route=route, threads=threads)
+        assert np.array_equal(ts.values, one.values), threads
+        assert ts.routes == one.routes and np.array_equal(ts.warnings, one.warnings)
+
+
+def test_workers_share_the_block_queue(psi):
+    """More workers than CPUs, switching threads every microsecond: every
+    block is taken once and every row is written, as with one worker."""
+    one = compute_tomogram_set(psi, 100, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = compute_tomogram_set(psi, 100, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(many.values, one.values)
+
+
+def test_set_adopts_a_read_only_array_it_owns():
+    """A read-only float64 array that owns its memory, as a sweep hands it
+    over, becomes the set's values without a copy; any other input is
+    copied, and an adopted array with a value to clip is copied first."""
+    x, tiled = _set_args()
+    values = tiled.copy()
+    values.setflags(write=False)
+    assert TomogramSet(x, values).values is values
+    writable = values.copy()
+    ts = TomogramSet(x, writable)
+    assert ts.values is not writable and not ts.values.flags.writeable
+    tiled.setflags(write=False)  # a view of np.tile's array
+    assert TomogramSet(x, tiled).values.flags.owndata
+    dipped = values.copy()
+    dipped[2, 0] = -0.5e-10
+    dipped.setflags(write=False)
+    ts = TomogramSet(x, dipped)
+    assert ts.values is not dipped and ts.values[2, 0] == 0.0 and dipped[2, 0] < 0.0
+
+
+def test_sweep_values_are_adopted(psi):
+    ts = compute_tomogram_set(psi, 16)
+    assert ts.values.flags.owndata and not ts.values.flags.writeable
+
+
+# The largest error against the closed form of any 1024-point, 360-angle
+# sweep row of the checks' envelope before the phase generator (2.0e-14).
+# Never loosen this bound.
+SWEEP_CLOSED_FORM_MAX = 2.0e-14
+
+
+@settings(max_examples=12, deadline=None)
+@given(log_sxx=st.floats(-0.7, 0.7), sxp=st.floats(-0.6, 0.6))
+@example(log_sxx=0.0, sxp=0.0)
+@example(log_sxx=-0.7, sxp=0.6)
+@example(log_sxx=0.7, sxp=-0.6)
+def test_sweep_rows_stay_within_closed_form_bound(log_sxx, sxp):
+    """Both routes' sweep rows of a Gaussian of the checks' envelope
+    (sigma_xx = exp(U(-0.7, 0.7)), sigma_xp = U(-0.6, 0.6)) on 1024
+    points over [-16, 16) and 360 angles, against the closed form."""
+    state = GaussianState.from_position_data(float(np.exp(log_sxx)), sxp, HBAR)
+    psi = gaussian_wavefunction(state, make_grid(-16.0, 16.0, 1024, HBAR))
+    for route in ("metaplectic", "chirp-fft"):
+        ts = compute_tomogram_set(psi, 360, route=route)
+        mu, nu = np.cos(ts.angles)[:, None], np.sin(ts.angles)[:, None]
+        var = mu**2 * state.sigma_xx + 2 * mu * nu * state.sigma_xp + nu**2 * state.sigma_pp
+        closed = np.exp(-ts.x**2 / (2 * var)) / np.sqrt(2 * np.pi * var)
+        assert np.max(np.abs(ts.values - closed)) <= SWEEP_CLOSED_FORM_MAX
 
 
 def _sweep_directions(n_angles):
