@@ -10,6 +10,8 @@ that is discretized, not the raw DFT.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -282,19 +284,45 @@ def _quadratic_phase(a, b, c, n: int, out: np.ndarray | None = None) -> np.ndarr
     return out[:, :n]
 
 
-def _chirp_convolve(y: np.ndarray, kernel: np.ndarray, m: int) -> np.ndarray:
+def _chirp_convolve(y: np.ndarray, spectrum: np.ndarray, m: int) -> np.ndarray:
     """Bluestein's convolution, in place: y holds the pre-chirped rows,
-    zero-padded to a power of two >= n + m - 1, and ``kernel`` the
-    conjugate chirp exp(-0.5j*beta*j^2) laid out for a circular
+    zero-padded to a power of two >= n + m - 1, and ``spectrum`` the FFT
+    of the conjugate chirp exp(-0.5j*beta*j^2) laid out for a circular
     convolution (j at index j for j < m, at index nfft - j for 0 < j < n,
     zero between), one row per row of y or broadcasting against them.
     Returns y[..., :m]."""
     # Each transform writes into a buffer of ours (out=) instead of
     # allocating another.
     np.fft.fft(y, out=y)
-    y *= np.fft.fft(kernel, out=kernel)
+    y *= spectrum
     np.fft.ifft(y, out=y)
     return y[..., :m]
+
+
+def _bluestein_plan(n: int, m: int, beta) -> tuple[np.ndarray, np.ndarray]:
+    """The chirp exp(0.5j*beta*j^2), j < max(n, m), and the kernel
+    spectrum of :func:`_chirp_convolve` for chirp-z transforms of rows of
+    n points onto m points: what :func:`bluestein_czt` builds once for all
+    of its rows.  ``beta`` is a scalar or one value per row."""
+    beta = np.asarray(beta, dtype=np.float64)[..., None]
+    nfft = 1 << int(n + m - 2).bit_length()
+    j = np.arange(max(n, m), dtype=np.float64)
+    chirp = cis(0.5 * beta * j * j)
+    kernel = np.zeros(chirp.shape[:-1] + (nfft,), dtype=np.complex128)
+    kernel[..., :m] = chirp[..., :m].conj()
+    kernel[..., nfft - n + 1:] = chirp[..., n - 1:0:-1].conj()
+    return chirp, np.fft.fft(kernel, out=kernel)
+
+
+def _bluestein_rows(x: np.ndarray, m: int, chirp: np.ndarray,
+                    spectrum: np.ndarray) -> np.ndarray:
+    """The chirp-z transform of :func:`bluestein_czt` of the rows of ``x``,
+    on a plan (``chirp``, ``spectrum``) of :func:`_bluestein_plan`."""
+    n = x.shape[-1]
+    y = np.zeros(np.broadcast_shapes(x.shape[:-1], chirp.shape[:-1]) + spectrum.shape[-1:],
+                 dtype=np.complex128)
+    np.multiply(x, chirp[..., :n], out=y[..., :n])
+    return _chirp_convolve(y, spectrum, m) * chirp[..., :m]
 
 
 def bluestein_czt(x: np.ndarray, m: int, beta) -> np.ndarray:
@@ -309,18 +337,7 @@ def bluestein_czt(x: np.ndarray, m: int, beta) -> np.ndarray:
     real phase, so its error grows only with the rounding of beta*j^2.
     """
     x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[-1]
-    beta = np.asarray(beta, dtype=np.float64)[..., None]
-    nfft = 1 << int(n + m - 2).bit_length()
-    j = np.arange(max(n, m), dtype=np.float64)
-    chirp = cis(0.5 * beta * j * j)
-    y = np.zeros(np.broadcast_shapes(x.shape[:-1], chirp.shape[:-1]) + (nfft,),
-                 dtype=np.complex128)
-    np.multiply(x, chirp[..., :n], out=y[..., :n])
-    kernel = np.zeros(chirp.shape[:-1] + (nfft,), dtype=np.complex128)
-    kernel[..., :m] = chirp[..., :m].conj()
-    kernel[..., nfft - n + 1:] = chirp[..., n - 1:0:-1].conj()
-    return _chirp_convolve(y, kernel, m) * chirp[..., :m]
+    return _bluestein_rows(x, m, *_bluestein_plan(x.shape[-1], m, beta))
 
 
 def sample_uniform(psi: SampledWavefunction, start: float, step: float, count: int) -> np.ndarray:
@@ -391,7 +408,7 @@ def _chirp_z_rows(f: np.ndarray, grid: Grid1D, c, start, step, count: int,
     _quadratic_phase(-pre[0], zero, zero, max(n, count), out=kernel)
     kernel[:, nfft - n + 1:] = kernel[:, n - 1:0:-1]
     kernel[:, count:nfft - n + 1] = 0.0
-    y = _chirp_convolve(y, kernel[:, None], count)
+    y = _chirp_convolve(y, np.fft.fft(kernel, out=kernel)[:, None], count)
     dual = g.momentum_grid()
     lo, hi = dual.x_min - 0.5 * dual.dx, dual.x_max - 0.5 * dual.dx
     # p_k rounds monotonically in k, so a row whose two ends lie inside
@@ -414,3 +431,51 @@ def inner_product(f: SampledWavefunction, g: SampledWavefunction) -> complex:
     if not f.grid.close_to(g.grid):
         values = sample_uniform(g, f.grid.x_min, f.grid.dx, f.grid.n_points)
     return complex(f.grid.dx * np.sum(np.conj(f.values) * values))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all CPUs where the OS does not say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_blocks(run, blocks, workers: int | None = None) -> None:
+    """Call ``run(block)`` once for every entry of the sequence ``blocks``,
+    on ``workers`` threads (default: every usable CPU), at most one per
+    block.  The calling thread is one of the workers (each thread that
+    allocates block temporaries keeps a malloc arena of them resident), and
+    every worker takes whole blocks from one shared queue, so a ``run``
+    that writes only its own block's output gives the same bits for any
+    worker count.
+
+    If a block raises, no worker takes another block, and the first
+    exception is raised here once the other workers have finished the
+    block they hold.  ``run`` is called from other threads than the
+    caller's: it must not rely on thread-local state."""
+    todo, done = iter(blocks), object()
+    taking = threading.Lock()
+    errors = []
+
+    def drain():
+        try:
+            while True:
+                with taking:
+                    block = done if errors else next(todo, done)
+                if block is done:
+                    return
+                run(block)
+        except BaseException as exc:
+            with taking:
+                errors.append(exc)
+
+    count = min(len(blocks), _usable_cpus() if workers is None else workers)
+    helpers = [threading.Thread(target=drain) for _ in range(count - 1)]
+    for helper in helpers:
+        helper.start()
+    drain()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]

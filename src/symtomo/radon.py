@@ -11,14 +11,12 @@ x*cos(theta) + p*sin(theta), with overall constant 1/(2*pi*hbar).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, UnsupportedOperation
-from .grids import Grid1D, SampledWavefunction, _chirp_z_rows, bluestein_czt, cis
+from .grids import Grid1D, SampledWavefunction, _chirp_z_rows, _run_blocks, bluestein_czt, cis
 from .grids import hbar_fourier  # noqa: F401  (perfbench's tracer patches it here too)
 from .metaplectic import RotationParams, quarter_turn
 from .wigner import WignerMap, default_momentum_window
@@ -47,6 +45,9 @@ MIN_ANGLES = 8
 # faults with one worker or two, at 16 rows and at 32 alike; 16 keeps the
 # resident temporaries of a second worker small.
 ROW_BLOCK = 16
+# Map rows per block of a line integral: bounds a block's F rows and phase
+# table, about 1 MiB each for n_pad = 2048.
+LINE_BLOCK = 64
 # Filtered back-projection: zero-padding of each projection before the ramp
 # filter, upsampling of the filtered projection before linear interpolation,
 # start of the ramp's raised-cosine rolloff as a fraction of Nyquist, and
@@ -280,6 +281,15 @@ def radon_line_integral(w: WignerMap, mu: float, nu: float, x_grid=None,
     [lo, hi] of the map's samples; X outside it is exactly 0.
     ``step_fraction`` is ignored.
 
+    The rows run in blocks of LINE_BLOCK on every usable CPU (the calling
+    thread is one of the workers).  A block takes its rows of F (of the
+    transposed map, copied block by block, when b is mu) and their share
+    of the sums over i, and the blocks' partial sums add up in block
+    order, so the tomogram is bit-identical for any worker count and no
+    (n, n_pad/2 + 1) array of F is held.  The sums are einsum reductions,
+    not BLAS products: a BLAS call would wake BLAS's own threads, which
+    keep spinning on the CPUs that the workers need after it returns.
+
     A map that is flagged, or whose edge decay exceeds EDGE_DECAY_FLAG,
     gives a flagged tomogram with its negative truncation ripples clipped
     to zero; on any other map a dip below the tomogram floor raises
@@ -299,28 +309,36 @@ def radon_line_integral(w: WignerMap, mu: float, nu: float, x_grid=None,
 
     values = np.zeros(count)
     if len(inside):
-        (a, ga), (b, gb), rows = (mu, gx), (nu, gp), w.values
-        if abs(nu) * gp.dx < abs(mu) * gx.dx:
-            # numpy's rfft of strided rows is slower than a contiguous copy
-            # and its rfft (25-35% on the 1024^2 map).
-            (a, ga), (b, gb), rows = (nu, gp), (mu, gx), np.ascontiguousarray(w.values.T)
+        (a, ga), (b, gb) = (mu, gx), (nu, gp)
+        transposed = abs(nu) * gp.dx < abs(mu) * gx.dx
+        if transposed:
+            (a, ga), (b, gb) = (nu, gp), (mu, gx)
         half = _next_fast_len(int(np.ceil(0.5 * (hi - lo) / (abs(b) * gb.dx))) + 1)
-        f = np.fft.rfft(rows, 2 * half, axis=1)
-        if b < 0:
-            np.conjugate(f, out=f)
         dk = np.pi / (abs(b) * half * gb.dx)
         k = dk * np.arange(half + 1)
-        # exp(-i*k_q*a*y_i) at q = Q*block + r is coarse[i, Q]*fine[i, r]:
-        # cis on every (i, q) costs more than these two small tables, and
-        # each block of q is one matrix-vector product.
+        # A block's rows of exp(-i*k_q*a*y_i) are coarse[i, Q]*fine[i, r] at
+        # q = Q*block + r: cis on every (i, q) costs more than these two
+        # small tables and their product.
         block = int(np.sqrt(half)) + 1
+        coarse_q, fine_q = block * np.arange(half // block + 1), np.arange(block)
         phase = -dk * a * ga.points
-        coarse = cis(np.outer(phase, block * np.arange(half // block + 1)))
-        fine = cis(np.outer(phase, np.arange(block)))
-        spec = np.empty(half + 1, dtype=np.complex128)
-        for q in range(0, half + 1, block):
-            cols = f[:, q:q + block]
-            spec[q:q + block] = coarse[:, q // block] @ (cols * fine[:, :cols.shape[1]])
+        partial = np.empty((-(-ga.n_points // LINE_BLOCK), half + 1), dtype=np.complex128)
+
+        def run(first_row):
+            rows = slice(first_row, first_row + LINE_BLOCK)
+            # numpy's rfft of strided rows is slower than a contiguous copy
+            # and its rfft (25-35% on the 1024^2 map).
+            f = np.fft.rfft(np.ascontiguousarray(w.values[:, rows].T) if transposed
+                            else w.values[rows], 2 * half, axis=1)
+            if b < 0:
+                np.conjugate(f, out=f)
+            p = phase[rows, None]
+            twiddle = cis(p * coarse_q)[:, :, None] * cis(p * fine_q)[:, None, :]
+            partial[first_row // LINE_BLOCK] = np.einsum(
+                "ij,ij->j", f, twiddle.reshape(len(f), -1)[:, :half + 1])
+
+        _run_blocks(run, range(0, ga.n_points, LINE_BLOCK))
+        spec = partial.sum(axis=0)
         spec[[0, -1]] *= 0.5
         first, last = inside[0], inside[-1] + 1
         spec *= cis(k * (x_out[first] - b * gb.x_min)) * (ga.dx * gb.dx * dk / np.pi)
@@ -392,14 +410,6 @@ def sweep_angles(n_angles: int) -> np.ndarray:
     return np.pi * np.arange(n_angles) / n_angles
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (all CPUs where the OS does not say)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
                          route: str = "metaplectic", x_grid=None,
                          threads: int | None = None) -> TomogramSet:
@@ -457,20 +467,7 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
     for is_split in (False, True):
         rows = lead[split == is_split]
         blocks += [(rows[lo:lo + size], is_split) for lo in range(0, len(rows), size)]
-    workers = min(len(blocks), _usable_cpus() if threads is None else threads)
-    # The calling thread is one of the workers: each thread that allocates
-    # block temporaries keeps a malloc arena of them resident.
-    todo = iter(blocks)
-
-    def drain():
-        for block in todo:
-            run(block)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        helpers = [pool.submit(drain) for _ in range(workers - 1)]
-        drain()
-        for helper in helpers:
-            helper.result()
+    _run_blocks(run, blocks, threads)
     values.setflags(write=False)
     routes = tuple("chirp-fft" if c else "metaplectic" for c in chirp)
     warnings = ~chirp & (psi.edge_decay() > EDGE_DECAY_FLAG)

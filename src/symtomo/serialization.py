@@ -231,7 +231,7 @@ def _csv_rows(header: bytes, *columns):
 
 
 def atomic_write(path, chunks):
-    """Write the iterable of bytes ``chunks`` to a new file beside ``path``,
+    """Write the iterable of bytes-like ``chunks`` to a new file beside ``path``,
     created with mode 0666 less the umask, then rename it over ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -331,7 +331,7 @@ def save_wigner(w: WignerMap, json_path) -> Path:
         "data_file": bin_name,
     }
     atomic_write(json_path.parent / bin_name,
-                 (np.ascontiguousarray(w.values, dtype=np.float64).tobytes(),))
+                 (np.ascontiguousarray(w.values, dtype=np.float64).data,))
     atomic_write(json_path, (json.dumps(doc).encode(),))
     return json_path
 
@@ -396,7 +396,8 @@ def save_tomogram_set(ts: TomogramSet, out_dir, storage: str = "binary") -> Path
     }
     if storage == "binary":
         doc["data_file"] = "tomograms.bin"
-        atomic_write(out_dir / "tomograms.bin", (ts.values.tobytes(),))
+        # The array's own buffer: tobytes() would copy the whole block.
+        atomic_write(out_dir / "tomograms.bin", (np.ascontiguousarray(ts.values).data,))
     else:
         doc["files"] = [f"tomogram_{k:04d}.csv" for k in range(len(ts))]
         x_cells = _g17(x)

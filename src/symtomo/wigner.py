@@ -15,11 +15,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
-from .grids import Grid1D, SampledWavefunction, bluestein_czt, cis
+from .grids import Grid1D, SampledWavefunction, _bluestein_plan, _bluestein_rows, _run_blocks, cis
 
 __all__ = ["WignerMap", "wigner_transform", "marginals", "default_momentum_window"]
 
 EDGE_DECAY_LIMIT = 1e-12
+# Row pairs (j, j + n/2) per block of a Wigner transform: a block's
+# autocorrelation rows and transform buffers take about 4 MiB at n = 1024.
+WIGNER_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,9 @@ def default_momentum_window(grid: Grid1D) -> Grid1D:
     return Grid1D(-0.5 * grid.n_points * dpw, grid.n_points, dpw, grid.hbar)
 
 
-def _autocorrelation(values: np.ndarray) -> np.ndarray:
-    """A[j, m] = psi[j + (m - n/2)] * conj(psi[j - (m - n/2)]), zero off-grid.
+def _autocorrelation(values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Rows ``rows`` of A[j, m] = psi[j + (m - n/2)] * conj(psi[j - (m - n/2)]),
+    zero off-grid.
 
     Both factors are strided windows of ``padded``, psi with n//2 zeros in
     front and zeros behind: row j of the first is padded[j : j+n], and row
@@ -90,13 +94,14 @@ def _autocorrelation(values: np.ndarray) -> np.ndarray:
     padded[half:half + n] = values
     windows = sliding_window_view(padded, n)
     lag = 2 * half - n + 1
+    lo, hi, _ = rows.indices(n)
     # A contiguous product keeps numpy on its contiguous multiply loop, which
     # rounds like the product of the two factors gathered by index (the loop
     # for overlapping rows fuses differently in the last bit).  Conjugation
     # only flips signs, so conj(conj(a)*b) is a*conj(b) bit for bit, and the
-    # second factor needs no conjugated (n, n) copy.
-    acorr = np.conj(windows[:n])
-    acorr *= windows[lag:lag + n, ::-1]
+    # second factor needs no conjugated copy.
+    acorr = np.conj(windows[lo:hi])
+    acorr *= windows[lo + lag:hi + lag, ::-1]
     return np.conjugate(acorr, out=acorr)
 
 
@@ -119,10 +124,17 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
     slice (see :func:`_autocorrelation`) with kernel exp(i*beta*j*k),
     beta = -2*dp*dx/hbar.  For the default window, n points at
     dp = pi*hbar/(n*dx), beta is -2*pi/n and the transform is a plain
-    length-n FFT; every other window goes through :func:`bluestein_czt`.
-    Every output row is real, so rows j and j + n/2 share one complex
-    transform of A_j + i*A_(j+n/2): its real part is row j and its
-    imaginary part row j + n/2.
+    length-n FFT; every other window goes through the Bluestein transform
+    of :func:`bluestein_czt`, whose chirp and kernel spectrum are built
+    once per call.  Every output row is real, so rows j and j + n/2 share
+    one complex transform of A_j + i*A_(j+n/2): its real part is row j and
+    its imaginary part row j + n/2.
+
+    The rows run in blocks of WIGNER_BLOCK such pairs, each block from its
+    own autocorrelation rows, on every usable CPU (the calling thread is
+    one of the workers).  A block writes only its own rows, so the map is
+    bit-identical for any worker count.  No step calls BLAS, whose own
+    threads would keep spinning on the CPUs that the workers need.
     """
     g = psi.grid
     n, dx, hbar = g.n_points, g.dx, g.hbar
@@ -132,26 +144,36 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
     warn = (psi.edge_decay() > EDGE_DECAY_LIMIT
             or p_reach > np.pi * hbar / (2.0 * dx) * (1.0 + 1e-12))
 
-    half = n // 2
-    acorr = _autocorrelation(psi.values)
-    z = acorr[:half]
-    z.real -= acorr[half:].imag
-    z.imag += acorr[half:].real
+    half, m = n // 2, p_grid.n_points
     # A pre-phase odd in m - n/2 keeps each row exactly Hermitian about
     # m = n/2, and the post-phase exp(-i*beta*k*n/2) uses the kernel's own
     # beta ((-1)**k for the FFT): a phase rounding would leak into the partner.
-    z *= cis(-2.0 * p_grid.x_min * dx / hbar * (np.arange(n) - half))
+    pre = cis(-2.0 * p_grid.x_min * dx / hbar * (np.arange(n) - half))
     beta = -2.0 * p_grid.dx * dx / hbar
-    k = np.arange(p_grid.n_points)
+    k = np.arange(m)
     # The default window has beta = -2*pi/n up to rounding: a plain DFT.
-    if p_grid.n_points == n and abs(beta * n / (2.0 * np.pi) + 1.0) < 1e-14:
-        w = np.fft.fft(z, axis=1, out=z)
+    plan = None
+    if m == n and abs(beta * n / (2.0 * np.pi) + 1.0) < 1e-14:
         post = 1.0 - 2.0 * (k % 2)
     else:
-        w = bluestein_czt(z, p_grid.n_points, beta)
+        plan = _bluestein_plan(n, m, beta)
         post = cis(-0.5 * beta * n * k)
-    w *= post * (dx / (np.pi * hbar))
-    values = np.concatenate((w.real, w.imag))
+    post = post * (dx / (np.pi * hbar))
+    values = np.empty((n, m))
+
+    def run(lo):
+        rows = slice(lo, min(lo + WIGNER_BLOCK, half))
+        z = _autocorrelation(psi.values, rows)
+        upper = _autocorrelation(psi.values, slice(rows.start + half, rows.stop + half))
+        z.real -= upper.imag
+        z.imag += upper.real
+        z *= pre
+        w = np.fft.fft(z, axis=1, out=z) if plan is None else _bluestein_rows(z, m, *plan)
+        w *= post
+        values[rows] = w.real
+        values[rows.start + half:rows.stop + half] = w.imag
+
+    _run_blocks(run, range(0, half, WIGNER_BLOCK))
     values.setflags(write=False)
     return WignerMap(g, p_grid, values, hbar, accuracy_warning=warn)
 

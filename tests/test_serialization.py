@@ -741,3 +741,31 @@ def test_wigner_csv_memory_is_one_block(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "big.csv").stat().st_size > 50 * 2**20
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_binary_blocks_are_the_arrays_bytes(psi, tmp_path, order):
+    """tomograms.bin and wigner.bin hold the bytes of ``values.tobytes()``
+    (row-major), also for a set that adopted a column-major array, and a
+    row-major block is written from the array's own buffer: the writer's
+    traced peak stays below half a block."""
+    ts = compute_tomogram_set(psi, 360)
+    w = wigner_transform(psi)
+    if order == "F":
+        values = np.asfortranarray(ts.values)
+        values.setflags(write=False)
+        ts = TomogramSet(ts.x, values, ts.hbar, ts.routes, ts.warnings)
+        assert ts.values is values
+    tracemalloc.start()
+    try:
+        save_tomogram_set(ts, tmp_path / "set")
+        _, set_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        save_wigner(w, tmp_path / "wigner.json")
+        _, map_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "set" / "tomograms.bin").read_bytes() == ts.values.tobytes()
+    assert (tmp_path / "wigner.bin").read_bytes() == w.values.tobytes()
+    if order == "C":
+        assert set_peak < ts.values.nbytes / 2 and map_peak < w.values.nbytes / 2

@@ -1,0 +1,151 @@
+"""The block workers of the phase-space kernels: the worker count never
+changes a Wigner map or a line integral, and a failing block stops every
+worker and reaches the caller once."""
+
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+from conftest import HBAR
+
+import symtomo.grids
+from symtomo import (
+    GaussianState,
+    Grid1D,
+    gaussian_wavefunction,
+    make_grid,
+    radon_line_integral,
+    wigner_transform,
+)
+from symtomo.grids import _run_blocks
+
+# One worker, two, more than the blocks of a short stage, and eight that
+# switch every microsecond.
+COUNTS = (1, 2, 5, 8)
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Sets the number of CPUs the worker helper sees."""
+    def use(count):
+        monkeypatch.setattr(symtomo.grids, "_usable_cpus", lambda: count)
+    return use
+
+
+def _under_counts(compute, usable_cpus):
+    """compute() once for each worker count of COUNTS."""
+    results = []
+    for count in COUNTS:
+        usable_cpus(count)
+        interval = sys.getswitchinterval()
+        if count == 8:
+            sys.setswitchinterval(1e-6)
+        try:
+            results.append(compute())
+        finally:
+            sys.setswitchinterval(interval)
+    return results
+
+
+@pytest.fixture(scope="module")
+def psi():
+    grid = make_grid(-16.0, 16.0, 1024, HBAR)
+    return gaussian_wavefunction(GaussianState.from_position_data(1.3, -0.4, HBAR), grid)
+
+
+@pytest.fixture(scope="module")
+def square_map(psi):
+    return wigner_transform(psi, p_grid=psi.grid)
+
+
+@pytest.mark.parametrize("window", ["default", "square", "narrow"])
+def test_wigner_map_is_the_same_for_any_worker_count(psi, window, usable_cpus):
+    """The default window (a plain FFT) and two Bluestein windows, one of
+    n points and one of n/2."""
+    band = np.pi * HBAR / (2.0 * psi.grid.dx)
+    p_grid = {"default": None, "square": psi.grid,
+              "narrow": Grid1D(-0.35 * band, 512, 0.9 * band / 512, HBAR)}[window]
+    one, *others = _under_counts(lambda: wigner_transform(psi, p_grid).values, usable_cpus)
+    for count, values in zip(COUNTS[1:], others):
+        assert np.array_equal(values, one), count
+
+
+@pytest.mark.parametrize("mu, nu", [(0.6, -1.1), (0.5, 1.0), (1.1, 0.6), (-1.3, 0.4)],
+                         ids=["b=nu<0", "b=nu>0", "b=mu>0", "b=mu<0"])
+def test_line_integral_is_the_same_for_any_worker_count(square_map, mu, nu, usable_cpus):
+    """Rows along p (|nu| >= |mu| on the square map) and the transposed
+    map's rows along x, each with b > 0 and b < 0."""
+    one, *others = _under_counts(lambda: radon_line_integral(square_map, mu, nu).values,
+                                 usable_cpus)
+    assert np.count_nonzero(one) > 0
+    for count, values in zip(COUNTS[1:], others):
+        assert np.array_equal(values, one), count
+
+
+def test_default_count_is_every_usable_cpu(usable_cpus):
+    """Three usable CPUs give three workers, which all hold a block at once."""
+    usable_cpus(3)
+    meet = threading.Barrier(3, timeout=10.0)
+    threads = set()
+
+    def run(block):
+        threads.add(threading.get_ident())
+        meet.wait()
+
+    _run_blocks(run, range(3))
+    assert len(threads) == 3
+
+
+def test_no_blocks_run_nothing():
+    _run_blocks(lambda block: pytest.fail("no block to run"), range(0))
+
+
+@pytest.mark.parametrize("where", ["caller", "helper"])
+def test_failing_block_stops_every_worker(where, usable_cpus):
+    """A block that fails in the calling thread, or in a helper, stops the
+    other workers after the block each holds: they take none of the blocks
+    left, and the caller gets the block's own exception."""
+    usable_cpus(4)
+    caller = threading.get_ident()
+    failure = RuntimeError("block failed")
+    taken, lock, failed = [], threading.Lock(), []
+
+    def run(block):
+        mine = (threading.get_ident() == caller) == (where == "caller")
+        with lock:
+            taken.append(block)
+            fail = mine and not failed
+            if fail:
+                failed.append(block)
+        if fail:
+            raise failure
+        time.sleep(0.005)
+
+    with pytest.raises(RuntimeError) as err:
+        _run_blocks(run, range(400))
+    assert err.value is failure
+    assert len(taken) < 40
+
+
+def test_first_failure_reaches_the_caller_once(usable_cpus):
+    """Every block fails, block 0 at once and the others later: each worker
+    runs at most one block, and the caller gets block 0's exception, with
+    none of the others chained to it."""
+    usable_cpus(4)
+    failures = [ValueError(f"block {k}") for k in range(100)]
+    taken, lock = [], threading.Lock()
+
+    def run(block):
+        with lock:
+            taken.append(block)
+        if block:
+            time.sleep(0.02)
+        raise failures[block]
+
+    with pytest.raises(ValueError) as err:
+        _run_blocks(run, range(100))
+    assert err.value is failures[0]
+    assert err.value.__context__ is None and err.value.__cause__ is None
+    assert 0 in taken and len(taken) <= 4
