@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .checks import run_checks
-from .errors import ConfigError, SymtomoError
+from .errors import SymtomoError
 from .gaussian import (
     GaussianState,
     gaussian_wavefunction,
@@ -112,12 +111,7 @@ def cmd_tomogram(args) -> int:
     if args.angles is not None:
         if args.route == "line-integral":
             raise SymtomoError("angle sweeps support the metaplectic and chirp-fft routes")
-        raw = os.environ.get("TOMO_THREADS") if args.threads is None else args.threads
-        try:
-            threads = None if raw is None else int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"TOMO_THREADS must be an integer, got {raw!r}") from exc
-        ts = compute_tomogram_set(psi, args.angles, route=args.route, threads=threads)
+        ts = compute_tomogram_set(psi, args.angles, route=args.route)
         manifest = save_tomogram_set(ts, out, storage=args.storage)
         print(f"wrote {len(ts)} tomograms to {manifest}")
         return 0
@@ -266,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", choices=["metaplectic", "chirp-fft", "line-integral"],
                    default="metaplectic")
     p.add_argument("--storage", choices=["binary", "csv"], default="binary")
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallel workers for sweeps (default: TOMO_THREADS, else every "
-                        "usable CPU); the count never changes the result")
     p.set_defaults(func=cmd_tomogram)
 
     p = sub.add_parser("invert", help="filtered back-projection of a tomogram set")

@@ -302,15 +302,19 @@ def _chirp_convolve(y: np.ndarray, spectrum: np.ndarray, m: int) -> np.ndarray:
 def _bluestein_plan(n: int, m: int, beta) -> tuple[np.ndarray, np.ndarray]:
     """The chirp exp(0.5j*beta*j^2), j < max(n, m), and the kernel
     spectrum of :func:`_chirp_convolve` for chirp-z transforms of rows of
-    n points onto m points: what :func:`bluestein_czt` builds once for all
-    of its rows.  ``beta`` is a scalar or one value per row."""
-    beta = np.asarray(beta, dtype=np.float64)[..., None]
-    nfft = 1 << int(n + m - 2).bit_length()
-    j = np.arange(max(n, m), dtype=np.float64)
-    chirp = cis(0.5 * beta * j * j)
-    kernel = np.zeros(chirp.shape[:-1] + (nfft,), dtype=np.complex128)
-    kernel[..., :m] = chirp[..., :m].conj()
-    kernel[..., nfft - n + 1:] = chirp[..., n - 1:0:-1].conj()
+    n points onto m points, one row per entry of ``beta`` (a scalar or an
+    array): the one place that builds either.  :func:`_quadratic_phase`
+    writes the kernel, the conjugate chirp, straight into the FFT buffer,
+    within a few ulps of the exact phase 0.5*beta*j^2 at any size of it,
+    and the chirp is its conjugate."""
+    beta = np.asarray(beta, dtype=np.float64)
+    nfft, size = 1 << int(n + m - 2).bit_length(), int(max(n, m))
+    kernel = np.empty(beta.shape + (nfft,), dtype=np.complex128)
+    zero = np.zeros(beta.size)
+    _quadratic_phase(-0.5 * beta.ravel(), zero, zero, size, out=kernel.reshape(-1, nfft))
+    chirp = np.conj(kernel[..., :size])
+    kernel[..., nfft - n + 1:] = kernel[..., n - 1:0:-1]
+    kernel[..., m:nfft - n + 1] = 0.0
     return chirp, np.fft.fft(kernel, out=kernel)
 
 
@@ -333,8 +337,10 @@ def bluestein_czt(x: np.ndarray, m: int, beta) -> np.ndarray:
     ``x.shape[:-1]``).  Bluestein's identity j*k = (j^2 + k^2 - (k-j)^2)/2
     turns the sum into a linear convolution with the chirp
     exp(0.5j*beta*j^2), done by power-of-two FFTs of length >= n + m - 1
-    (Rabiner, Schafer & Rader, 1969).  The chirp is the exponential of a
-    real phase, so its error grows only with the rounding of beta*j^2.
+    (Rabiner, Schafer & Rader, 1969).  The chirp is within a few ulps of
+    the exact phase 0.5*beta*j^2 of the float beta at any j
+    (:func:`_bluestein_plan`), so the error stays a few ulps of
+    sum_j |x[..., j]| however large beta*j^2 grows.
     """
     x = np.asarray(x, dtype=np.complex128)
     return _bluestein_rows(x, m, *_bluestein_plan(x.shape[-1], m, beta))
@@ -354,11 +360,13 @@ def sample_uniform(psi: SampledWavefunction, start: float, step: float, count: i
         return psi.values.copy()
     shift = start - g.x_min
     alpha = 2.0 * np.pi / (n * g.dx)
+    # The phase of term m at output k is (ramp + beta*k)*(m - n/2), built
+    # from the float ramp and beta exactly: n/2 is a power of two.
+    ramp, beta = alpha * shift, alpha * step
     fhat = np.fft.fftshift(np.fft.fft(psi.values))
-    out = bluestein_czt(fhat * cis(alpha * np.arange(n) * shift), count, alpha * step)
-    k = np.arange(count)
-    out *= cis(-alpha * (n / 2) * (shift + k * step)) / n
-    pts = start + k * step
+    out = bluestein_czt(fhat * _quadratic_phase(0.0, ramp, 0.0, n)[0], count, beta)
+    out *= _quadratic_phase(0.0, -(n / 2) * beta, -(n / 2) * ramp, count)[0] / n
+    pts = start + np.arange(count) * step
     out[(pts < g.x_min - 0.5 * g.dx) | (pts > g.x_min + (n - 0.5) * g.dx)] = 0.0
     return out
 
@@ -386,13 +394,10 @@ def _chirp_z_rows(f: np.ndarray, grid: Grid1D, c, start, step, count: int,
     # -start*dx*m/hbar, the chirp c*x_m^2/(2*hbar) and Bluestein's pre-chirp
     # -step*dx*m^2/(2*hbar), is one quadratic in m: pre + chirp, and
     # pre - chirp for the mirror row of chirp -c.
-    zero = np.zeros_like(c)
-    pre = np.array([-0.5 * step * g.dx / hbar, -start * g.dx / hbar, zero])
+    pre = np.array([-0.5 * step * g.dx / hbar, -start * g.dx / hbar, np.zeros_like(c)])
     chirp = np.array([c * g.dx**2 / (2.0 * hbar), c * g.x_min * g.dx / hbar,
                       c * g.x_min**2 / (2.0 * hbar)])
-    # The generator writes the input phases and the kernel chirps
-    # exp(0.5j*step*dx*j^2/hbar), j < max(n, count), straight into the
-    # FFT buffers.
+    # The generator writes the input phases straight into the FFT buffer.
     nfft = 1 << int(n + count - 2).bit_length()
     y = np.zeros((len(c), 2 if mirror else 1, nfft), dtype=np.complex128)
     if mirror == 1:
@@ -404,11 +409,11 @@ def _chirp_z_rows(f: np.ndarray, grid: Grid1D, c, start, step, count: int,
         if mirror:
             np.multiply(np.conj(f), y[:, 0, :n], out=y[:, 1, :n])
         y[:, 0, :n] *= f
-    kernel = np.empty((len(c), nfft), dtype=np.complex128)
-    _quadratic_phase(-pre[0], zero, zero, max(n, count), out=kernel)
-    kernel[:, nfft - n + 1:] = kernel[:, n - 1:0:-1]
-    kernel[:, count:nfft - n + 1] = 0.0
-    y = _chirp_convolve(y, np.fft.fft(kernel, out=kernel)[:, None], count)
+    # The kernel is the plan's for beta = 2*pre[0] = -step*dx/hbar, whose
+    # -beta/2 is -pre[0] to the bit.  The input phase holds the pre-chirp
+    # and the output chirp is not applied, so the plan's chirp goes unused.
+    _, spectrum = _bluestein_plan(n, count, 2.0 * pre[0])
+    y = _chirp_convolve(y, spectrum[:, None], count)
     dual = g.momentum_grid()
     lo, hi = dual.x_min - 0.5 * dual.dx, dual.x_max - 0.5 * dual.dx
     # p_k rounds monotonically in k, so a row whose two ends lie inside

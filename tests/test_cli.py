@@ -5,6 +5,7 @@ import pytest
 
 from conftest import flagged_chirp_set
 
+import symtomo.grids
 from symtomo import GaussianState, gaussian_wavefunction, make_grid, wigner_transform
 from symtomo.checks import CONTRACT
 from symtomo.cli import main
@@ -142,24 +143,24 @@ class TestTomogramCommand:
         assert run(["tomogram", "--grid=-12:12:512", "--state", "gaussian:1,0",
                     "--mu", "0", "--nu", "0", "--out", str(tmp_path)]) == 2
 
-    def test_unparseable_tomo_threads(self, tmp_path, monkeypatch):
-        sweep = ["tomogram", "--grid=-12:12:512", "--state", "gaussian:1,0",
-                 "--angles", "8", "--out", str(tmp_path)]
-        for raw in ("abc", "0", "-2"):
-            monkeypatch.setenv("TOMO_THREADS", raw)
-            assert run(sweep) == 2, raw
-        monkeypatch.delenv("TOMO_THREADS")
-        assert run(sweep + ["--threads", "-1"]) == 2
+    def test_no_threads_option(self, tmp_path, capsys):
+        """CPU affinity (taskset) caps the workers of every kernel; the CLI
+        has no option of its own for them."""
+        with pytest.raises(SystemExit) as exc:
+            run(["tomogram", "--grid=-12:12:512", "--state", "gaussian:1,0",
+                 "--angles", "8", "--threads", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize("route", ["metaplectic", "chirp-fft"])
     def test_default_workers_write_the_bytes_of_one(self, tmp_path, monkeypatch, route):
-        """Without --threads or TOMO_THREADS a sweep runs on every usable
-        CPU and writes the bytes of a one-worker sweep."""
-        monkeypatch.delenv("TOMO_THREADS", raising=False)
+        """A sweep runs on every usable CPU and writes the bytes of a sweep
+        that sees one usable CPU."""
         sweep = ["tomogram", "--grid=-16:16:1024", "--state", "gaussian:0.8,0.3",
                  "--angles", "360", "--route", route]
         assert run(sweep + ["--out", str(tmp_path / "default")]) == 0
-        assert run(sweep + ["--threads", "1", "--out", str(tmp_path / "one")]) == 0
+        monkeypatch.setattr(symtomo.grids, "_usable_cpus", lambda: 1)
+        assert run(sweep + ["--out", str(tmp_path / "one")]) == 0
         assert ((tmp_path / "default" / "tomograms.bin").read_bytes()
                 == (tmp_path / "one" / "tomograms.bin").read_bytes())
 

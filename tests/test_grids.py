@@ -179,6 +179,24 @@ class TestSampleUniform:
         want = np.exp(-(0.3 - 0.2j) * pts**2 + 0.05 * pts)
         assert np.max(np.abs(got - want)) < 1e-9
 
+    def test_closed_form_to_rounding(self, grid):
+        """A chirped Gaussian on 1024 points, at 1000 off-grid points and
+        rescaled by 0.7 and 1.4, within 1e-14 of the closed form: the
+        phase ramps and the chirp-z chirp are exact at any size (rounded
+        at full size they left 1.5e-13 to 3.1e-13)."""
+        sxx, sxp = 1.1, -0.3
+
+        def closed_form(x):
+            return ((2 * np.pi * sxx) ** -0.25 * np.exp(-x**2 / (4 * sxx))
+                    * np.exp(1j * sxp * x**2 / (2 * HBAR * sxx)))
+
+        psi = SampledWavefunction(grid, closed_form(grid.points))
+        got = sample_uniform(psi, -10.3, 0.017, 1000)
+        assert np.max(np.abs(got - closed_form(-10.3 + 0.017 * np.arange(1000)))) <= 1e-14
+        for s in (0.7, 1.4):
+            want = np.sqrt(s) * closed_form(s * grid.points)
+            assert np.max(np.abs(scale(psi, s).values - want)) <= 1e-14, s
+
     def test_outside_window_is_zero(self, ground):
         got = sample_uniform(ground, 20.0, 1.0, 5)
         assert np.all(got == 0)
@@ -219,6 +237,23 @@ def _reference_phase(a: float, b: float, c: float, m: int) -> complex:
         x = Decimal(phase.numerator) / Decimal(phase.denominator)
         reduced = float(x - 2 * PI_40 * (x / (2 * PI_40)).to_integral_value())
     return complex(math.cos(reduced), math.sin(reduced))
+
+
+@pytest.mark.parametrize("n, m", [(1024, 1024), (1500, 700), (600, 1300)])
+def test_bluestein_czt_exact_at_large_phases(n, m):
+    """Chirp phases 0.5*beta*j^2 up to 1e4 rad: every output within 2 ulps
+    of sum_j |x_j| of the sum whose phases beta*j*k are exact (the stdlib
+    reference at the integer j*k).  Chirps rounded at their full size
+    missed by 100 to 350 ulps."""
+    rng = np.random.default_rng(n)
+    beta = 2e4 / (max(n, m) - 1) ** 2
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    got = bluestein_czt(x, m, beta)
+    assert got.shape == (m,)
+    for k in {0, 1, m - 1, *rng.integers(0, m, 9).tolist()}:
+        terms = x * np.array([_reference_phase(0.0, beta, 0.0, j * k) for j in range(n)])
+        want = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        assert abs(got[k] - want) <= 2 * ULP * np.abs(x).sum(), k
 
 
 signed_magnitude = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-7.0, 0.2)).map(

@@ -186,6 +186,31 @@ def test_threads_take_whole_blocks(psi, route):
         assert ts.routes == one.routes and np.array_equal(ts.warnings, one.warnings)
 
 
+def _kept_sweep_plan(n, m, beta):
+    """The chirp-z kernel spectrum as the sweep rows built it for
+    themselves, from beta = 2*pre[0]: the conjugate chirp of -pre[0] from
+    the phase generator, laid out for the circular convolution."""
+    nfft = 1 << int(n + m - 2).bit_length()
+    zero = np.zeros_like(beta)
+    kernel = np.empty((len(beta), nfft), dtype=np.complex128)
+    symtomo.grids._quadratic_phase(-(0.5 * beta), zero, zero, max(n, m), out=kernel)
+    kernel[:, nfft - n + 1:] = kernel[:, n - 1:0:-1]
+    kernel[:, m:nfft - n + 1] = 0.0
+    return None, np.fft.fft(kernel, out=kernel)
+
+
+@pytest.mark.parametrize("n_angles", [359, 360])
+@pytest.mark.parametrize("route", ["metaplectic", "chirp-fft"])
+def test_shared_plan_keeps_the_sweep_bits(n_angles, route, monkeypatch):
+    """Sweeps through the shared Bluestein plan equal, bit for bit, sweeps
+    through the kernel build that the sweep rows kept for themselves."""
+    psi = gaussian_wavefunction(GaussianState.from_position_data(0.8, 0.3, HBAR),
+                                make_grid(-16.0, 16.0, 1024, HBAR))
+    got = compute_tomogram_set(psi, n_angles, route=route)
+    monkeypatch.setattr(symtomo.grids, "_bluestein_plan", _kept_sweep_plan)
+    assert np.array_equal(got.values, compute_tomogram_set(psi, n_angles, route=route).values)
+
+
 def test_workers_share_the_block_queue(psi):
     """More workers than CPUs, switching threads every microsecond: every
     block is taken once and every row is written, as with one worker."""
