@@ -50,13 +50,16 @@ ROW_BLOCK = 16
 LINE_BLOCK = 64
 # Filtered back-projection: zero-padding of each projection before the ramp
 # filter, upsampling of the filtered projection before linear interpolation,
-# start of the ramp's raised-cosine rolloff as a fraction of Nyquist, and
-# angle pairs filtered and gathered together.  GATHER_BLOCK is the number of
-# real samples per row block of a gather (half as many complex ones).
+# start of the ramp's raised-cosine rolloff as a fraction of Nyquist, angle
+# pairs per FFT call of the ramp filter, and angle pairs whose tables one
+# gather takes (a multiple of PAIR_CHUNK, which keeps the FFT calls the same
+# and bounds the tables held at once).  GATHER_BLOCK is the number of real
+# samples per row block of a gather (half as many complex ones).
 PAD_FACTOR = 8
 UPSAMPLE = 4
 TAPER_START = 0.8
 PAIR_CHUNK = 4
+PAIR_GROUP = 16
 GATHER_BLOCK = 32768
 CHIRP_SAFETY = 0.9  # fraction of the Nyquist rate a resolvable chirp may reach
 MOMENT_SIGMAS = 6.0  # standard deviations kept by Tomogram.moments
@@ -491,41 +494,48 @@ def _tapered_ramp(n_pad: int, dx: float, hbar: float) -> np.ndarray:
 
 def _back_project_pairs(acc: np.ndarray, tables: np.ndarray, ux: np.ndarray,
                         up: np.ndarray, lo: int, hi: int):
-    """For each table g: acc[0, i, j] += linear interpolation of tables[g]
-    at the fractional index u = ux[g, i] + up[g, j], and acc[1, i, j] +=
-    that of the reversed table at the same u.  Each is zero where u falls
-    outside the range its values come from: [lo, hi] for the table, and the
-    mirror image of that range for the reversed table.
+    """For each table g: acc[0, i, j] += linear interpolation of table g at
+    the fractional index u = ux[g, i] + up[g, j], and acc[1, i, j] += that
+    of its reversal at the same u.  ``tables[0]`` holds the tables and
+    ``tables[1]`` their reversals, each as (values, slopes) with slopes[m]
+    = values[m + 1] - values[m] (minus the last value at the end).  Each is
+    zero where u falls outside the range its values come from: [lo, hi] for
+    the table, and the mirror image of that range for the reversal.
 
-    Works through row blocks of about GATHER_BLOCK/2 complex samples; each
-    block takes every table while its slice of ``acc`` stays in cache."""
-    last = tables.shape[1] - 1
-    with_slopes = [(values, np.diff(values, axis=1, append=0.0))
-                   for values in (tables, tables[:, ::-1].copy())]
+    Row blocks of about GATHER_BLOCK/2 complex samples run on every usable
+    CPU (the calling thread is one of the workers).  A block takes every
+    table in order while its slice of ``acc`` stays in cache, and no other
+    block writes that slice, so every sample gets the same additions in the
+    same order for any worker count."""
+    last = tables.shape[-1] - 1
     valid = ((lo, hi), (last - hi, last - lo))
     # u is affine in (i, j), so its extremes over the map are the sums of
     # the extremes of ux and up.
     u_min, u_max = ux.min(axis=1) + up.min(axis=1), ux.max(axis=1) + up.max(axis=1)
     inside = np.all([(a <= u_min) & (u_max <= b) for a, b in valid], axis=0)
     rows = max(1, GATHER_BLOCK // (2 * up.shape[1]))
-    for start in range(0, ux.shape[1], rows):
+
+    def run(start):
         block = slice(start, start + rows)
         block_acc = acc[:, block]
-        for g in range(len(tables)):
+        for g in range(len(ux)):
             u = np.add.outer(ux[g, block], up[g])
             if not inside[g]:
                 outside = [(u < a) | (u > b) for a, b in valid]
                 np.clip(u, 0.0, last, out=u)
-            k = np.floor(u)
+            # u >= 0 here (inside [lo, hi] with lo >= 0, or clipped), so
+            # truncation is the floor.
+            k = u.astype(np.intp)
             u -= k
-            k = k.astype(np.intp)
-            for j, (values, slope) in enumerate(with_slopes):
+            for j, (values, slope) in enumerate(tables):
                 v = slope[g].take(k)
                 v *= u
                 v += values[g].take(k)
                 if not inside[g]:
                     v[outside[j]] = 0.0
                 block_acc[j] += v
+
+    _run_blocks(run, range(0, ux.shape[1], rows))
 
 
 def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = None) -> WignerMap:
@@ -552,6 +562,15 @@ def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = No
     (the table and its reversal) give the samples at (x, p), (-x, p),
     (-x, -p) and (x, -p); two half-plane accumulators fold into the map
     once at the end.
+
+    Both stages run on every usable CPU, PAIR_GROUP pairs at a time.  The
+    group's chunks of PAIR_CHUNK pairs are filtered on the workers, each
+    into its own rows of one reused buffer of tables, reversals and
+    slopes; then :func:`_back_project_pairs` gathers the whole group in
+    row blocks of the map on the workers.  Every accumulator sample takes
+    the same additions in the same (pair) order for any worker count, so
+    the map is bit-identical for any count, and the tables held at once
+    stay bounded by the group.
 
     Parameters
     ----------
@@ -611,8 +630,16 @@ def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = No
     # Angle k pairs with pi - theta_k, which is angle n_angles - k;
     # theta = 0 and pi/2 stand alone.
     pairs = np.arange(n_angles // 2 + 1)
-    for chunk in range(0, len(pairs), PAIR_CHUNK):
-        ks = pairs[chunk:chunk + PAIR_CHUNK]
+    theta = tomos.angles[pairs]
+    ux = np.outer(np.cos(theta), x_idx) + width
+    up = np.outer(np.sin(theta), p_idx)
+    # One buffer of a group's tables and reversals, values and slopes; the
+    # tables stay zero outside [lo, hi].
+    group_tables = np.zeros((2, 2, min(PAIR_GROUP, len(pairs)), 2 * width + 1),
+                            dtype=np.complex128)
+
+    def filter_chunk(chunk):
+        row, ks = chunk
         partners = n_angles - ks
         paired = (ks < partners) & (partners < n_angles)
         padded = np.zeros((len(ks), 2, n_pad))
@@ -620,12 +647,19 @@ def inverse_radon(tomos: TomogramSet, x_grid: Grid1D, p_grid: Grid1D | None = No
         padded[paired, 1, lead:lead + n] = tomos.values[partners[paired]]
         fine = np.fft.irfft(np.fft.rfft(padded) * ramp, n=n_fine)
         fine[..., n_fine - UPSAMPLE // 2 + 1:] = 0.0
-        tables = np.zeros((len(ks), 2 * width + 1), dtype=np.complex128)
-        tables.real[:, lo:hi + 1] = fine[:, 0, lo - first:hi + 1 - first]
-        tables.imag[:, lo:hi + 1] = fine[:, 1, lo - first:hi + 1 - first]
-        theta = tomos.angles[ks]
-        _back_project_pairs(acc, tables, np.outer(np.cos(theta), x_idx) + width,
-                            np.outer(np.sin(theta), p_idx), lo, hi)
+        (table, table_slope), (mirror, mirror_slope) = group_tables[:, :, row:row + len(ks)]
+        table.real[:, lo:hi + 1] = fine[:, 0, lo - first:hi + 1 - first]
+        table.imag[:, lo:hi + 1] = fine[:, 1, lo - first:hi + 1 - first]
+        mirror[:] = table[:, ::-1]
+        table_slope[:] = np.diff(table, axis=1, append=0.0)
+        mirror_slope[:] = np.diff(mirror, axis=1, append=0.0)
+
+    for start in range(0, len(pairs), PAIR_GROUP):
+        group = slice(start, start + PAIR_GROUP)
+        ks = pairs[group]
+        _run_blocks(filter_chunk, [(c, ks[c:c + PAIR_CHUNK])
+                                   for c in range(0, len(ks), PAIR_CHUNK)])
+        _back_project_pairs(acc, group_tables[:, :, :len(ks)], ux[group], up[group], lo, hi)
     # Table t = f_theta + i*f_(pi-theta) at u = x*cos(theta) + p*sin(theta)
     # feeds (x, p) and (-x, p); its reversal, t at -u, feeds (-x, -p) and
     # (x, -p).  The p = 0 column takes only t.

@@ -10,6 +10,7 @@ window covers exactly that band at spacing pi*hbar/(n*dx).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -64,7 +65,12 @@ class WignerMap:
         return float(self.x_grid.dx * self.p_grid.dx * self.values.sum())
 
     def edge_decay(self) -> float:
-        """Largest border |W| over the largest |W| (0.0 for the zero map)."""
+        """Largest border |W| over the largest |W| (0.0 for the zero map),
+        computed once per map: its values are read-only."""
+        return self._edge_decay
+
+    @cached_property
+    def _edge_decay(self) -> float:
         v = self.values
         peak = max(v.max(), -v.min())
         if peak == 0.0:

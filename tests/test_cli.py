@@ -187,6 +187,19 @@ class TestInvertCommand:
         report = json.loads((tmp_path / "rec" / "report.json").read_text())
         assert report["linf_residual"] <= 1e-3
 
+    def test_default_workers_write_the_bytes_of_one(self, tmp_path, monkeypatch):
+        """An inversion runs on every usable CPU and writes the bytes of an
+        inversion that sees one usable CPU."""
+        assert run(["tomogram", "--grid=-12:12:256", "--state", "gaussian:0.8,0.3",
+                    "--angles", "90", "--out", str(tmp_path / "set")]) == 0
+        invert = ["invert", "--set", str(tmp_path / "set" / "manifest.json")]
+        assert run(invert + ["--out", str(tmp_path / "default")]) == 0
+        monkeypatch.setattr(symtomo.grids, "_usable_cpus", lambda: 1)
+        assert run(invert + ["--out", str(tmp_path / "one")]) == 0
+        for name in ("reconstruction.bin", "reconstruction.csv"):
+            assert ((tmp_path / "default" / name).read_bytes()
+                    == (tmp_path / "one" / name).read_bytes()), name
+
     def test_flags_survive_the_set_file(self, tmp_path):
         save_tomogram_set(flagged_chirp_set(), tmp_path / "set")
         assert run(["invert", "--set", str(tmp_path / "set" / "manifest.json"),

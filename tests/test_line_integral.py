@@ -174,6 +174,24 @@ def test_unflagged_map_below_the_floor_rejected():
         radon_line_integral(w, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("half_width", [3.0, 12.0], ids=["cut", "decayed"])
+def test_directions_on_one_map_keep_the_edge_flag(half_width):
+    """The edge decay is computed once per map: every direction on one
+    unflagged map takes the flag of the border-over-peak scan, a Gaussian
+    cut at the grid edge flagged and a decayed one not."""
+    grid = make_grid(-half_width, half_width, 64, HBAR)
+    xs, ps = np.meshgrid(grid.points, grid.points, indexing="ij")
+    values = np.exp(-(xs**2 + ps**2) / HBAR) / (np.pi * HBAR)
+    border = max(np.abs(edge).max() for edge in (values[0], values[-1],
+                                                 values[:, 0], values[:, -1]))
+    flagged = border / values.max() > 1e-10
+    assert flagged == (half_width == 3.0)
+    w = WignerMap(grid, grid, values, HBAR)
+    for mu, nu in [(1.0, 0.0), (0.6, -1.1), (1.0, 0.0)]:
+        assert radon_line_integral(w, mu, nu).accuracy_warning == flagged
+        assert w.edge_decay() == border / values.max()
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), square=st.booleans(),
        theta=st.floats(-np.pi, np.pi), lam=st.floats(0.3, 3.0), scale=st.floats(0.25, 4.0))

@@ -1,6 +1,6 @@
 """The block workers of the phase-space kernels: the worker count never
-changes a Wigner map or a line integral, and a failing block stops every
-worker and reaches the caller once."""
+changes a Wigner map, a line integral or a filtered back-projection, and a
+failing block stops every worker and reaches the caller once."""
 
 import sys
 import threading
@@ -14,7 +14,9 @@ import symtomo.grids
 from symtomo import (
     GaussianState,
     Grid1D,
+    compute_tomogram_set,
     gaussian_wavefunction,
+    inverse_radon,
     make_grid,
     radon_line_integral,
     wigner_transform,
@@ -78,6 +80,24 @@ def test_line_integral_is_the_same_for_any_worker_count(square_map, mu, nu, usab
     """Rows along p (|nu| >= |mu| on the square map) and the transposed
     map's rows along x, each with b > 0 and b < 0."""
     one, *others = _under_counts(lambda: radon_line_integral(square_map, mu, nu).values,
+                                 usable_cpus)
+    assert np.count_nonzero(one) > 0
+    for count, values in zip(COUNTS[1:], others):
+        assert np.array_equal(values, one), count
+
+
+@pytest.mark.parametrize("n_angles, window", [(64, "default"), (37, "default"),
+                                               (36, "past")])
+def test_back_projection_is_the_same_for_any_worker_count(n_angles, window, usable_cpus):
+    """An even and an odd angle count, each with more pairs than one group
+    of tables, and a momentum window that reaches past the fine grid of
+    the filtered projections (tables clipped, zero off their range)."""
+    grid = make_grid(-8.0, 8.0, 128, HBAR)
+    psi = gaussian_wavefunction(GaussianState.from_position_data(0.9, 0.3, HBAR), grid)
+    tomos = compute_tomogram_set(psi, n_angles)
+    # The padded X window spans PAD_FACTOR * 16 = 128; this one reaches 160.
+    p_grid = None if window == "default" else Grid1D(-160.0, 128, 2.5, HBAR)
+    one, *others = _under_counts(lambda: inverse_radon(tomos, grid, p_grid).values,
                                  usable_cpus)
     assert np.count_nonzero(one) > 0
     for count, values in zip(COUNTS[1:], others):
