@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -284,6 +285,12 @@ def _quadratic_phase(a, b, c, n: int, out: np.ndarray | None = None) -> np.ndarr
     return out[:, :n]
 
 
+def _bluestein_length(n: int, m: int) -> int:
+    """The FFT length of Bluestein's convolution for chirp-z transforms of
+    rows of n points onto m points: the power of two >= n + m - 1."""
+    return 1 << int(n + m - 2).bit_length()
+
+
 def _chirp_convolve(y: np.ndarray, spectrum: np.ndarray, m: int) -> np.ndarray:
     """Bluestein's convolution, in place: y holds the pre-chirped rows,
     zero-padded to a power of two >= n + m - 1, and ``spectrum`` the FFT
@@ -299,29 +306,119 @@ def _chirp_convolve(y: np.ndarray, spectrum: np.ndarray, m: int) -> np.ndarray:
     return y[..., :m]
 
 
-def _bluestein_plan(n: int, m: int, beta) -> tuple[np.ndarray, np.ndarray]:
-    """The chirp exp(0.5j*beta*j^2), j < max(n, m), and the kernel
-    spectrum of :func:`_chirp_convolve` for chirp-z transforms of rows of
-    n points onto m points, one row per entry of ``beta`` (a scalar or an
-    array): the one place that builds either.  :func:`_quadratic_phase`
-    writes the kernel, the conjugate chirp, straight into the FFT buffer,
-    within a few ulps of the exact phase 0.5*beta*j^2 at any size of it,
-    and the chirp is its conjugate."""
+# Bytes of kernel spectrum rows that :func:`_bluestein_plan` keeps per
+# process.  The metaplectic and chirp-FFT sweeps of one 1024-point state
+# take 251 rows of 2048 points, 7.8 MiB.
+SPECTRUM_CACHE_BYTES = 16 << 20
+
+
+class _SpectrumCache:
+    """The kernel spectrum rows of :func:`_bluestein_plan`, keyed by
+    (n, m, the bits of beta), so that 0.0 and -0.0 never share a row: at
+    most SPECTRUM_CACHE_BYTES of them, the least recently used evicted
+    first.  A row of a non-finite beta is never kept.  Rows are built and
+    copied outside the lock, and a kept row is never written, so a row
+    taken stays valid after its eviction."""
+
+    def __init__(self):
+        self._rows = OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def clear(self) -> None:
+        with self._lock:
+            self._rows.clear()
+            self.nbytes = 0
+
+    def take(self, n: int, m: int, beta: np.ndarray, build) -> np.ndarray:
+        """The spectrum rows of the entries of the 1-d float array
+        ``beta``, shape (len(beta), nfft): the kept rows, and
+        ``build(index)`` for the rows of beta[index] not kept."""
+        keys = [(n, m, bits) for bits in beta.view(np.uint64).tolist()]
+        with self._lock:
+            found = [self._rows.get(key) for key in keys]
+            for key, row in zip(keys, found):
+                if row is not None:
+                    self._rows.move_to_end(key)
+        missing = [r for r, row in enumerate(found) if row is None]
+        if found and not missing:
+            return np.stack(found)
+        built = build(np.array(missing, dtype=np.intp))
+        finite = np.isfinite(beta)
+        kept = [(keys[r], row.copy()) for r, row in zip(missing, built)
+                if finite[r] and row.nbytes <= SPECTRUM_CACHE_BYTES]
+        with self._lock:
+            for key, row in kept:
+                if key not in self._rows:
+                    row.setflags(write=False)
+                    self._rows[key] = row
+                    self.nbytes += row.nbytes
+            while self.nbytes > SPECTRUM_CACHE_BYTES:
+                self.nbytes -= self._rows.popitem(last=False)[1].nbytes
+        if len(missing) == len(keys):
+            return built
+        for r, row in zip(missing, built):
+            found[r] = row
+        return np.stack(found)
+
+
+_SPECTRA = _SpectrumCache()
+
+
+def _bluestein_kernel(n: int, m: int, beta: np.ndarray) -> np.ndarray:
+    """The conjugate chirp exp(-0.5j*beta*j^2), j < max(n, m), one row per
+    entry of the 1-d ``beta``, at the head of rows as long as the FFT of
+    :func:`_chirp_convolve` for chirp-z transforms of rows of n points
+    onto m points (:func:`_bluestein_length`).  :func:`_quadratic_phase`
+    writes it within a few ulps of the exact phase 0.5*beta*j^2 at any
+    size of it."""
+    kernel = np.empty((len(beta), _bluestein_length(n, m)), dtype=np.complex128)
+    zero = np.zeros(len(beta))
+    _quadratic_phase(-0.5 * beta, zero, zero, int(max(n, m)), out=kernel)
+    return kernel
+
+
+def _kernel_spectrum(kernel: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The FFT, in place, of rows of :func:`_bluestein_kernel` laid out for
+    the circular convolution of :func:`_chirp_convolve`."""
+    nfft = kernel.shape[-1]
+    kernel[:, nfft - n + 1:] = kernel[:, n - 1:0:-1]
+    kernel[:, m:nfft - n + 1] = 0.0
+    return np.fft.fft(kernel, out=kernel)
+
+
+def _bluestein_plan(n: int, m: int, beta) -> np.ndarray:
+    """The kernel spectrum of :func:`_chirp_convolve` for chirp-z
+    transforms of rows of n points onto m points, one row per entry of
+    ``beta`` (a scalar or an array; shape beta.shape + (nfft,)).  Its
+    rows, and those of :func:`_bluestein_chirp_plan`, are kept per
+    process (``_SPECTRA``), so a later call on the same n, m and beta
+    skips the phase generator and the FFT, with the same bits."""
     beta = np.asarray(beta, dtype=np.float64)
-    nfft, size = 1 << int(n + m - 2).bit_length(), int(max(n, m))
-    kernel = np.empty(beta.shape + (nfft,), dtype=np.complex128)
-    zero = np.zeros(beta.size)
-    _quadratic_phase(-0.5 * beta.ravel(), zero, zero, size, out=kernel.reshape(-1, nfft))
-    chirp = np.conj(kernel[..., :size])
-    kernel[..., nfft - n + 1:] = kernel[..., n - 1:0:-1]
-    kernel[..., m:nfft - n + 1] = 0.0
-    return chirp, np.fft.fft(kernel, out=kernel)
+    flat = beta.ravel()
+    spectrum = _SPECTRA.take(
+        n, m, flat, lambda rows: _kernel_spectrum(_bluestein_kernel(n, m, flat[rows]), n, m))
+    return spectrum.reshape(beta.shape + spectrum.shape[-1:])
+
+
+def _bluestein_chirp_plan(n: int, m: int, beta) -> tuple[np.ndarray, np.ndarray]:
+    """The chirp exp(0.5j*beta*j^2), j < max(n, m), and the spectrum of
+    :func:`_bluestein_plan`, for the callers that multiply by the chirp.
+    The chirp is the conjugate of the kernel's head; a row not kept is
+    transformed from that same kernel."""
+    beta = np.asarray(beta, dtype=np.float64)
+    flat = beta.ravel()
+    kernel = _bluestein_kernel(n, m, flat)
+    size = int(max(n, m))
+    chirp = np.conj(kernel[:, :size]).reshape(beta.shape + (size,))
+    spectrum = _SPECTRA.take(n, m, flat, lambda rows: _kernel_spectrum(kernel[rows], n, m))
+    return chirp, spectrum.reshape(beta.shape + spectrum.shape[-1:])
 
 
 def _bluestein_rows(x: np.ndarray, m: int, chirp: np.ndarray,
                     spectrum: np.ndarray) -> np.ndarray:
     """The chirp-z transform of :func:`bluestein_czt` of the rows of ``x``,
-    on a plan (``chirp``, ``spectrum``) of :func:`_bluestein_plan`."""
+    on a plan (``chirp``, ``spectrum``) of :func:`_bluestein_chirp_plan`."""
     n = x.shape[-1]
     y = np.zeros(np.broadcast_shapes(x.shape[:-1], chirp.shape[:-1]) + spectrum.shape[-1:],
                  dtype=np.complex128)
@@ -339,11 +436,11 @@ def bluestein_czt(x: np.ndarray, m: int, beta) -> np.ndarray:
     exp(0.5j*beta*j^2), done by power-of-two FFTs of length >= n + m - 1
     (Rabiner, Schafer & Rader, 1969).  The chirp is within a few ulps of
     the exact phase 0.5*beta*j^2 of the float beta at any j
-    (:func:`_bluestein_plan`), so the error stays a few ulps of
+    (:func:`_bluestein_chirp_plan`), so the error stays a few ulps of
     sum_j |x[..., j]| however large beta*j^2 grows.
     """
     x = np.asarray(x, dtype=np.complex128)
-    return _bluestein_rows(x, m, *_bluestein_plan(x.shape[-1], m, beta))
+    return _bluestein_rows(x, m, *_bluestein_chirp_plan(x.shape[-1], m, beta))
 
 
 def sample_uniform(psi: SampledWavefunction, start: float, step: float, count: int) -> np.ndarray:
@@ -398,7 +495,7 @@ def _chirp_z_rows(f: np.ndarray, grid: Grid1D, c, start, step, count: int,
     chirp = np.array([c * g.dx**2 / (2.0 * hbar), c * g.x_min * g.dx / hbar,
                       c * g.x_min**2 / (2.0 * hbar)])
     # The generator writes the input phases straight into the FFT buffer.
-    nfft = 1 << int(n + count - 2).bit_length()
+    nfft = _bluestein_length(n, count)
     y = np.zeros((len(c), 2 if mirror else 1, nfft), dtype=np.complex128)
     if mirror == 1:
         coef = np.stack([pre + chirp, pre - chirp], axis=-1).reshape(3, -1)
@@ -411,9 +508,8 @@ def _chirp_z_rows(f: np.ndarray, grid: Grid1D, c, start, step, count: int,
         y[:, 0, :n] *= f
     # The kernel is the plan's for beta = 2*pre[0] = -step*dx/hbar, whose
     # -beta/2 is -pre[0] to the bit.  The input phase holds the pre-chirp
-    # and the output chirp is not applied, so the plan's chirp goes unused.
-    _, spectrum = _bluestein_plan(n, count, 2.0 * pre[0])
-    y = _chirp_convolve(y, spectrum[:, None], count)
+    # and the output chirp is not applied, so the rows need no chirp.
+    y = _chirp_convolve(y, _bluestein_plan(n, count, 2.0 * pre[0])[:, None], count)
     dual = g.momentum_grid()
     lo, hi = dual.x_min - 0.5 * dual.dx, dual.x_max - 0.5 * dual.dx
     # p_k rounds monotonically in k, so a row whose two ends lie inside

@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, UnsupportedOperation
-from .grids import Grid1D, SampledWavefunction, _chirp_z_rows, _run_blocks, bluestein_czt, cis
+from .grids import (
+    Grid1D,
+    SampledWavefunction,
+    _bluestein_length,
+    _chirp_z_rows,
+    _run_blocks,
+    bluestein_czt,
+    cis,
+)
 from .grids import hbar_fourier  # noqa: F401  (perfbench's tracer patches it here too)
 from .metaplectic import RotationParams, quarter_turn
 from .wigner import WignerMap, default_momentum_window
@@ -39,11 +47,16 @@ NEGATIVE_FLOOR = 1e-10
 EDGE_DECAY_FLAG = 1e-10
 MIN_ANGLES = 8
 # Rows per row block of a sweep (half of them lead rows, half their mirror
-# rows): bounds the (rows, 2n) CZT temporaries, about 1.2 MB per block for
-# n = 1024, which each worker thread's malloc arena keeps resident between
-# blocks.  A 360-angle CLI sweep on 1024 points takes about 1.45k minor page
-# faults with one worker or two, at 16 rows and at 32 alike; 16 keeps the
-# resident temporaries of a second worker small.
+# rows): about ROW_SAMPLES complex samples of the block's (rows, nfft) FFT
+# buffer, and never fewer than ROW_BLOCK rows.  That is 128 rows for
+# n = 256, 32 for n = 1024 and 16 for n = 4096 (x grid = state grid).
+# Smaller blocks spend their time in short numpy calls that pass the GIL
+# between the workers; larger ones gained nothing and hold more
+# temporaries per worker.  Both routes on two workers of a 2-core host:
+# 256 points, 180 angles: 17.4, 13.4, 10.7, 10.5 ms at 32, 64, 128, 256 rows;
+# 1024 points, 360 angles: 63.2, 45.6, 45.2 ms at 16, 32, 64 rows;
+# 4096 points, 360 angles: 186, 159, 160 ms at 8, 16, 32 rows.
+ROW_SAMPLES = 1 << 16
 ROW_BLOCK = 16
 # Map rows per block of a line integral: bounds a block's F rows and phase
 # table, about 1 MiB each for n_pad = 2048.
@@ -427,14 +440,14 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
     pairs with pi - theta_k, which takes the exact mirror direction
     (-mu_k, nu_k): the pair shares |nu|, its p grid and one chirp-z kernel
     spectrum, and only the pre-chirp or the state is conjugated.  A block
-    holds ROW_BLOCK/2 pairs.  ``x_grid`` is the common X grid (default: the
-    state grid).  ``threads`` is the number of worker threads, at least 1
-    (ConfigError otherwise); by default, every CPU the process may use, at
-    most one per block.  Each worker takes whole blocks and writes their
-    rows into the set's array, so the result is bit-identical for any
-    count.  The rotation-route rows carry the flag of
-    :func:`radon_metaplectic`, and the chirp-FFT rows, all resolvable,
-    carry none.
+    holds half as many pairs as its rows (see ROW_SAMPLES).  ``x_grid`` is
+    the common X grid (default: the state grid).  ``threads`` is the
+    number of worker threads, at least 1 (ConfigError otherwise); by
+    default, every CPU the process may use, at most one per block.  Each
+    worker takes whole blocks and writes their rows into the set's array,
+    so the result is bit-identical for any count.  The rotation-route rows
+    carry the flag of :func:`radon_metaplectic`, and the chirp-FFT rows,
+    all resolvable, carry none.
     """
     if route not in ("metaplectic", "chirp-fft"):
         raise ConfigError(f"unknown sweep route {route!r}")
@@ -465,7 +478,7 @@ def compute_tomogram_set(psi: SampledWavefunction, n_angles: int,
         pair = paired[rows]
         values[n_angles - rows[pair]] = dens[pair, 1]
 
-    size = ROW_BLOCK // 2
+    size = max(ROW_BLOCK, ROW_SAMPLES // _bluestein_length(psi.grid.n_points, count)) // 2
     blocks = []
     for is_split in (False, True):
         rows = lead[split == is_split]

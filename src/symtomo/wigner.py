@@ -16,7 +16,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
-from .grids import Grid1D, SampledWavefunction, _bluestein_plan, _bluestein_rows, _run_blocks, cis
+from .grids import (
+    Grid1D,
+    SampledWavefunction,
+    _bluestein_chirp_plan,
+    _bluestein_rows,
+    _run_blocks,
+    cis,
+)
 
 __all__ = ["WignerMap", "wigner_transform", "marginals", "default_momentum_window"]
 
@@ -131,10 +138,10 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
     beta = -2*dp*dx/hbar.  For the default window, n points at
     dp = pi*hbar/(n*dx), beta is -2*pi/n and the transform is a plain
     length-n FFT; every other window goes through the Bluestein transform
-    of :func:`bluestein_czt`, whose chirp and kernel spectrum are built
-    once per call.  Every output row is real, so rows j and j + n/2 share
-    one complex transform of A_j + i*A_(j+n/2): its real part is row j and
-    its imaginary part row j + n/2.
+    of :func:`bluestein_czt`, whose chirp is built once per call and whose
+    kernel spectrum the process keeps.  Every output row is real, so rows
+    j and j + n/2 share one complex transform of A_j + i*A_(j+n/2): its
+    real part is row j and its imaginary part row j + n/2.
 
     The rows run in blocks of WIGNER_BLOCK such pairs, each block from its
     own autocorrelation rows, on every usable CPU (the calling thread is
@@ -162,7 +169,7 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
     if m == n and abs(beta * n / (2.0 * np.pi) + 1.0) < 1e-14:
         post = 1.0 - 2.0 * (k % 2)
     else:
-        plan = _bluestein_plan(n, m, beta)
+        plan = _bluestein_chirp_plan(n, m, beta)
         post = cis(-0.5 * beta * n * k)
     post = post * (dx / (np.pi * hbar))
     values = np.empty((n, m))

@@ -15,9 +15,15 @@ from symtomo import (
     make_grid,
     scale,
 )
+import symtomo.grids
 from symtomo.grids import (
+    SPECTRUM_CACHE_BYTES,
     Grid1D,
+    _bluestein_chirp_plan,
+    _bluestein_kernel,
+    _bluestein_plan,
     _chirp_z_rows,
+    _kernel_spectrum,
     _quadratic_phase,
     bluestein_czt,
     chirp_multiply,
@@ -289,6 +295,73 @@ def test_quadratic_phase_rows_are_independent():
     for r in range(9):
         assert np.array_equal(_quadratic_phase(a[r], b[r], c[r], 1024)[0], both[r])
     assert np.array_equal(_quadratic_phase(a[3:7], b[3:7], c[3:7], 1024), both[3:7])
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+def _spectrum_of(n, m, b):
+    """The kernel spectrum row of beta = b, built without the kept rows."""
+    return _kernel_spectrum(_bluestein_kernel(n, m, np.array([b])), n, m)[0]
+
+
+@pytest.fixture
+def spectra():
+    """The kept kernel spectra, cleared before and after the test."""
+    symtomo.grids._SPECTRA.clear()
+    yield symtomo.grids._SPECTRA
+    symtomo.grids._SPECTRA.clear()
+
+
+def test_kept_spectra_are_keyed_by_the_bits_of_beta(spectra):
+    """Repeats take one row and -0.0 and 0.0 two, with one row kept
+    before the call, and with all of them kept: each row has the bits of
+    its own uncached build, from _bluestein_plan and from
+    _bluestein_chirp_plan, whose chirp is the conjugate of the kernel's
+    head."""
+    n, m, b = 1025, 1024, -0.0123
+    beta = np.array([b, -0.0, 0.0, b])
+    want = np.stack([_spectrum_of(n, m, v) for v in beta])
+    assert np.array_equal(_bits(_bluestein_plan(n, m, b)), _bits(want[0]))
+    chirp, spectrum = _bluestein_chirp_plan(n, m, beta[:, None])
+    assert chirp.shape == (4, 1, n) and spectrum.shape == (4, 1, 2048)
+    assert np.array_equal(_bits(spectrum[:, 0]), _bits(want))
+    head = np.conj(_bluestein_kernel(n, m, beta)[:, :n])
+    assert np.array_equal(_bits(chirp[:, 0]), _bits(head))
+    assert spectra.nbytes == 3 * want[0].nbytes
+    for kept in (1, 3):
+        spectra.clear()
+        _bluestein_plan(n, m, beta[:kept])
+        for _ in range(2):
+            assert np.array_equal(_bits(_bluestein_plan(n, m, beta)), _bits(want))
+            assert spectra.nbytes == 3 * want[0].nbytes
+
+
+def test_non_finite_beta_is_never_kept(spectra):
+    with np.errstate(invalid="ignore"):
+        _bluestein_plan(64, 64, np.array([np.nan, np.inf, -np.inf]))
+    assert spectra.nbytes == 0
+
+
+def test_kept_spectra_stay_under_the_cap(spectra):
+    """Filled past the cap, the kept rows hold no more bytes than it, the
+    least recently used rows are the ones evicted, and an evicted row
+    comes back with the bits it had."""
+    n = m = 1024
+    row_bytes = 2048 * 16
+    rows = SPECTRUM_CACHE_BYTES // row_bytes
+    betas = 1e-3 * (1.0 + np.arange(rows + 20))
+    first = _bluestein_plan(n, m, betas[:30])
+    _bluestein_plan(n, m, betas[:10])  # now the most recently used
+    _bluestein_plan(n, m, betas[30:])
+    assert spectra.nbytes <= SPECTRUM_CACHE_BYTES
+    assert spectra.nbytes == rows * row_bytes
+    kept = {key[2] for key in spectra._rows}
+    assert set(_bits(betas[:10]).tolist()) <= kept
+    assert not set(_bits(betas[10:30]).tolist()) & kept
+    assert np.array_equal(_bits(_bluestein_plan(n, m, betas[10:30])), _bits(first[10:]))
+    assert spectra.nbytes <= SPECTRUM_CACHE_BYTES
 
 
 @pytest.mark.parametrize("mirror", [0, 1, -1])

@@ -196,19 +196,24 @@ def _kept_sweep_plan(n, m, beta):
     symtomo.grids._quadratic_phase(-(0.5 * beta), zero, zero, max(n, m), out=kernel)
     kernel[:, nfft - n + 1:] = kernel[:, n - 1:0:-1]
     kernel[:, m:nfft - n + 1] = 0.0
-    return None, np.fft.fft(kernel, out=kernel)
+    return np.fft.fft(kernel, out=kernel)
 
 
 @pytest.mark.parametrize("n_angles", [359, 360])
 @pytest.mark.parametrize("route", ["metaplectic", "chirp-fft"])
 def test_shared_plan_keeps_the_sweep_bits(n_angles, route, monkeypatch):
-    """Sweeps through the shared Bluestein plan equal, bit for bit, sweeps
-    through the kernel build that the sweep rows kept for themselves."""
+    """Sweeps through the shared Bluestein plan, with its kept spectra
+    cleared and then kept, equal, bit for bit, sweeps through the kernel
+    build that the sweep rows kept for themselves, which keeps nothing."""
     psi = gaussian_wavefunction(GaussianState.from_position_data(0.8, 0.3, HBAR),
                                 make_grid(-16.0, 16.0, 1024, HBAR))
-    got = compute_tomogram_set(psi, n_angles, route=route)
+    symtomo.grids._SPECTRA.clear()
+    cold = compute_tomogram_set(psi, n_angles, route=route)
+    warm = compute_tomogram_set(psi, n_angles, route=route)
     monkeypatch.setattr(symtomo.grids, "_bluestein_plan", _kept_sweep_plan)
-    assert np.array_equal(got.values, compute_tomogram_set(psi, n_angles, route=route).values)
+    kept = compute_tomogram_set(psi, n_angles, route=route)
+    assert np.array_equal(cold.values, kept.values)
+    assert np.array_equal(warm.values, kept.values)
 
 
 def test_workers_share_the_block_queue(psi):

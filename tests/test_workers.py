@@ -1,6 +1,8 @@
-"""The block workers of the phase-space kernels: the worker count never
-changes a Wigner map, a line integral or a filtered back-projection, and a
-failing block stops every worker and reaches the caller once."""
+"""The block workers of the forward and phase-space kernels: neither the
+worker count nor the kept Bluestein kernel spectra (cleared, kept or
+evicted) change a sweep, a Wigner map, a line integral, a chirp-z
+transform or a filtered back-projection, and a failing block stops every
+worker and reaches the caller once."""
 
 import sys
 import threading
@@ -21,7 +23,13 @@ from symtomo import (
     radon_line_integral,
     wigner_transform,
 )
-from symtomo.grids import _run_blocks
+from symtomo.grids import (
+    SPECTRUM_CACHE_BYTES,
+    _bluestein_plan,
+    _run_blocks,
+    bluestein_czt,
+    sample_uniform,
+)
 
 # One worker, two, more than the blocks of a short stage, and eight that
 # switch every microsecond.
@@ -51,6 +59,46 @@ def _under_counts(compute, usable_cpus):
     return results
 
 
+@pytest.fixture(autouse=True)
+def no_kept_spectra():
+    """Each test starts with no kept kernel spectra, so that the order of
+    the tests cannot hide a fault of the cold path."""
+    symtomo.grids._SPECTRA.clear()
+    yield
+    symtomo.grids._SPECTRA.clear()
+
+
+def _evict_kept_spectra():
+    """Fills the kept spectra with rows that no test uses, which evicts
+    every other row."""
+    nfft = 8192  # rows of 4096 points onto 4096
+    filler = 10.0 + np.arange(SPECTRUM_CACHE_BYTES // (16 * nfft) + 1)
+    _bluestein_plan(4096, 4096, filler)
+    assert symtomo.grids._SPECTRA.nbytes == SPECTRUM_CACHE_BYTES
+
+
+def _cold_warm_evicted(compute):
+    """compute, made to return its result with no kept spectra, with its
+    own kept, and with them evicted."""
+    def states():
+        symtomo.grids._SPECTRA.clear()
+        cold, warm = compute(), compute()
+        _evict_kept_spectra()
+        return cold, warm, compute()
+    return states
+
+
+def _assert_all_equal(compute, usable_cpus):
+    """compute() is the same array cold, warm and after eviction, under
+    every worker count of COUNTS; returns it."""
+    results = _under_counts(_cold_warm_evicted(compute), usable_cpus)
+    one = results[0][0]
+    for count, states in zip(COUNTS, results):
+        for state, values in zip(("cold", "warm", "evicted"), states):
+            assert np.array_equal(values, one), (count, state)
+    return one
+
+
 @pytest.fixture(scope="module")
 def psi():
     grid = make_grid(-16.0, 16.0, 1024, HBAR)
@@ -62,6 +110,19 @@ def square_map(psi):
     return wigner_transform(psi, p_grid=psi.grid)
 
 
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("n_angles", [359, 360])
+@pytest.mark.parametrize("route", ["metaplectic", "chirp-fft"])
+def test_sweep_is_the_same_for_any_worker_count(route, n_angles, n, usable_cpus):
+    """Blocks of 128 rows (n = 256) and of 32 (n = 1024), an odd and an
+    even angle count."""
+    span = 12.0 if n == 256 else 16.0
+    state = GaussianState.from_position_data(0.8, 0.3, HBAR)
+    psi = gaussian_wavefunction(state, make_grid(-span, span, n, HBAR))
+    _assert_all_equal(lambda: compute_tomogram_set(psi, n_angles, route=route).values,
+                      usable_cpus)
+
+
 @pytest.mark.parametrize("window", ["default", "square", "narrow"])
 def test_wigner_map_is_the_same_for_any_worker_count(psi, window, usable_cpus):
     """The default window (a plain FFT) and two Bluestein windows, one of
@@ -69,9 +130,7 @@ def test_wigner_map_is_the_same_for_any_worker_count(psi, window, usable_cpus):
     band = np.pi * HBAR / (2.0 * psi.grid.dx)
     p_grid = {"default": None, "square": psi.grid,
               "narrow": Grid1D(-0.35 * band, 512, 0.9 * band / 512, HBAR)}[window]
-    one, *others = _under_counts(lambda: wigner_transform(psi, p_grid).values, usable_cpus)
-    for count, values in zip(COUNTS[1:], others):
-        assert np.array_equal(values, one), count
+    _assert_all_equal(lambda: wigner_transform(psi, p_grid).values, usable_cpus)
 
 
 @pytest.mark.parametrize("mu, nu", [(0.6, -1.1), (0.5, 1.0), (1.1, 0.6), (-1.3, 0.4)],
@@ -79,11 +138,24 @@ def test_wigner_map_is_the_same_for_any_worker_count(psi, window, usable_cpus):
 def test_line_integral_is_the_same_for_any_worker_count(square_map, mu, nu, usable_cpus):
     """Rows along p (|nu| >= |mu| on the square map) and the transposed
     map's rows along x, each with b > 0 and b < 0."""
-    one, *others = _under_counts(lambda: radon_line_integral(square_map, mu, nu).values,
-                                 usable_cpus)
+    one = _assert_all_equal(lambda: radon_line_integral(square_map, mu, nu).values,
+                            usable_cpus)
     assert np.count_nonzero(one) > 0
-    for count, values in zip(COUNTS[1:], others):
-        assert np.array_equal(values, one), count
+
+
+def test_chirp_z_transforms_are_the_same_for_any_worker_count(psi, usable_cpus):
+    """bluestein_czt with one beta and with one per row, and
+    sample_uniform, which takes one chirp-z transform."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(3, 1025)) + 1j * rng.normal(size=(3, 1025))
+    beta = np.array([0.0123, -0.0, -0.0123])
+
+    def compute():
+        return np.concatenate([bluestein_czt(x, 1024, 0.0123).ravel(),
+                               bluestein_czt(x, 700, beta).ravel(),
+                               sample_uniform(psi, -7.3, 0.0131, 1000)])
+
+    _assert_all_equal(compute, usable_cpus)
 
 
 @pytest.mark.parametrize("n_angles, window", [(64, "default"), (37, "default"),
