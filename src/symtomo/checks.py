@@ -227,14 +227,20 @@ def _well_conditioned(s: np.ndarray, cov: np.ndarray) -> bool:
     return max(c[0, 0], c[1, 1]) <= SPREAD_LIMIT
 
 
-def random_free_symplectic(rng: np.random.Generator, cov: np.ndarray) -> FreeSymplectic:
-    """Free symplectic matrix keeping S cov S^T representable on the grid."""
-    from scipy.linalg import expm  # only the random draws need scipy
+def _cayley(h: np.ndarray) -> np.ndarray:
+    """The Cayley transform (I - JH/2)^-1 (I + JH/2) of J H for a symmetric
+    H: a symplectic matrix, by one linear solve."""
+    a = standard_symplectic_form(len(h) // 2) @ h / 2
+    eye = np.eye(len(h))
+    return np.linalg.solve(eye - a, eye + a)
 
+
+def random_free_symplectic(rng: np.random.Generator, cov: np.ndarray) -> FreeSymplectic:
+    """Free symplectic matrix keeping S cov S^T representable on the grid:
+    the Cayley transform of J H for a random symmetric H."""
     while True:
         h = rng.uniform(-0.8, 0.8, size=(2, 2))
-        h = 0.5 * (h + h.T)
-        s = expm(standard_symplectic_form(1) @ h)
+        s = _cayley(0.5 * (h + h.T))
         if _well_conditioned(s, cov):
             return FreeSymplectic.from_matrix(s)
 
@@ -250,13 +256,11 @@ def _random_free_pair(rng: np.random.Generator, cov: np.ndarray):
 
 
 def random_symplectic(rng: np.random.Generator) -> np.ndarray:
-    """exp(J H) for a random symmetric H in dimension 2n, n in {1, 2, 3}."""
-    from scipy.linalg import expm
-
+    """The Cayley transform of J H for a random symmetric H in dimension 2n,
+    n in {1, 2, 3}."""
     n = int(rng.integers(1, 4))
     h = rng.uniform(-1, 1, size=(2 * n, 2 * n))
-    h = 0.5 * (h + h.T)
-    return expm(standard_symplectic_form(n) @ h)
+    return _cayley(0.5 * (h + h.T))
 
 
 def run_checks(seed: int = 0, hbar: float = 1.0,

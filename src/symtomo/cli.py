@@ -112,7 +112,7 @@ def cmd_tomogram(args) -> int:
         if args.route == "line-integral":
             raise SymtomoError("angle sweeps support the metaplectic and chirp-fft routes")
         ts = compute_tomogram_set(psi, args.angles, route=args.route)
-        manifest = save_tomogram_set(ts, out, storage=args.storage)
+        manifest = save_tomogram_set(ts, out)
         print(f"wrote {len(ts)} tomograms to {manifest}")
         return 0
     if args.mu is None or args.nu is None:
@@ -259,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", type=int, help="sweep over this many angles in [0, pi)")
     p.add_argument("--route", choices=["metaplectic", "chirp-fft", "line-integral"],
                    default="metaplectic")
-    p.add_argument("--storage", choices=["binary", "csv"], default="binary")
     p.set_defaults(func=cmd_tomogram)
 
     p = sub.add_parser("invert", help="filtered back-projection of a tomogram set")

@@ -1,5 +1,10 @@
 """File formats: JSON wavefunctions, Wigner maps and tomogram sets.
 
+A Wigner map and a tomogram set are each a JSON header plus one row-major
+float64 block: the (x, p) samples of the map, the (angles x X) values of
+the set.  A single tomogram and a map are also written as plot-ready CSV,
+which is never read back.
+
 Each loader reads only the schema its writer writes and leaves every rule
 about the object to the object's constructor; any error in a file names the
 file (see :func:`_malformed`).
@@ -12,7 +17,6 @@ rename).
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import os
@@ -221,13 +225,11 @@ def _csv_lines(*columns: np.ndarray) -> np.ndarray:
 
 
 def _csv_rows(header: bytes, *columns):
-    """``header``, then one line of cells per index of the columns,
-    CSV_BLOCK lines at a time.  A column is 1-d floats, formatted a block at
-    a time, or the 2-d cells :func:`_g17` made of them."""
+    """``header``, then one line of cells per index of the 1-d float
+    columns, formatted CSV_BLOCK lines at a time."""
     yield header
     for i in range(0, len(columns[0]), CSV_BLOCK):
-        yield _csv_lines(*(c[i:i + CSV_BLOCK] if c.ndim == 2 else _g17(c[i:i + CSV_BLOCK])
-                           for c in columns))
+        yield _csv_lines(*(_g17(c[i:i + CSV_BLOCK]) for c in columns))
 
 
 def atomic_write(path, chunks):
@@ -258,14 +260,11 @@ def _malformed(path, what: str):
     the file: an error raised while the file is read, or while the object it
     holds is built, comes out with ``path`` in front of its message.  A
     SymtomoError keeps its type; a missing key, or a value of the wrong type
-    or form (a non-numeric CSV cell, too), becomes a ConfigError.  The error's
-    ``filename`` is ``path``, as an OSError's is, and an error that already
-    has one, such as a tomogram CSV's under its manifest, passes unchanged."""
+    or form, becomes a ConfigError.  The error's ``filename`` is ``path``, as
+    an OSError's is."""
     try:
         yield
     except (SymtomoError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        if hasattr(exc, "filename"):
-            raise
         if isinstance(exc, SymtomoError):
             err = type(exc)(f"{path}: {exc}")
         elif isinstance(exc, KeyError):
@@ -376,10 +375,9 @@ def save_tomogram_csv(t: Tomogram, path):
     atomic_write(path, _csv_rows(b"x,value\n", t.x, t.values))
 
 
-def save_tomogram_set(ts: TomogramSet, out_dir, storage: str = "binary") -> Path:
-    """MANIFEST_NAME plus either one binary block or per-angle CSV files."""
-    if storage not in ("binary", "csv"):
-        raise ConfigError(f"storage must be 'binary' or 'csv', got {storage!r}")
+def save_tomogram_set(ts: TomogramSet, out_dir) -> Path:
+    """MANIFEST_NAME, a JSON header, plus the (angles x X) values as one
+    row-major float64 block beside it."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     x = ts.x
@@ -392,17 +390,10 @@ def save_tomogram_set(ts: TomogramSet, out_dir, storage: str = "binary") -> Path
               "values": x.tolist()},
         "routes": list(ts.routes),
         "warnings": ts.warnings.tolist(),
-        "storage": storage,
+        "data_file": "tomograms.bin",
     }
-    if storage == "binary":
-        doc["data_file"] = "tomograms.bin"
-        # The array's own buffer: tobytes() would copy the whole block.
-        atomic_write(out_dir / "tomograms.bin", (np.ascontiguousarray(ts.values).data,))
-    else:
-        doc["files"] = [f"tomogram_{k:04d}.csv" for k in range(len(ts))]
-        x_cells = _g17(x)
-        for row, name in zip(ts.values, doc["files"]):
-            atomic_write(out_dir / name, _csv_rows(b"x,value\n", x_cells, row))
+    # The array's own buffer: tobytes() would copy the whole block.
+    atomic_write(out_dir / "tomograms.bin", (np.ascontiguousarray(ts.values).data,))
     manifest = out_dir / MANIFEST_NAME
     atomic_write(manifest, (json.dumps(doc).encode(),))
     return manifest
@@ -412,7 +403,8 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
     """The set that :func:`save_tomogram_set` wrote.  Its ``angles`` must be
     ``n_angles`` long and lie within 1e-9 of the sweep theta_k =
     k*pi/n_angles, which the set then holds exactly: a partial, offset or
-    decreasing arc is a ConfigError."""
+    decreasing arc is a ConfigError.  Keys it does not read are ignored, so
+    manifests that older versions wrote with more keys still load."""
     manifest_path = Path(manifest_path)
     with _malformed(manifest_path, "manifest"):
         doc = _read_json(manifest_path, TOMOGRAM_SET_FORMAT, "tomogram-set manifest")
@@ -424,42 +416,19 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
         x = np.asarray(doc["x"]["values"], dtype=np.float64)
         if angles.ndim != 1 or x.ndim != 1:
             raise TypeError("the angles and the X values must be lists of numbers")
-        routes, warnings, storage = doc["routes"], doc["warnings"], doc["storage"]
+        routes, warnings = doc["routes"], doc["warnings"]
         if not (isinstance(routes, list) and all(isinstance(r, str) for r in routes)):
             raise TypeError("routes must be a list of strings")
         if not (isinstance(warnings, list) and all(isinstance(f, bool) for f in warnings)):
             raise TypeError("warnings must be a list of true/false flags")
-        lengths = {"angles": len(angles)}
-        if storage == "csv":
-            lengths["files"] = len(doc["files"])
-        if any(k != n_angles for k in lengths.values()):
+        if len(angles) != n_angles:
             raise ConfigError(f"n_angles is {n_angles} but the lists have lengths "
-                              + ", ".join(f"{key}={k}" for key, k in lengths.items()))
+                              f"angles={len(angles)}")
         if not np.all(np.abs(angles - sweep_angles(n_angles)) <= 1e-9):
             raise ConfigError(f"the angles are not the sweep theta_k = k*pi/{n_angles} (to 1e-9)")
         n_x = len(x)
-        if storage == "binary":
-            rows = np.fromfile(manifest_path.parent / doc["data_file"], dtype=np.float64)
-            if rows.size != n_angles * n_x:
-                raise ConfigError(f"binary block size mismatch: {rows.size} values for "
-                                  f"{n_angles} rows of {n_x}")
-            rows = rows.reshape(n_angles, n_x)
-        elif storage == "csv":
-            rows = np.empty((n_angles, n_x))
-            for row, name in zip(rows, doc["files"]):
-                path = manifest_path.parent / name
-                with _malformed(path, "tomogram CSV"), open(path) as fh:
-                    fh.readline()  # the header
-                    body = fh.read()
-                    # Checked here: np.loadtxt warns on a file without rows.
-                    if not body.strip():
-                        raise ConfigError(f"no x,value rows, expected {n_x}")
-                    data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-                    if data.shape != (n_x, 2):
-                        raise ConfigError(f"expected {n_x} rows of x,value")
-                    if not np.allclose(data[:, 0], x, rtol=1e-12, atol=1e-12):
-                        raise ConfigError("x column differs from the manifest's X grid")
-                row[:] = data[:, 1]
-        else:
-            raise ConfigError(f"unknown storage {storage!r}")
-        return TomogramSet(x, rows, hbar, tuple(routes), warnings)
+        rows = np.fromfile(manifest_path.parent / doc["data_file"], dtype=np.float64)
+        if rows.size != n_angles * n_x:
+            raise ConfigError(f"binary block size mismatch: {rows.size} values for "
+                              f"{n_angles} rows of {n_x}")
+        return TomogramSet(x, rows.reshape(n_angles, n_x), hbar, tuple(routes), warnings)

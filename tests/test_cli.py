@@ -6,10 +6,15 @@ import pytest
 from conftest import flagged_chirp_set
 
 import symtomo.grids
-from symtomo import GaussianState, gaussian_wavefunction, make_grid, wigner_transform
+from symtomo import ConfigError, GaussianState, gaussian_wavefunction, make_grid, wigner_transform
 from symtomo.checks import CONTRACT
 from symtomo.cli import main
-from symtomo.serialization import save_tomogram_set, save_wavefunction_json, save_wigner
+from symtomo.serialization import (
+    load_tomogram_set,
+    save_tomogram_set,
+    save_wavefunction_json,
+    save_wigner,
+)
 
 
 def run(args):
@@ -145,12 +150,15 @@ class TestTomogramCommand:
 
     def test_no_threads_option(self, tmp_path, capsys):
         """CPU affinity (taskset) caps the workers of every kernel; the CLI
-        has no option of its own for them."""
-        with pytest.raises(SystemExit) as exc:
-            run(["tomogram", "--grid=-12:12:512", "--state", "gaussian:1,0",
-                 "--angles", "8", "--threads", "2", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
+        has no option of its own for them.  Nor does a sweep take a storage
+        option: a set is always a manifest and one binary block."""
+        for option, value in (("--threads", "2"), ("--storage", "csv")):
+            with pytest.raises(SystemExit) as exc:
+                run(["tomogram", "--grid=-12:12:512", "--state", "gaussian:1,0",
+                     "--angles", "8", option, value, "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            assert option in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("route", ["metaplectic", "chirp-fft"])
     def test_default_workers_write_the_bytes_of_one(self, tmp_path, monkeypatch, route):
@@ -229,19 +237,29 @@ class TestInvertCommand:
                             bad, capsys)
 
     def test_manifest_missing_key(self, tmp_path, capsys):
+        """A manifest without its hbar, and one of the per-angle CSV sets of
+        older versions (a "files" list in place of "data_file"), each fail
+        to load naming the manifest, and invert exits 2 writing nothing."""
         assert run(["tomogram", "--grid=-12:12:256", "--state", "gaussian:1,0",
                     "--angles", "8", "--out", str(tmp_path / "set")]) == 0
         manifest = tmp_path / "set" / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        del doc["hbar"]
-        manifest.write_text(json.dumps(doc))
-        assert fails_naming(["invert", "--set", str(manifest), "--out", str(tmp_path / "rec")],
-                            manifest, capsys)
+        written = json.loads(manifest.read_text())
+        no_hbar = {k: v for k, v in written.items() if k != "hbar"}
+        csv_set = {k: v for k, v in written.items() if k != "data_file"}
+        csv_set.update(storage="csv", files=[f"tomogram_{k:04d}.csv" for k in range(8)])
+        for doc in (no_hbar, csv_set):
+            manifest.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError, match="missing key") as err:
+                load_tomogram_set(manifest)
+            assert str(err.value).startswith(f"{manifest}: ")
+            assert fails_naming(["invert", "--set", str(manifest),
+                                 "--out", str(tmp_path / "rec")], manifest, capsys)
+            assert not (tmp_path / "rec").exists()
 
-    @pytest.mark.parametrize("key, value", [("files", 1), ("routes", 1), ("n_angles", 8.7)])
+    @pytest.mark.parametrize("key, value", [("routes", 1), ("n_angles", 8.7)])
     def test_manifest_entry_of_wrong_type(self, tmp_path, capsys, key, value):
         assert run(["tomogram", "--grid=-12:12:256", "--state", "gaussian:1,0",
-                    "--angles", "8", "--storage", "csv", "--out", str(tmp_path / "set")]) == 0
+                    "--angles", "8", "--out", str(tmp_path / "set")]) == 0
         manifest = tmp_path / "set" / "manifest.json"
         doc = json.loads(manifest.read_text())
         if isinstance(doc[key], list):
@@ -257,15 +275,6 @@ class TestInvertCommand:
         bad.write_text("not json")
         assert fails_naming(["invert", "--set", str(bad), "--out", str(tmp_path / "rec")],
                             bad, capsys)
-
-    def test_csv_set_with_non_numeric_cell(self, tmp_path, capsys):
-        assert run(["tomogram", "--grid=-12:12:256", "--state", "gaussian:1,0",
-                    "--angles", "8", "--storage", "csv", "--out", str(tmp_path / "set")]) == 0
-        with open(tmp_path / "set" / "tomogram_0003.csv", "a") as fh:
-            fh.write("garbage,row\n")
-        assert fails_naming(["invert", "--set", str(tmp_path / "set" / "manifest.json"),
-                             "--out", str(tmp_path / "rec")],
-                            tmp_path / "set" / "tomogram_0003.csv", capsys)
 
     def test_non_finite_reference(self, tmp_path, capsys):
         assert run(["wigner", "--grid=-12:12:256", "--state", "gaussian:0.5,0",

@@ -2,7 +2,6 @@ import json
 import os
 import stat
 import tracemalloc
-import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -241,10 +240,9 @@ def test_tomogram_csv(psi, tmp_path):
     assert np.array_equal(data[:, 1], t.values)
 
 
-@pytest.mark.parametrize("storage", ["binary", "csv"])
-def test_tomogram_set_round_trip(psi, tmp_path, storage):
+def test_tomogram_set_round_trip(psi, tmp_path):
     ts = compute_tomogram_set(psi, 16)
-    manifest = save_tomogram_set(ts, tmp_path / storage, storage=storage)
+    manifest = save_tomogram_set(ts, tmp_path)
     back = load_tomogram_set(manifest)
     assert len(back) == 16
     assert np.allclose(back.angles, ts.angles, rtol=0, atol=1e-15)
@@ -253,11 +251,10 @@ def test_tomogram_set_round_trip(psi, tmp_path, storage):
         assert np.array_equal(a.x, b.x)
 
 
-@pytest.mark.parametrize("storage", ["binary", "csv"])
-def test_tomogram_set_round_trip_keeps_warnings(tmp_path, storage):
+def test_tomogram_set_round_trip_keeps_warnings(tmp_path):
     ts = flagged_chirp_set()
     assert ts.warnings.tolist() == [False, True, False, False, False, False, False, True]
-    back = load_tomogram_set(save_tomogram_set(ts, tmp_path, storage=storage))
+    back = load_tomogram_set(save_tomogram_set(ts, tmp_path))
     assert np.array_equal(back.warnings, ts.warnings)
     assert back.routes == ts.routes
 
@@ -268,9 +265,10 @@ def test_tomogram_set_round_trip_keeps_warnings(tmp_path, storage):
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_tomogram_set_round_trip_is_bit_exact(tmp_path_factory, n_angles, n_x, start, step,
                                               decades, seed, data):
-    """Both storages give back the angles, the X grid, the values, the routes
-    and the flags bit for bit: an off-lattice X grid, values over up to 40
-    decades (subnormals and zeros too)."""
+    """A set gives back the angles, the X grid, the values, the routes and the
+    flags bit for bit: an off-lattice X grid, values over up to 40 decades
+    (subnormals and zeros too).  So does its manifest with the "storage":
+    "binary" entry that older versions wrote."""
     rng = np.random.default_rng(seed)
     lo, span = decades
     values = rng.random((n_angles, n_x)) * 10.0 ** rng.integers(lo, lo + span + 1, (n_angles, n_x))
@@ -279,11 +277,15 @@ def test_tomogram_set_round_trip_is_bit_exact(tmp_path_factory, n_angles, n_x, s
                                 min_size=n_angles, max_size=n_angles))
     warnings = data.draw(st.lists(st.booleans(), min_size=n_angles, max_size=n_angles))
     ts = TomogramSet(start + step * np.arange(n_x), values, HBAR, routes, warnings)
-    for storage in ("binary", "csv"):
-        back = load_tomogram_set(save_tomogram_set(ts, tmp_path_factory.mktemp(storage),
-                                                   storage=storage))
+    manifest = save_tomogram_set(ts, tmp_path_factory.mktemp("set"))
+    written = manifest.read_text()
+    old = json.loads(written)
+    old["storage"] = "binary"
+    for text in (written, json.dumps(old)):
+        manifest.write_text(text)
+        back = load_tomogram_set(manifest)
         for name in ("angles", "x", "values", "warnings"):
-            assert np.array_equal(getattr(back, name), getattr(ts, name)), (storage, name)
+            assert np.array_equal(getattr(back, name), getattr(ts, name)), (text, name)
         assert back.routes == ts.routes
 
 
@@ -295,13 +297,12 @@ def test_files_take_mode_0666_less_umask(tmp_path, umask, want):
     try:
         save_wigner(wigner_transform(small), tmp_path / "wigner.json")
         save_wavefunction_json(small, tmp_path / "state.json")
-        save_tomogram_set(compute_tomogram_set(small, 4), tmp_path / "set", storage="csv")
+        save_tomogram_set(compute_tomogram_set(small, 4), tmp_path / "set")
     finally:
         os.umask(old)
     files = sorted(tmp_path.glob("*")) + sorted((tmp_path / "set").glob("*"))
     assert [f.name for f in files if f.is_file()] == [
-        "state.json", "wigner.bin", "wigner.json", "manifest.json",
-        "tomogram_0000.csv", "tomogram_0001.csv", "tomogram_0002.csv", "tomogram_0003.csv"]
+        "state.json", "wigner.bin", "wigner.json", "manifest.json", "tomograms.bin"]
     assert {stat.S_IMODE(f.stat().st_mode) for f in files if f.is_file()} == {want}
 
 
@@ -346,24 +347,20 @@ def _fields(doc, prefix=()):
 
 
 @pytest.fixture(scope="module")
-def saved_sets(tmp_path_factory):
-    """A flagged eight-angle set in each storage, with its manifest."""
-    sets = {}
-    for storage in ("binary", "csv"):
-        manifest = save_tomogram_set(flagged_chirp_set(), tmp_path_factory.mktemp(storage),
-                                     storage=storage)
-        sets[storage] = manifest, json.loads(manifest.read_text())
-    return sets
+def saved_set(tmp_path_factory):
+    """A flagged eight-angle set, with its manifest."""
+    manifest = save_tomogram_set(flagged_chirp_set(), tmp_path_factory.mktemp("set"))
+    return manifest, json.loads(manifest.read_text())
 
 
 @settings(max_examples=300, deadline=None)
-@given(storage=st.sampled_from(["binary", "csv"]), value=JSON_VALUES, data=st.data())
-def test_fuzzed_manifest_loads_or_raises_config_error(saved_sets, storage, value, data):
+@given(value=JSON_VALUES, data=st.data())
+def test_fuzzed_manifest_loads_or_raises_config_error(saved_set, value, data):
     """One field or list entry of a manifest replaced by any JSON value either
     loads or raises ConfigError or OSError, the errors the CLI maps to
-    exit 2; either error names its file (the manifest, or a file it
-    lists) by ``filename``, and a ConfigError in front of its message."""
-    manifest, doc = saved_sets[storage]
+    exit 2; either error names its file (the manifest, or the data file it
+    names) by ``filename``, and a ConfigError in front of its message."""
+    manifest, doc = saved_set
     doc = json.loads(json.dumps(doc))
     *parents, last = data.draw(st.sampled_from(list(_fields(doc))))
     target = doc
@@ -386,17 +383,14 @@ def test_fuzzed_manifest_loads_or_raises_config_error(saved_sets, storage, value
 @pytest.fixture(scope="module")
 def saved_blocks(tmp_path_factory):
     """Each data file the block fuzz edits, with the load of the file that
-    names it: a binary and a CSV eight-angle set, and a Wigner map."""
+    names it: an eight-angle set and a Wigner map."""
     out = tmp_path_factory.mktemp("blocks")
-    binary = save_tomogram_set(flagged_chirp_set(), out / "binary")
-    csv = save_tomogram_set(flagged_chirp_set(), out / "csv", storage="csv")
+    manifest = save_tomogram_set(flagged_chirp_set(), out / "set")
     small = gaussian_wavefunction(GaussianState.from_position_data(0.7, 0.2, HBAR),
                                   make_grid(-8.0, 8.0, 64, HBAR))
     header = save_wigner(wigner_transform(small), out / "map" / "wigner.json")
-    return {"tomograms.bin": (out / "binary" / "tomograms.bin", lambda: load_tomogram_set(binary)),
-            "wigner.bin": (out / "map" / "wigner.bin", lambda: load_wigner(header)),
-            "tomogram_0003.csv": (out / "csv" / "tomogram_0003.csv",
-                                  lambda: load_tomogram_set(csv))}
+    return {"tomograms.bin": (out / "set" / "tomograms.bin", lambda: load_tomogram_set(manifest)),
+            "wigner.bin": (out / "map" / "wigner.bin", lambda: load_wigner(header))}
 
 
 BLOCK_EDITS = st.one_of(
@@ -406,9 +400,9 @@ BLOCK_EDITS = st.one_of(
     st.tuples(st.just("value"), st.integers(0, 2**20), st.floats()))
 
 
-def _edited(raw, edit, csv):
+def _edited(raw, edit):
     """``raw`` with one byte flipped, cut at a byte, lengthened, or with one
-    value (a float64 of a block, a value cell of a CSV) replaced."""
+    float64 of the block replaced."""
     kind, *args = edit
     if kind == "flip":
         at = args[0] % len(raw)
@@ -418,18 +412,13 @@ def _edited(raw, edit, csv):
     if kind == "extend":
         return raw + args[0]
     at, value = args
-    if csv:
-        lines = raw.split(b"\n")  # the header, the rows and a last empty line
-        k = 1 + at % (len(lines) - 2)
-        lines[k] = lines[k].split(b",")[0] + b",%.17g" % value
-        return b"\n".join(lines)
     values = np.frombuffer(raw, dtype=np.float64).copy()
     values[at % len(values)] = value
     return values.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
-@given(name=st.sampled_from(["tomograms.bin", "wigner.bin", "tomogram_0003.csv"]),
+@given(name=st.sampled_from(["tomograms.bin", "wigner.bin"]),
        edit=BLOCK_EDITS)
 @example(name="tomograms.bin", edit=("value", 100, float("nan")))
 @example(name="tomograms.bin", edit=("value", 100, -1.0))
@@ -437,10 +426,10 @@ def test_fuzzed_data_file_loads_or_names_a_file(saved_blocks, name, edit):
     """A data file edited byte-wise, or with one value replaced (NaN and -1
     pinned), either loads as a valid object or raises ConfigError,
     DomainError or OSError whose message begins with the path of the file
-    at fault: the manifest or header, or the CSV itself."""
+    at fault: the manifest or header."""
     path, load = saved_blocks[name]
     good = path.read_bytes()
-    path.write_bytes(_edited(good, edit, path.suffix == ".csv"))
+    path.write_bytes(_edited(good, edit))
     try:
         loaded = load()
     except (ConfigError, DomainError, OSError) as exc:
@@ -479,11 +468,11 @@ def test_manifest_angles_near_the_sweep_load_as_the_sweep(tmp_path_factory, n_an
 
 def test_manifest_contents(psi, tmp_path):
     ts = compute_tomogram_set(psi, 8)
-    manifest = save_tomogram_set(ts, tmp_path, storage="binary")
+    manifest = save_tomogram_set(ts, tmp_path)
     doc = json.loads(manifest.read_text())
     assert doc["n_angles"] == 8
     assert doc["hbar"] == HBAR
-    assert doc["storage"] == "binary"
+    assert "storage" not in doc
     assert (tmp_path / doc["data_file"]).exists()
 
 
@@ -494,59 +483,46 @@ def test_malformed_manifest_rejected(tmp_path):
         load_tomogram_set(bad)
 
 
-def _edit_manifest(psi, tmp_path, storage, edit):
-    manifest = save_tomogram_set(compute_tomogram_set(psi, 16), tmp_path, storage=storage)
+def _edit_manifest(psi, tmp_path, edit):
+    manifest = save_tomogram_set(compute_tomogram_set(psi, 16), tmp_path)
     doc = json.loads(manifest.read_text())
     edit(doc)
     manifest.write_text(json.dumps(doc))
     return manifest
 
 
-@pytest.mark.parametrize("storage, edit", [
-    ("binary", lambda d: d.update(routes=d["routes"][:10])),
-    ("binary", lambda d: d.update(angles=d["angles"][:10])),
-    ("binary", lambda d: d.update(n_angles=10)),
-    ("binary", lambda d: d.update(warnings=d["warnings"][:10])),
-    ("csv", lambda d: d.update(files=d["files"][:10])),
-], ids=["routes", "angles", "n_angles", "warnings", "files"])
-def test_manifest_list_length_mismatch_rejected(psi, tmp_path, storage, edit):
-    manifest = _edit_manifest(psi, tmp_path, storage, edit)
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(routes=d["routes"][:10]),
+    lambda d: d.update(angles=d["angles"][:10]),
+    lambda d: d.update(n_angles=10),
+    lambda d: d.update(warnings=d["warnings"][:10]),
+], ids=["routes", "angles", "n_angles", "warnings"])
+def test_manifest_list_length_mismatch_rejected(psi, tmp_path, edit):
+    manifest = _edit_manifest(psi, tmp_path, edit)
     with raises_naming(manifest, match="lengths"):
         load_tomogram_set(manifest)
 
 
-@pytest.mark.parametrize("storage, edit, match", [
-    ("csv", lambda d: d["files"].__setitem__(3, 1), "malformed manifest"),
-    ("binary", lambda d: d["routes"].__setitem__(3, 1), "routes"),
-    ("binary", lambda d: d.update(n_angles=16.7), "n_angles"),
-    ("binary", lambda d: d.update(routes=0), "routes"),
-    ("binary", lambda d: d.update(routes=False), "routes"),
-    ("binary", lambda d: d.update(routes=""), "routes"),
-    ("binary", lambda d: d.update(routes={}), "routes"),
-    ("binary", lambda d: d.update(routes=[]), "routes"),
-], ids=["files", "routes", "n_angles", "routes-zero", "routes-false", "routes-empty-string",
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d["routes"].__setitem__(3, 1), "routes"),
+    (lambda d: d.update(n_angles=16.7), "n_angles"),
+    (lambda d: d.update(routes=0), "routes"),
+    (lambda d: d.update(routes=False), "routes"),
+    (lambda d: d.update(routes=""), "routes"),
+    (lambda d: d.update(routes={}), "routes"),
+    (lambda d: d.update(routes=[]), "routes"),
+], ids=["routes", "n_angles", "routes-zero", "routes-false", "routes-empty-string",
         "routes-empty-object", "routes-empty-list"])
-def test_manifest_entry_of_wrong_type_rejected(psi, tmp_path, storage, edit, match):
-    manifest = _edit_manifest(psi, tmp_path, storage, edit)
+def test_manifest_entry_of_wrong_type_rejected(psi, tmp_path, edit, match):
+    manifest = _edit_manifest(psi, tmp_path, edit)
     with raises_naming(manifest, match=match):
         load_tomogram_set(manifest)
 
 
-@pytest.mark.parametrize("key", ["hbar", "n_angles", "x", "storage", "data_file", "routes",
-                                 "warnings"])
+@pytest.mark.parametrize("key", ["hbar", "n_angles", "x", "data_file", "routes", "warnings"])
 def test_manifest_missing_key_rejected(psi, tmp_path, key):
-    manifest = _edit_manifest(psi, tmp_path, "binary", lambda d: d.pop(key))
+    manifest = _edit_manifest(psi, tmp_path, lambda d: d.pop(key))
     with raises_naming(manifest, match="missing key"):
-        load_tomogram_set(manifest)
-
-
-def test_csv_x_column_must_match_manifest(psi, tmp_path):
-    manifest = save_tomogram_set(compute_tomogram_set(psi, 8), tmp_path, storage="csv")
-    path = tmp_path / "tomogram_0003.csv"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    data[:, 0] += 5.0
-    np.savetxt(path, data, delimiter=",", header="x,value", comments="", fmt="%.17g")
-    with raises_naming(path, match="x column"):
         load_tomogram_set(manifest)
 
 
@@ -565,39 +541,6 @@ def test_deterministic_bytes(psi, tmp_path):
     save_tomogram_csv(t, a)
     save_tomogram_csv(t, b)
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_csv_set_errors_name_the_file_under_the_manifest(psi, tmp_path):
-    manifest = save_tomogram_set(compute_tomogram_set(psi, 8), tmp_path / "set", storage="csv")
-    path = tmp_path / "set" / "tomogram_0003.csv"
-    good = path.read_text()
-    lines = good.splitlines()
-    for broken, match in ((lines[:5], "expected"),
-                          (lines[:5] + ["0,abc"] + lines[6:], "malformed tomogram CSV"),
-                          (lines[:5] + ["123,0"] + lines[6:], "x column")):
-        path.write_text("\n".join(broken) + "\n")
-        with raises_naming(path, match=match):
-            load_tomogram_set(manifest)
-    path.write_text(good)
-    load_tomogram_set(manifest)
-
-
-@pytest.mark.parametrize("text, match", [
-    ("x,value\n", "no x,value rows"),
-    ("", "no x,value rows"),
-    ("x,value\n\n  \n", "no x,value rows"),
-    ("x,value\n# 0,1\n", "malformed tomogram CSV"),
-], ids=["header-only", "empty", "blank-lines", "comment-line"])
-def test_csv_set_without_rows_names_the_file(psi, tmp_path, text, match):
-    # np.loadtxt warns on a file without data rows; with warnings as errors,
-    # that warning would leave the loader in place of the ConfigError.
-    manifest = save_tomogram_set(compute_tomogram_set(psi, 8), tmp_path, storage="csv")
-    path = tmp_path / "tomogram_0003.csv"
-    path.write_text(text)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with raises_naming(path, match=match):
-            load_tomogram_set(manifest)
 
 
 def texts(values):
@@ -706,14 +649,6 @@ def test_csv_writers_match_per_cell_reference(tmp_path, monkeypatch, block):
         save(obj, tmp_path / "new.csv")
         reference(obj, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-
-def test_csv_tomogram_set_files_match_per_cell_reference(psi, tmp_path):
-    ts = compute_tomogram_set(psi, 12)
-    save_tomogram_set(ts, tmp_path, storage="csv")
-    for k, t in enumerate(ts):
-        save_tomogram_csv_reference(t, tmp_path / "ref.csv")
-        assert (tmp_path / f"tomogram_{k:04d}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command, name", [
