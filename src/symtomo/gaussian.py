@@ -29,6 +29,7 @@ from .errors import (
     ModelMismatchError,
 )
 from .grids import Grid1D, SampledWavefunction
+from .metaplectic import RotationParams
 from .radon import Tomogram
 from .wigner import WignerMap, default_momentum_window
 
@@ -126,9 +127,8 @@ def gaussian_wavefunction(state: GaussianState, grid: Grid1D) -> SampledWavefunc
 
 def tomogram_variance(state: GaussianState, mu: float, nu: float) -> float:
     """Variance of the quadrature mu*x + nu*p: the quadratic form of the
-    covariance matrix on (mu, nu)."""
-    if mu == 0.0 and nu == 0.0:
-        raise DomainError("(mu, nu) = (0, 0) does not define a direction")
+    covariance matrix on (mu, nu), a direction of :class:`RotationParams`."""
+    RotationParams(mu, nu)
     return (mu**2 * state.sigma_xx + 2 * mu * nu * state.sigma_xp
             + nu**2 * state.sigma_pp)
 
@@ -201,10 +201,10 @@ def ellipse_chord(state: GaussianState, mu: float, nu: float) -> EllipseChord:
     The x^2 coefficient of the chord condition equals sigma_X / nu^2, the
     tomogram variance rescaled by the parametrization — the geometric face
     of the variance formula (see
-    :func:`chord_matches_tomogram_variance`).
+    :func:`chord_matches_tomogram_variance`).  (mu, nu) is a direction of
+    :class:`RotationParams`.
     """
-    if mu == 0.0 and nu == 0.0:
-        raise DomainError("(mu, nu) = (0, 0) does not define a line")
+    RotationParams(mu, nu)
     coeff = _chord_coefficient(state, mu, nu)
     if coeff <= 0:
         raise ModelMismatchError("chord coefficient must be positive for a valid state")

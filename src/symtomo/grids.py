@@ -365,104 +365,95 @@ class _SpectrumCache:
 _SPECTRA = _SpectrumCache()
 
 
-def _bluestein_kernel(n: int, m: int, beta: np.ndarray) -> np.ndarray:
-    """The conjugate chirp exp(-0.5j*beta*j^2), j < max(n, m), one row per
-    entry of the 1-d ``beta``, at the head of rows as long as the FFT of
-    :func:`_chirp_convolve` for chirp-z transforms of rows of n points
-    onto m points (:func:`_bluestein_length`).  :func:`_quadratic_phase`
-    writes it within a few ulps of the exact phase 0.5*beta*j^2 at any
-    size of it."""
-    kernel = np.empty((len(beta), _bluestein_length(n, m)), dtype=np.complex128)
-    zero = np.zeros(len(beta))
-    _quadratic_phase(-0.5 * beta, zero, zero, int(max(n, m)), out=kernel)
-    return kernel
-
-
-def _kernel_spectrum(kernel: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The FFT, in place, of rows of :func:`_bluestein_kernel` laid out for
-    the circular convolution of :func:`_chirp_convolve`."""
-    nfft = kernel.shape[-1]
-    kernel[:, nfft - n + 1:] = kernel[:, n - 1:0:-1]
-    kernel[:, m:nfft - n + 1] = 0.0
-    return np.fft.fft(kernel, out=kernel)
-
-
 def _bluestein_plan(n: int, m: int, beta) -> np.ndarray:
     """The kernel spectrum of :func:`_chirp_convolve` for chirp-z
     transforms of rows of n points onto m points, one row per entry of
-    ``beta`` (a scalar or an array; shape beta.shape + (nfft,)).  Its
-    rows, and those of :func:`_bluestein_chirp_plan`, are kept per
-    process (``_SPECTRA``), so a later call on the same n, m and beta
-    skips the phase generator and the FFT, with the same bits."""
+    ``beta`` (a scalar or an array; shape beta.shape + (nfft,)): the FFT
+    of the conjugate chirp exp(-0.5j*beta*j^2), j < max(n, m), which
+    :func:`_quadratic_phase` writes within a few ulps of the exact phase
+    at any size of it, laid out for the circular convolution.  Its rows
+    are kept per process (``_SPECTRA``), so a later call on the same n, m
+    and beta skips the phase generator and the FFT, with the same bits."""
     beta = np.asarray(beta, dtype=np.float64)
     flat = beta.ravel()
-    spectrum = _SPECTRA.take(
-        n, m, flat, lambda rows: _kernel_spectrum(_bluestein_kernel(n, m, flat[rows]), n, m))
-    return spectrum.reshape(beta.shape + spectrum.shape[-1:])
+    nfft = _bluestein_length(n, m)
+
+    def build(rows):
+        kernel = np.empty((len(rows), nfft), dtype=np.complex128)
+        zero = np.zeros(len(rows))
+        _quadratic_phase(-0.5 * flat[rows], zero, zero, int(max(n, m)), out=kernel)
+        kernel[:, nfft - n + 1:] = kernel[:, n - 1:0:-1]
+        kernel[:, m:nfft - n + 1] = 0.0
+        return np.fft.fft(kernel, out=kernel)
+
+    spectrum = _SPECTRA.take(n, m, flat, build)
+    return spectrum.reshape(beta.shape + (nfft,))
 
 
-def _bluestein_chirp_plan(n: int, m: int, beta) -> tuple[np.ndarray, np.ndarray]:
-    """The chirp exp(0.5j*beta*j^2), j < max(n, m), and the spectrum of
-    :func:`_bluestein_plan`, for the callers that multiply by the chirp.
-    The chirp is the conjugate of the kernel's head; a row not kept is
-    transformed from that same kernel."""
-    beta = np.asarray(beta, dtype=np.float64)
-    flat = beta.ravel()
-    kernel = _bluestein_kernel(n, m, flat)
-    size = int(max(n, m))
-    chirp = np.conj(kernel[:, :size]).reshape(beta.shape + (size,))
-    spectrum = _SPECTRA.take(n, m, flat, lambda rows: _kernel_spectrum(kernel[rows], n, m))
-    return chirp, spectrum.reshape(beta.shape + spectrum.shape[-1:])
+def bluestein_czt(x: np.ndarray, m: int, beta, alpha=0.0, center=0.0) -> np.ndarray:
+    """Chirp z-transform y[..., k] = sum_j x[..., j] *
+    exp(1j*(alpha + beta*k)*(j - center)), k = 0..m-1, of the rows (last
+    axis) of ``x``: the transform of Rabiner, Schafer & Rader (1969) with
+    start point exp(1j*alpha), step exp(1j*beta) and index origin
+    ``center``.
 
-
-def _bluestein_rows(x: np.ndarray, m: int, chirp: np.ndarray,
-                    spectrum: np.ndarray) -> np.ndarray:
-    """The chirp-z transform of :func:`bluestein_czt` of the rows of ``x``,
-    on a plan (``chirp``, ``spectrum``) of :func:`_bluestein_chirp_plan`."""
-    n = x.shape[-1]
-    y = np.zeros(np.broadcast_shapes(x.shape[:-1], chirp.shape[:-1]) + spectrum.shape[-1:],
-                 dtype=np.complex128)
-    np.multiply(x, chirp[..., :n], out=y[..., :n])
-    return _chirp_convolve(y, spectrum, m) * chirp[..., :m]
-
-
-def bluestein_czt(x: np.ndarray, m: int, beta) -> np.ndarray:
-    """Chirp z-transform y[..., k] = sum_j x[..., j] * exp(1j*beta*j*k),
-    k = 0..m-1, of the rows (last axis) of ``x``.
-
-    ``beta`` is a scalar or has one entry per row (the shape of
-    ``x.shape[:-1]``).  Bluestein's identity j*k = (j^2 + k^2 - (k-j)^2)/2
-    turns the sum into a linear convolution with the chirp
-    exp(0.5j*beta*j^2), done by power-of-two FFTs of length >= n + m - 1
-    (Rabiner, Schafer & Rader, 1969).  The chirp is within a few ulps of
-    the exact phase 0.5*beta*j^2 of the float beta at any j
-    (:func:`_bluestein_chirp_plan`), so the error stays a few ulps of
-    sum_j |x[..., j]| however large beta*j^2 grows.
+    ``beta``, ``alpha`` and ``center`` are scalars or have one entry per
+    row (broadcasting against ``x.shape[:-1]``).  Bluestein's identity
+    j*k = (j^2 + k^2 - (k-j)^2)/2 turns the sum into a linear convolution
+    with the chirp exp(0.5j*beta*j^2), done by power-of-two FFTs of length
+    >= n + m - 1, between the input phase 0.5*beta*j^2 + alpha*(j - center)
+    and the output phase 0.5*beta*k^2 - beta*center*k.  Both phases are
+    within a few ulps of the exact phase of the float coefficients at any
+    size (:func:`_quadratic_phase`; alpha*center and beta*center are exact
+    for a center that is a power of two or zero), so the error stays a few
+    ulps of sum_j |x[..., j]| however large the phases grow.  A
+    non-finite beta, alpha or center, or a negative m, raises DomainError;
+    m = 0 gives empty rows, and rows of no points give zeros.
     """
+    coef = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (beta, alpha, center)))
+    if not all(np.isfinite(v).all() for v in coef):
+        raise DomainError("chirp-z beta, alpha and center must be finite")
+    if m < 0:
+        raise DomainError(f"chirp-z output count must be >= 0, got {m}")
     x = np.asarray(x, dtype=np.complex128)
-    return _bluestein_rows(x, m, *_bluestein_chirp_plan(x.shape[-1], m, beta))
+    n, shape = x.shape[-1], np.broadcast_shapes(x.shape[:-1], coef[0].shape)
+    if m == 0 or n == 0:
+        return np.zeros(shape + (m,), dtype=np.complex128)
+    b, a, c = (v.ravel() for v in coef)
+    size = int(max(n, m))
+    phase = _quadratic_phase(np.concatenate([0.5 * b, 0.5 * b]), np.concatenate([a, -b * c]),
+                             np.concatenate([-a * c, np.zeros_like(c)]), size)
+    phase = phase.reshape((2,) + coef[0].shape + (size,))
+    y = np.zeros(shape + (_bluestein_length(n, m),), dtype=np.complex128)
+    np.multiply(x, phase[0, ..., :n], out=y[..., :n])
+    return _chirp_convolve(y, _bluestein_plan(n, m, beta), m) * phase[1, ..., :m]
 
 
 def sample_uniform(psi: SampledWavefunction, start: float, step: float, count: int) -> np.ndarray:
     """Band-limited evaluation of psi at the uniform points start + k*step
     (k = 0..count-1): the trigonometric interpolant of the samples, zero
     outside the sample window.  Exact for band-limited content;
-    O((n+count) log).  Sampled at its own grid (start == x_min,
-    step == dx, count == n), psi's values are copied, because the
-    interpolant at the samples is the samples."""
+    O((n+count) log).  It is one chirp-z transform of the centered
+    spectrum: the term of frequency index j - n/2 at output k has the
+    phase (ramp + beta*k)*(j - n/2), where ramp and beta are start - x_min
+    and step times the frequency spacing 2*pi/(n*dx).  Sampled at its own
+    grid (start == x_min, step == dx, count == n), psi's values are
+    copied, because the interpolant at the samples is the samples.  A
+    non-finite start or step, a zero step or a negative count raises
+    DomainError."""
+    if not (np.isfinite(start) and np.isfinite(step)):
+        raise DomainError(f"sample start and step must be finite, got {start}, {step}")
     if step == 0.0:
         raise DomainError("sample step must be nonzero")
+    if count < 0:
+        raise DomainError(f"sample count must be >= 0, got {count}")
     g, n = psi.grid, psi.grid.n_points
     if start == g.x_min and step == g.dx and count == n:
         return psi.values.copy()
-    shift = start - g.x_min
-    alpha = 2.0 * np.pi / (n * g.dx)
-    # The phase of term m at output k is (ramp + beta*k)*(m - n/2), built
-    # from the float ramp and beta exactly: n/2 is a power of two.
-    ramp, beta = alpha * shift, alpha * step
+    unit = 2.0 * np.pi / (n * g.dx)
     fhat = np.fft.fftshift(np.fft.fft(psi.values))
-    out = bluestein_czt(fhat * _quadratic_phase(0.0, ramp, 0.0, n)[0], count, beta)
-    out *= _quadratic_phase(0.0, -(n / 2) * beta, -(n / 2) * ramp, count)[0] / n
+    out = bluestein_czt(fhat, count, unit * step, unit * (start - g.x_min), n / 2)
+    out /= n
     pts = start + np.arange(count) * step
     out[(pts < g.x_min - 0.5 * g.dx) | (pts > g.x_min + (n - 0.5) * g.dx)] = 0.0
     return out

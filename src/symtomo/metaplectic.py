@@ -117,12 +117,15 @@ def is_symplectic(matrix: np.ndarray, tol: float) -> CheckResult:
 
 @dataclass(frozen=True)
 class RotationParams:
-    """Direction (mu, nu) of the quadrature mu*x + nu*p, with its length."""
+    """Direction (mu, nu) of the quadrature mu*x + nu*p, with its length:
+    finite and not (0, 0), else DomainError."""
 
     mu: float
     nu: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.mu) and np.isfinite(self.nu)):
+            raise DomainError(f"(mu, nu) must be finite, got ({self.mu}, {self.nu})")
         if self.mu == 0.0 and self.nu == 0.0:
             raise DomainError("(mu, nu) = (0, 0) does not define a direction")
 

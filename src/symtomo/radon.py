@@ -291,10 +291,12 @@ def radon_line_integral(w: WignerMap, mu: float, nu: float, x_grid=None,
     d_a*d_b*exp(-i*k_q*b*b_0) * sum_i exp(-i*k_q*a*y_i)*F_iq (F conjugated
     for b < 0), and one chirp-z transform gives R(X) =
     (dk/pi)*Re sum_q R^(k_q)*exp(i*k_q*X), half weight at q = 0 and
-    Nyquist.  That sums each row's trigonometric interpolant where the line
-    crosses it: the line integral to rounding on a map resolved on its
-    grid.  Its period |b|*n_pad*d_b in X covers the projected support
-    [lo, hi] of the map's samples; X outside it is exactly 0.
+    Nyquist; its start angle dk*(X_0 - b*b_0), X_0 the first output
+    point, carries the phases exp(i*k_q*(X_0 - b*b_0)).  That sums each
+    row's trigonometric interpolant where the line crosses it: the line
+    integral to rounding on a map resolved on its grid.  Its period
+    |b|*n_pad*d_b in X covers the projected support [lo, hi] of the map's
+    samples; X outside it is exactly 0.
     ``step_fraction`` is ignored.
 
     The rows run in blocks of LINE_BLOCK on every usable CPU (the calling
@@ -331,7 +333,6 @@ def radon_line_integral(w: WignerMap, mu: float, nu: float, x_grid=None,
             (a, ga), (b, gb) = (nu, gp), (mu, gx)
         half = _next_fast_len(int(np.ceil(0.5 * (hi - lo) / (abs(b) * gb.dx))) + 1)
         dk = np.pi / (abs(b) * half * gb.dx)
-        k = dk * np.arange(half + 1)
         # A block's rows of exp(-i*k_q*a*y_i) are coarse[i, Q]*fine[i, r] at
         # q = Q*block + r: cis on every (i, q) costs more than these two
         # small tables and their product.
@@ -357,8 +358,9 @@ def radon_line_integral(w: WignerMap, mu: float, nu: float, x_grid=None,
         spec = partial.sum(axis=0)
         spec[[0, -1]] *= 0.5
         first, last = inside[0], inside[-1] + 1
-        spec *= cis(k * (x_out[first] - b * gb.x_min)) * (ga.dx * gb.dx * dk / np.pi)
-        values[first:last] = bluestein_czt(spec, last - first, dk * step).real
+        spec *= ga.dx * gb.dx * dk / np.pi
+        values[first:last] = bluestein_czt(spec, last - first, dk * step,
+                                           dk * (x_out[first] - b * gb.x_min)).real
     warn = w.accuracy_warning or w.edge_decay() > EDGE_DECAY_FLAG
     if warn:
         # A flagged map carries truncation ripples that may dip below the

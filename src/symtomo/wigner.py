@@ -19,9 +19,8 @@ from .errors import ConfigError
 from .grids import (
     Grid1D,
     SampledWavefunction,
-    _bluestein_chirp_plan,
-    _bluestein_rows,
     _run_blocks,
+    bluestein_czt,
     cis,
 )
 
@@ -134,11 +133,12 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
         map and carries ``accuracy_warning=True``.
 
     Each position row is one chirp-z transform of its autocorrelation
-    slice (see :func:`_autocorrelation`) with kernel exp(i*beta*j*k),
-    beta = -2*dp*dx/hbar.  For the default window, n points at
-    dp = pi*hbar/(n*dx), beta is -2*pi/n and the transform is a plain
-    length-n FFT; every other window goes through the Bluestein transform
-    of :func:`bluestein_czt`, whose chirp is built once per call and whose
+    slice (see :func:`_autocorrelation`): the sum over m of A[j, m] *
+    exp(i*(alpha + beta*k)*(m - n/2)) with beta = -2*dp*dx/hbar and
+    alpha = -2*p_min*dx/hbar, times dx/(pi*hbar).  For the default
+    window, n points at dp = pi*hbar/(n*dx), beta is -2*pi/n and the
+    transform is a plain length-n FFT; every other window goes through
+    :func:`bluestein_czt` with that alpha and the index origin n/2, whose
     kernel spectrum the process keeps.  Every output row is real, so rows
     j and j + n/2 share one complex transform of A_j + i*A_(j+n/2): its
     real part is row j and its imaginary part row j + n/2.
@@ -158,20 +158,16 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
             or p_reach > np.pi * hbar / (2.0 * dx) * (1.0 + 1e-12))
 
     half, m = n // 2, p_grid.n_points
-    # A pre-phase odd in m - n/2 keeps each row exactly Hermitian about
-    # m = n/2, and the post-phase exp(-i*beta*k*n/2) uses the kernel's own
-    # beta ((-1)**k for the FFT): a phase rounding would leak into the partner.
-    pre = cis(-2.0 * p_grid.x_min * dx / hbar * (np.arange(n) - half))
-    beta = -2.0 * p_grid.dx * dx / hbar
-    k = np.arange(m)
+    alpha, beta = -2.0 * p_grid.x_min * dx / hbar, -2.0 * p_grid.dx * dx / hbar
+    scale = dx / (np.pi * hbar)
     # The default window has beta = -2*pi/n up to rounding: a plain DFT.
-    plan = None
-    if m == n and abs(beta * n / (2.0 * np.pi) + 1.0) < 1e-14:
-        post = 1.0 - 2.0 * (k % 2)
-    else:
-        plan = _bluestein_chirp_plan(n, m, beta)
-        post = cis(-0.5 * beta * n * k)
-    post = post * (dx / (np.pi * hbar))
+    # There a pre-phase odd in m - n/2 keeps each row exactly Hermitian
+    # about m = n/2, and the exact post-phase (-1)**k = exp(-i*beta*k*n/2)
+    # lets no phase rounding leak into the partner row.
+    fft = m == n and abs(beta * n / (2.0 * np.pi) + 1.0) < 1e-14
+    if fft:
+        pre = cis(alpha * (np.arange(n) - half))
+        post = (1.0 - 2.0 * (np.arange(m) % 2)) * scale
     values = np.empty((n, m))
 
     def run(lo):
@@ -180,9 +176,13 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
         upper = _autocorrelation(psi.values, slice(rows.start + half, rows.stop + half))
         z.real -= upper.imag
         z.imag += upper.real
-        z *= pre
-        w = np.fft.fft(z, axis=1, out=z) if plan is None else _bluestein_rows(z, m, *plan)
-        w *= post
+        if fft:
+            z *= pre
+            w = np.fft.fft(z, axis=1, out=z)
+            w *= post
+        else:
+            w = bluestein_czt(z, m, beta, alpha, half)
+            w *= scale
         values[rows] = w.real
         values[rows.start + half:rows.stop + half] = w.imag
 

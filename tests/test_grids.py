@@ -19,11 +19,8 @@ import symtomo.grids
 from symtomo.grids import (
     SPECTRUM_CACHE_BYTES,
     Grid1D,
-    _bluestein_chirp_plan,
-    _bluestein_kernel,
     _bluestein_plan,
     _chirp_z_rows,
-    _kernel_spectrum,
     _quadratic_phase,
     bluestein_czt,
     chirp_multiply,
@@ -212,21 +209,70 @@ class TestSampleUniform:
         got = sample_uniform(ground, g.x_min, g.dx, g.n_points)
         assert np.array_equal(got, ground.values) and got is not ground.values
 
+    @pytest.mark.parametrize("start, step", [(np.nan, 0.1), (np.inf, 0.1), (-5.0, np.nan),
+                                             (-5.0, -np.inf)])
+    def test_non_finite_points_rejected(self, ground, start, step):
+        with pytest.raises(DomainError, match="finite"):
+            sample_uniform(ground, start, step, 10)
+
+    def test_negative_count_rejected(self, ground):
+        with pytest.raises(DomainError, match="count"):
+            sample_uniform(ground, -5.0, 0.1, -3)
+
+    def test_zero_count_is_empty(self, ground):
+        got = sample_uniform(ground, -5.0, 0.1, 0)
+        assert got.shape == (0,) and got.dtype == np.complex128
+
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 48), m=st.integers(1, 48), rows=st.integers(1, 4),
-       beta=st.floats(-np.pi, np.pi), per_row=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_bluestein_czt_matches_direct_sum(n, m, rows, beta, per_row, seed):
-    """y[r, k] = sum_j x[r, j] exp(1j*beta_r*j*k), to 1e-12 of sum_j |x[r, j]|."""
+       beta=st.floats(-np.pi, np.pi), alpha=st.floats(-np.pi, np.pi),
+       center=st.sampled_from([0.0, 1.5, -8.0, 16.0]), per_row=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_bluestein_czt_matches_direct_sum(n, m, rows, beta, alpha, center, per_row, seed):
+    """y[r, k] = sum_j x[r, j] exp(1j*(alpha_r + beta_r*k)*(j - center_r)),
+    to 1e-12 of sum_j |x[r, j]|, with one beta, alpha and center for all
+    rows or one of each per row."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
-    betas = beta * rng.uniform(-1.0, 1.0, rows) if per_row else np.full(rows, beta)
-    got = bluestein_czt(x, m, betas if per_row else beta)
-    jk = np.outer(np.arange(n), np.arange(m))
-    want = np.stack([x[r] @ np.exp(1j * betas[r] * jk) for r in range(rows)])
+    if per_row:
+        betas, alphas = (v * rng.uniform(-1.0, 1.0, rows) for v in (beta, alpha))
+        centers = center * rng.integers(-1, 2, rows)
+        got = bluestein_czt(x, m, betas, alphas, centers)
+    else:
+        betas, alphas, centers = (np.full(rows, v) for v in (beta, alpha, center))
+        got = bluestein_czt(x, m, beta, alpha, center)
+    j, k = np.arange(n)[:, None], np.arange(m)
+    want = np.stack([x[r] @ np.exp(1j * (alphas[r] + betas[r] * k) * (j - centers[r]))
+                     for r in range(rows)])
     scale_ = np.abs(x).sum(axis=1, keepdims=True)
     assert got.shape == (rows, m)
     assert np.max(np.abs(got - want) / scale_) <= 1e-12
+
+
+@pytest.mark.parametrize("beta, alpha, center", [
+    (np.nan, 0.0, 0.0), (-np.inf, 0.0, 0.0), (0.1, np.nan, 0.0), (0.1, np.inf, 0.0),
+    (0.1, 0.0, np.nan), (0.1, 0.0, -np.inf), (np.array([0.1, np.nan]), 0.0, 0.0),
+    (0.1, np.array([0.2, np.inf]), 0.0), (0.1, 0.0, np.array([4.0, np.nan]))])
+def test_bluestein_czt_rejects_non_finite_inputs(beta, alpha, center):
+    x = np.ones((2, 8), dtype=np.complex128)
+    with pytest.raises(DomainError, match="finite"):
+        bluestein_czt(x, 5, beta, alpha, center)
+
+
+def test_bluestein_czt_rejects_negative_count():
+    with pytest.raises(DomainError, match="count"):
+        bluestein_czt(np.ones(8), -3, 0.1)
+
+
+def test_bluestein_czt_zero_count_is_empty():
+    """No output points: an empty row per input row, also for one beta per
+    row; no input points: rows of empty sums, zero."""
+    x = np.ones((3, 8), dtype=np.complex128)
+    for beta in (0.1, np.array([0.1, 0.2, 0.3])):
+        got = bluestein_czt(x, 0, beta, 0.5, 4.0)
+        assert got.shape == (3, 0) and got.dtype == np.complex128
+        assert np.array_equal(bluestein_czt(x[:, :0], 5, beta, 0.5, 4.0), np.zeros((3, 5)))
 
 
 PI_40 = Decimal("3.141592653589793238462643383279502884197")
@@ -247,19 +293,26 @@ def _reference_phase(a: float, b: float, c: float, m: int) -> complex:
 
 @pytest.mark.parametrize("n, m", [(1024, 1024), (1500, 700), (600, 1300)])
 def test_bluestein_czt_exact_at_large_phases(n, m):
-    """Chirp phases 0.5*beta*j^2 up to 1e4 rad: every output within 2 ulps
-    of sum_j |x_j| of the sum whose phases beta*j*k are exact (the stdlib
-    reference at the integer j*k).  Chirps rounded at their full size
-    missed by 100 to 350 ulps."""
+    """Chirp phases 0.5*beta*j^2 up to 1e4 rad, start angles alpha*j up to
+    4e3 rad and index origins center, one of each for all rows or one per
+    row: every output within 2 ulps of sum_j |x_j| of the sum whose
+    phases (alpha + beta*k)*(j - center) are exact (the stdlib reference
+    on the exact coefficients).  Chirps rounded at their full size missed
+    by 100 to 350 ulps."""
     rng = np.random.default_rng(n)
     beta = 2e4 / (max(n, m) - 1) ** 2
-    x = rng.normal(size=n) + 1j * rng.normal(size=n)
-    got = bluestein_czt(x, m, beta)
-    assert got.shape == (m,)
-    for k in {0, 1, m - 1, *rng.integers(0, m, 9).tolist()}:
-        terms = x * np.array([_reference_phase(0.0, beta, 0.0, j * k) for j in range(n)])
-        want = complex(math.fsum(terms.real), math.fsum(terms.imag))
-        assert abs(got[k] - want) <= 2 * ULP * np.abs(x).sum(), k
+    x = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    per_row = (np.array([beta, -beta / 3]), np.array([-0.7, 2.9]), np.array([0.0, 1024.0]))
+    for coef in ((beta, 0.0, 0.0), (beta, 2.9, 512.0), per_row):
+        got = bluestein_czt(x, m, *coef)
+        assert got.shape == (2, m)
+        for r, (b, a, c) in enumerate(zip(*np.broadcast_arrays(np.zeros(2), *coef)[1:])):
+            for k in {0, 1, m - 1, *rng.integers(0, m, 9).tolist()}:
+                start = Fraction(a) + Fraction(b) * k
+                terms = x[r] * np.array([_reference_phase(0.0, start, -start * Fraction(c), j)
+                                         for j in range(n)])
+                want = complex(math.fsum(terms.real), math.fsum(terms.imag))
+                assert abs(got[r, k] - want) <= 2 * ULP * np.abs(x[r]).sum(), (coef, r, k)
 
 
 signed_magnitude = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-7.0, 0.2)).map(
@@ -302,8 +355,11 @@ def _bits(a):
 
 
 def _spectrum_of(n, m, b):
-    """The kernel spectrum row of beta = b, built without the kept rows."""
-    return _kernel_spectrum(_bluestein_kernel(n, m, np.array([b])), n, m)[0]
+    """The kernel spectrum row of beta = b, built with no rows kept."""
+    symtomo.grids._SPECTRA.clear()
+    row = _bluestein_plan(n, m, np.array([b]))[0]
+    symtomo.grids._SPECTRA.clear()
+    return row
 
 
 @pytest.fixture
@@ -317,18 +373,14 @@ def spectra():
 def test_kept_spectra_are_keyed_by_the_bits_of_beta(spectra):
     """Repeats take one row and -0.0 and 0.0 two, with one row kept
     before the call, and with all of them kept: each row has the bits of
-    its own uncached build, from _bluestein_plan and from
-    _bluestein_chirp_plan, whose chirp is the conjugate of the kernel's
-    head."""
+    its own uncached build."""
     n, m, b = 1025, 1024, -0.0123
     beta = np.array([b, -0.0, 0.0, b])
     want = np.stack([_spectrum_of(n, m, v) for v in beta])
     assert np.array_equal(_bits(_bluestein_plan(n, m, b)), _bits(want[0]))
-    chirp, spectrum = _bluestein_chirp_plan(n, m, beta[:, None])
-    assert chirp.shape == (4, 1, n) and spectrum.shape == (4, 1, 2048)
+    spectrum = _bluestein_plan(n, m, beta[:, None])
+    assert spectrum.shape == (4, 1, 2048)
     assert np.array_equal(_bits(spectrum[:, 0]), _bits(want))
-    head = np.conj(_bluestein_kernel(n, m, beta)[:, :n])
-    assert np.array_equal(_bits(chirp[:, 0]), _bits(head))
     assert spectra.nbytes == 3 * want[0].nbytes
     for kept in (1, 3):
         spectra.clear()

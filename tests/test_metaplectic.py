@@ -11,17 +11,24 @@ from conftest import (
 from symtomo import (
     DomainError,
     FreeSymplectic,
+    GaussianState,
     NotFreeError,
     RotationParams,
     UnsupportedOperation,
     gaussian_wavefunction,
     gaussian_wigner_at,
     inner_product,
+    ellipse_chord,
     is_symplectic,
+    make_grid,
     metaplectic_rotation,
     quadratic_fourier,
+    radon_chirp_fft,
+    radon_line_integral,
+    radon_metaplectic,
     rotation_from_mu_nu,
     standard_symplectic_form,
+    tomogram_variance,
     wigner_transform,
 )
 from symtomo.grids import hbar_fourier, sample_uniform
@@ -77,6 +84,33 @@ class TestRotationMatrix:
             RotationParams(0.0, 0.0)
 
 
+def _direction_calls():
+    """Every entry point that takes a direction (mu, nu), as f(mu, nu)."""
+    state = GaussianState.ground_state()
+    psi = gaussian_wavefunction(state, make_grid(-8.0, 8.0, 64))
+    w = wigner_transform(psi)
+    return {
+        "radon_metaplectic": lambda mu, nu: radon_metaplectic(psi, mu, nu),
+        "radon_chirp_fft": lambda mu, nu: radon_chirp_fft(psi, mu, nu),
+        "radon_line_integral": lambda mu, nu: radon_line_integral(w, mu, nu),
+        "metaplectic_rotation": lambda mu, nu: metaplectic_rotation(psi, RotationParams(mu, nu)),
+        "tomogram_variance": lambda mu, nu: tomogram_variance(state, mu, nu),
+        "ellipse_chord": lambda mu, nu: ellipse_chord(state, mu, nu),
+    }
+
+
+@pytest.mark.parametrize("entry", ["radon_metaplectic", "radon_chirp_fft",
+                                   "radon_line_integral", "metaplectic_rotation",
+                                   "tomogram_variance", "ellipse_chord"])
+@pytest.mark.parametrize("mu, nu", [(np.nan, 1.0), (0.5, np.nan), (np.inf, 1.0),
+                                    (0.5, -np.inf)])
+def test_direction_rule_at_every_entry_point(entry, mu, nu):
+    """A non-finite mu or nu raises the DomainError of RotationParams
+    before any transform runs."""
+    with pytest.raises(DomainError, match=r"\(mu, nu\)"):
+        _direction_calls()[entry](mu, nu)
+
+
 class TestGeneratingForm:
     def test_quarter_turn_coefficients(self):
         fs = FreeSymplectic.from_matrix(J2)
@@ -121,7 +155,11 @@ class TestGeneratingForm:
     def test_symplectic_check_shared_with_closed_form(self, mu, nu):
         # A direction whose normalization fails (a subnormal length, a
         # non-finite entry) gives a rotation matrix that is not symplectic.
+        # rotation_from_mu_nu refuses a non-finite direction before that.
+        lam = np.hypot(mu, nu)
         with pytest.raises(DomainError, match="not symplectic"):
+            FreeSymplectic.from_matrix([[mu / lam, nu / lam], [-nu / lam, mu / lam]])
+        with pytest.raises(DomainError, match="not symplectic" if np.isfinite(mu) else "finite"):
             FreeSymplectic.from_matrix(rotation_from_mu_nu(mu, nu))
 
     def test_gradient_relations_reconstruct_matrix(self):

@@ -144,15 +144,18 @@ def test_line_integral_is_the_same_for_any_worker_count(square_map, mu, nu, usab
 
 
 def test_chirp_z_transforms_are_the_same_for_any_worker_count(psi, usable_cpus):
-    """bluestein_czt with one beta and with one per row, and
-    sample_uniform, which takes one chirp-z transform."""
+    """bluestein_czt with one beta, start angle and index origin, and with
+    one of each per row, and sample_uniform, which takes one chirp-z
+    transform."""
     rng = np.random.default_rng(7)
     x = rng.normal(size=(3, 1025)) + 1j * rng.normal(size=(3, 1025))
     beta = np.array([0.0123, -0.0, -0.0123])
+    alpha = np.array([0.7, -2.1, 0.0])
+    center = np.array([512.0, 0.0, 1024.0])
 
     def compute():
-        return np.concatenate([bluestein_czt(x, 1024, 0.0123).ravel(),
-                               bluestein_czt(x, 700, beta).ravel(),
+        return np.concatenate([bluestein_czt(x, 1024, 0.0123, 0.7, 512.0).ravel(),
+                               bluestein_czt(x, 700, beta, alpha, center).ravel(),
                                sample_uniform(psi, -7.3, 0.0131, 1000)])
 
     _assert_all_equal(compute, usable_cpus)
