@@ -97,6 +97,13 @@ def make_grid(x_min: float, x_max: float, n_points: int, hbar: float = 1.0) -> G
     return Grid1D(x_min, n_points, (x_max - x_min) / n_points, hbar)
 
 
+# Edge decay (border over peak, :meth:`SampledWavefunction.edge_decay` and
+# the Wigner map's) above which a state counts as cut off by its grid: the
+# rotation route, sweeps, the Wigner transform and the line integral flag
+# their results past it.
+EDGE_DECAY_FLAG = 1e-12
+
+
 @dataclass(frozen=True)
 class SampledWavefunction:
     """Complex samples of a wavefunction on a :class:`Grid1D`.
@@ -306,63 +313,23 @@ def _chirp_convolve(y: np.ndarray, spectrum: np.ndarray, m: int) -> np.ndarray:
     return y[..., :m]
 
 
-# Bytes of kernel spectrum rows that :func:`_bluestein_plan` keeps per
-# process.  The metaplectic and chirp-FFT sweeps of one 1024-point state
-# take 251 rows of 2048 points, 7.8 MiB.
+# Bytes of kernel spectra that :func:`_bluestein_plan` keeps per process.
+# The metaplectic and chirp-FFT sweeps of one 1024-point state take 24
+# spectra of 347 rows of 2048 points, 10.8 MiB; a 360-angle sweep at 4096
+# points takes 23 block spectra of about 1 MiB, past the cap.
 SPECTRUM_CACHE_BYTES = 16 << 20
 
-
-class _SpectrumCache:
-    """The kernel spectrum rows of :func:`_bluestein_plan`, keyed by
-    (n, m, the bits of beta), so that 0.0 and -0.0 never share a row: at
-    most SPECTRUM_CACHE_BYTES of them, the least recently used evicted
-    first.  A row of a non-finite beta is never kept.  Rows are built and
-    copied outside the lock, and a kept row is never written, so a row
-    taken stays valid after its eviction."""
-
-    def __init__(self):
-        self._rows = OrderedDict()
-        self._lock = threading.Lock()
-        self.nbytes = 0
-
-    def clear(self) -> None:
-        with self._lock:
-            self._rows.clear()
-            self.nbytes = 0
-
-    def take(self, n: int, m: int, beta: np.ndarray, build) -> np.ndarray:
-        """The spectrum rows of the entries of the 1-d float array
-        ``beta``, shape (len(beta), nfft): the kept rows, and
-        ``build(index)`` for the rows of beta[index] not kept."""
-        keys = [(n, m, bits) for bits in beta.view(np.uint64).tolist()]
-        with self._lock:
-            found = [self._rows.get(key) for key in keys]
-            for key, row in zip(keys, found):
-                if row is not None:
-                    self._rows.move_to_end(key)
-        missing = [r for r, row in enumerate(found) if row is None]
-        if found and not missing:
-            return np.stack(found)
-        built = build(np.array(missing, dtype=np.intp))
-        finite = np.isfinite(beta)
-        kept = [(keys[r], row.copy()) for r, row in zip(missing, built)
-                if finite[r] and row.nbytes <= SPECTRUM_CACHE_BYTES]
-        with self._lock:
-            for key, row in kept:
-                if key not in self._rows:
-                    row.setflags(write=False)
-                    self._rows[key] = row
-                    self.nbytes += row.nbytes
-            while self.nbytes > SPECTRUM_CACHE_BYTES:
-                self.nbytes -= self._rows.popitem(last=False)[1].nbytes
-        if len(missing) == len(keys):
-            return built
-        for r, row in zip(missing, built):
-            found[r] = row
-        return np.stack(found)
+# The kept spectra, keyed by call, least recently used first, and their bytes.
+_SPECTRA = OrderedDict()
+_SPECTRA_LOCK = threading.Lock()
+_spectra_nbytes = 0
 
 
-_SPECTRA = _SpectrumCache()
+def _clear_spectra() -> None:
+    global _spectra_nbytes
+    with _SPECTRA_LOCK:
+        _SPECTRA.clear()
+        _spectra_nbytes = 0
 
 
 def _bluestein_plan(n: int, m: int, beta) -> np.ndarray:
@@ -371,23 +338,39 @@ def _bluestein_plan(n: int, m: int, beta) -> np.ndarray:
     ``beta`` (a scalar or an array; shape beta.shape + (nfft,)): the FFT
     of the conjugate chirp exp(-0.5j*beta*j^2), j < max(n, m), which
     :func:`_quadratic_phase` writes within a few ulps of the exact phase
-    at any size of it, laid out for the circular convolution.  Its rows
-    are kept per process (``_SPECTRA``), so a later call on the same n, m
-    and beta skips the phase generator and the FFT, with the same bits."""
+    at any size of it, laid out for the circular convolution.
+
+    The spectrum is read-only.  The process keeps it, keyed by n, m and
+    the shape and bits of beta (so 0.0 and -0.0 are two keys), while it
+    fits under SPECTRUM_CACHE_BYTES, the least recently used evicted
+    first; a later call with the same key returns the kept array itself.
+    A spectrum of a non-finite beta is never kept."""
+    global _spectra_nbytes
     beta = np.asarray(beta, dtype=np.float64)
-    flat = beta.ravel()
+    key = (n, m, beta.shape, beta.tobytes())
+    with _SPECTRA_LOCK:
+        spectrum = _SPECTRA.get(key)
+        if spectrum is not None:
+            _SPECTRA.move_to_end(key)
+            return spectrum
     nfft = _bluestein_length(n, m)
-
-    def build(rows):
-        kernel = np.empty((len(rows), nfft), dtype=np.complex128)
-        zero = np.zeros(len(rows))
-        _quadratic_phase(-0.5 * flat[rows], zero, zero, int(max(n, m)), out=kernel)
-        kernel[:, nfft - n + 1:] = kernel[:, n - 1:0:-1]
-        kernel[:, m:nfft - n + 1] = 0.0
-        return np.fft.fft(kernel, out=kernel)
-
-    spectrum = _SPECTRA.take(n, m, flat, build)
-    return spectrum.reshape(beta.shape + (nfft,))
+    flat = beta.ravel()
+    kernel = np.empty((flat.size, nfft), dtype=np.complex128)
+    zero = np.zeros(flat.size)
+    _quadratic_phase(-0.5 * flat, zero, zero, int(max(n, m)), out=kernel)
+    kernel[:, nfft - n + 1:] = kernel[:, n - 1:0:-1]
+    kernel[:, m:nfft - n + 1] = 0.0
+    np.fft.fft(kernel, out=kernel)
+    kernel.setflags(write=False)
+    spectrum = kernel.reshape(beta.shape + (nfft,))
+    if np.isfinite(flat).all() and spectrum.nbytes <= SPECTRUM_CACHE_BYTES:
+        with _SPECTRA_LOCK:
+            if key not in _SPECTRA:
+                _SPECTRA[key] = spectrum
+                _spectra_nbytes += spectrum.nbytes
+            while _spectra_nbytes > SPECTRUM_CACHE_BYTES:
+                _spectra_nbytes -= _SPECTRA.popitem(last=False)[1].nbytes
+    return spectrum
 
 
 def bluestein_czt(x: np.ndarray, m: int, beta, alpha=0.0, center=0.0) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, UnsupportedOperation
 from .grids import (
+    EDGE_DECAY_FLAG,
     Grid1D,
     SampledWavefunction,
     _bluestein_length,
@@ -42,9 +43,6 @@ __all__ = [
 ]
 
 NEGATIVE_FLOOR = 1e-10
-# Edge decay (border over peak) above which a route flags its tomogram: of
-# the Wigner map for the line integral, of psi for the rotation route.
-EDGE_DECAY_FLAG = 1e-10
 MIN_ANGLES = 8
 # Rows per row block of a sweep (half of them lead rows, half their mirror
 # rows): about ROW_SAMPLES complex samples of the block's (rows, nfft) FFT

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import uuid
 from contextlib import contextmanager
@@ -288,6 +289,25 @@ def _read_json(path, fmt_name: str, what: str) -> dict:
     return doc
 
 
+def _read_block(header: Path, name, shape: tuple) -> np.ndarray:
+    """The float64 block of the shape ``shape`` that a header names as its
+    ``data_file``.  Only a bare name of a regular file beside the header is
+    read (no directory part, not . or ..), and at most one value past the
+    block, so a header can neither reach another set's file nor make a
+    wrong one be read whole."""
+    if not isinstance(name, str) or Path(name).name != name or name == "..":
+        raise ConfigError(f"data_file must be a file name beside the header, got {name!r}")
+    path = header.parent / name
+    if not path.is_file():
+        raise ConfigError(f"data_file {name!r} is not a regular file")
+    count = math.prod(shape)
+    values = np.fromfile(path, dtype=np.float64, count=count + 1)
+    if values.size != count:
+        raise ConfigError(f"binary block size mismatch: {name!r} does not hold "
+                          f"{shape[0]} rows of {shape[1]} values")
+    return values.reshape(shape)
+
+
 def _grid_from_dict(d: dict) -> Grid1D:
     return Grid1D(float(d["x_min"]), int(d["n_points"]), float(d["dx"]), float(d["hbar"]))
 
@@ -344,9 +364,8 @@ def load_wigner(json_path) -> WignerMap:
         flag = doc["accuracy_warning"]
         if not isinstance(flag, bool):  # as strict as the manifest's warnings
             raise TypeError(f"accuracy_warning must be true or false, got {flag!r}")
-        raw = np.fromfile(json_path.parent / doc["data_file"], dtype=np.float64)
-        return WignerMap(x_grid, p_grid, raw.reshape(x_grid.n_points, -1), hbar,
-                         accuracy_warning=flag)
+        values = _read_block(json_path, doc["data_file"], (x_grid.n_points, p_grid.n_points))
+        return WignerMap(x_grid, p_grid, values, hbar, accuracy_warning=flag)
 
 
 def save_wigner_csv(w: WignerMap, path):
@@ -426,9 +445,5 @@ def load_tomogram_set(manifest_path) -> TomogramSet:
                               f"angles={len(angles)}")
         if not np.all(np.abs(angles - sweep_angles(n_angles)) <= 1e-9):
             raise ConfigError(f"the angles are not the sweep theta_k = k*pi/{n_angles} (to 1e-9)")
-        n_x = len(x)
-        rows = np.fromfile(manifest_path.parent / doc["data_file"], dtype=np.float64)
-        if rows.size != n_angles * n_x:
-            raise ConfigError(f"binary block size mismatch: {rows.size} values for "
-                              f"{n_angles} rows of {n_x}")
-        return TomogramSet(x, rows.reshape(n_angles, n_x), hbar, tuple(routes), warnings)
+        values = _read_block(manifest_path, doc["data_file"], (n_angles, len(x)))
+        return TomogramSet(x, values, hbar, tuple(routes), warnings)

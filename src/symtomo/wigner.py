@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 from .grids import (
+    EDGE_DECAY_FLAG,
     Grid1D,
     SampledWavefunction,
     _run_blocks,
@@ -26,7 +27,6 @@ from .grids import (
 
 __all__ = ["WignerMap", "wigner_transform", "marginals", "default_momentum_window"]
 
-EDGE_DECAY_LIMIT = 1e-12
 # Row pairs (j, j + n/2) per block of a Wigner transform: a block's
 # autocorrelation rows and transform buffers take about 4 MiB at n = 1024.
 WIGNER_BLOCK = 64
@@ -154,7 +154,7 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D | None = None) -> 
     if p_grid is None:
         p_grid = default_momentum_window(g)
     p_reach = max(-p_grid.x_min, p_grid.x_max - p_grid.dx)
-    warn = (psi.edge_decay() > EDGE_DECAY_LIMIT
+    warn = (psi.edge_decay() > EDGE_DECAY_FLAG
             or p_reach > np.pi * hbar / (2.0 * dx) * (1.0 + 1e-12))
 
     half, m = n // 2, p_grid.n_points

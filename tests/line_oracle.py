@@ -12,7 +12,7 @@ the two differ by the oracle's bilinear error, about
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from symtomo.grids import Grid1D
+from symtomo.grids import EDGE_DECAY_FLAG, Grid1D
 from symtomo.metaplectic import RotationParams
 from symtomo.radon import Tomogram, _resolve_x_grid
 
@@ -41,7 +41,7 @@ def radon_line_integral_reference(w, mu, nu, x_grid=None, step_fraction=0.5):
         ps = (nu * x_out[lo:hi, None] / lam**2) + (mu / lam) * s[None, :]
         vals = interp(np.stack([xs, ps], axis=-1))
         values[lo:hi] = np.trapezoid(vals, dx=s[1] - s[0], axis=1) / lam
-    warn = w.accuracy_warning or w.edge_decay() > 1e-10
+    warn = w.accuracy_warning or w.edge_decay() > EDGE_DECAY_FLAG
     if warn:
         np.clip(values, 0.0, None, out=values)
     return Tomogram(mu, nu, x_out, values, w.hbar,

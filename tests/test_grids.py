@@ -354,66 +354,76 @@ def _bits(a):
     return np.asarray(a).view(np.uint64)
 
 
-def _spectrum_of(n, m, b):
-    """The kernel spectrum row of beta = b, built with no rows kept."""
-    symtomo.grids._SPECTRA.clear()
-    row = _bluestein_plan(n, m, np.array([b]))[0]
-    symtomo.grids._SPECTRA.clear()
-    return row
-
-
 @pytest.fixture
 def spectra():
     """The kept kernel spectra, cleared before and after the test."""
-    symtomo.grids._SPECTRA.clear()
+    symtomo.grids._clear_spectra()
     yield symtomo.grids._SPECTRA
-    symtomo.grids._SPECTRA.clear()
+    symtomo.grids._clear_spectra()
 
 
 def test_kept_spectra_are_keyed_by_the_bits_of_beta(spectra):
-    """Repeats take one row and -0.0 and 0.0 two, with one row kept
-    before the call, and with all of them kept: each row has the bits of
-    its own uncached build."""
+    """A warm call returns the kept read-only array itself; 0.0 and -0.0,
+    and the same betas in another shape, are separate keys; every spectrum
+    has the bits of its own uncached build, row for row."""
     n, m, b = 1025, 1024, -0.0123
-    beta = np.array([b, -0.0, 0.0, b])
-    want = np.stack([_spectrum_of(n, m, v) for v in beta])
-    assert np.array_equal(_bits(_bluestein_plan(n, m, b)), _bits(want[0]))
-    spectrum = _bluestein_plan(n, m, beta[:, None])
-    assert spectrum.shape == (4, 1, 2048)
-    assert np.array_equal(_bits(spectrum[:, 0]), _bits(want))
-    assert spectra.nbytes == 3 * want[0].nbytes
-    for kept in (1, 3):
-        spectra.clear()
-        _bluestein_plan(n, m, beta[:kept])
-        for _ in range(2):
-            assert np.array_equal(_bits(_bluestein_plan(n, m, beta)), _bits(want))
-            assert spectra.nbytes == 3 * want[0].nbytes
+    beta = np.array([b, -0.0, 0.0, b])[:, None]
+    cold = _bluestein_plan(n, m, beta)
+    assert cold.shape == (4, 1, 2048) and not cold.flags.writeable
+    assert _bluestein_plan(n, m, beta.copy()) is cold
+    rows = [_bluestein_plan(n, m, v) for v in (b, -0.0, 0.0)]
+    flat = _bluestein_plan(n, m, beta.ravel())
+    assert len(spectra) == 5 and flat is not cold and rows[1] is not rows[2]
+    assert np.array_equal(_bits(flat), _bits(cold[:, 0]))
+    for r, v in enumerate(beta[:3, 0]):
+        assert np.array_equal(_bits(rows[r]), _bits(cold[r, 0]))
+        symtomo.grids._clear_spectra()
+        assert np.array_equal(_bits(_bluestein_plan(n, m, v)), _bits(rows[r]))
+    assert symtomo.grids._spectra_nbytes == sum(a.nbytes for a in spectra.values())
 
 
 def test_non_finite_beta_is_never_kept(spectra):
     with np.errstate(invalid="ignore"):
-        _bluestein_plan(64, 64, np.array([np.nan, np.inf, -np.inf]))
-    assert spectra.nbytes == 0
+        for beta in ([np.nan, np.inf, -np.inf], [1e-3, np.nan], np.inf):
+            assert _bluestein_plan(64, 64, np.array(beta)).shape[-1] == 128
+    assert len(spectra) == 0 and symtomo.grids._spectra_nbytes == 0
 
 
 def test_kept_spectra_stay_under_the_cap(spectra):
-    """Filled past the cap, the kept rows hold no more bytes than it, the
-    least recently used rows are the ones evicted, and an evicted row
-    comes back with the bits it had."""
+    """Filled past the cap, the kept spectra hold no more bytes than it,
+    the least recently used calls are the ones evicted, and an evicted
+    call comes back with the bits it had.  A spectrum larger than the cap
+    is returned but not kept."""
     n = m = 1024
-    row_bytes = 2048 * 16
-    rows = SPECTRUM_CACHE_BYTES // row_bytes
-    betas = 1e-3 * (1.0 + np.arange(rows + 20))
-    first = _bluestein_plan(n, m, betas[:30])
-    _bluestein_plan(n, m, betas[:10])  # now the most recently used
-    _bluestein_plan(n, m, betas[30:])
-    assert spectra.nbytes <= SPECTRUM_CACHE_BYTES
-    assert spectra.nbytes == rows * row_bytes
-    kept = {key[2] for key in spectra._rows}
-    assert set(_bits(betas[:10]).tolist()) <= kept
-    assert not set(_bits(betas[10:30]).tolist()) & kept
-    assert np.array_equal(_bits(_bluestein_plan(n, m, betas[10:30])), _bits(first[10:]))
-    assert spectra.nbytes <= SPECTRUM_CACHE_BYTES
+    call_bytes = 8 * 2048 * 16
+    calls = SPECTRUM_CACHE_BYTES // call_bytes
+    betas = 1e-3 * (1.0 + np.arange(8 * (calls + 20))).reshape(-1, 8)
+    first = [_bluestein_plan(n, m, b) for b in betas[:30]]
+    for b in betas[:10]:  # now the most recently used
+        _bluestein_plan(n, m, b)
+    for b in betas[30:]:
+        _bluestein_plan(n, m, b)
+    assert symtomo.grids._spectra_nbytes == calls * call_bytes == SPECTRUM_CACHE_BYTES
+    assert sum(a.nbytes for a in spectra.values()) == SPECTRUM_CACHE_BYTES
+    for k, b in enumerate(betas[:30]):
+        again = _bluestein_plan(n, m, b)
+        assert (again is first[k]) == (k < 10), k
+        assert np.array_equal(_bits(again), _bits(first[k]))
+    assert symtomo.grids._spectra_nbytes <= SPECTRUM_CACHE_BYTES
+    kept = list(spectra)
+    big = _bluestein_plan(4096, 4096, 1e-4 * np.arange(1.0, 130.0))
+    assert big.nbytes > SPECTRUM_CACHE_BYTES and big.shape == (129, 8192)
+    assert list(spectra) == kept
+
+
+def test_czt_start_and_origin_share_a_kept_spectrum(spectra):
+    """Two transforms that differ only in alpha and center share one kept
+    kernel spectrum."""
+    x = np.exp(1j * np.arange(100.0))
+    bluestein_czt(x, 80, 0.02, alpha=0.3, center=50.0)
+    (spectrum,) = spectra.values()
+    bluestein_czt(x, 80, 0.02, alpha=-1.1, center=0.0)
+    assert len(spectra) == 1 and next(iter(spectra.values())) is spectrum
 
 
 @pytest.mark.parametrize("mirror", [0, 1, -1])

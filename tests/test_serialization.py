@@ -139,6 +139,35 @@ def test_wigner_header_hbar_must_be_positive_and_finite(tmp_path, hbar):
     assert not (tmp_path / "rec").exists()
 
 
+@pytest.mark.parametrize("header", ["set/manifest.json", "ref/wigner.json"])
+@pytest.mark.parametrize("where", ["absolute", "parent", "subdirectory", "directory"])
+def test_data_file_is_a_file_beside_its_header(tmp_path, header, where):
+    """A header's data_file is read only as the bare name of a regular file
+    beside it.  An absolute path or a ../ path to another output's block
+    of the same size, a sub/x path to a copy of its own block, and a
+    directory are each a ConfigError that names the header, and invert
+    exits 2 without writing anything."""
+    grid = ["--grid=-8:8:64", "--state", "gaussian:0.5,0"]
+    for out in ("a", "b"):
+        assert main(["wigner", *grid, "--out", str(tmp_path / out / "ref")]) == 0
+        assert main(["tomogram", *grid, "--angles", "8", "--out", str(tmp_path / out / "set")]) == 0
+    path = tmp_path / "a" / header
+    doc = json.loads(path.read_text())
+    block = doc["data_file"]
+    (path.parent / "sub").mkdir()
+    (path.parent / "sub" / block).write_bytes((path.parent / block).read_bytes())
+    doc["data_file"] = {"absolute": str(tmp_path / "b" / header.split("/")[0] / block),
+                        "parent": f"../../b/{header.split('/')[0]}/{block}",
+                        "subdirectory": f"sub/{block}", "directory": "sub"}[where]
+    path.write_text(json.dumps(doc))
+    with raises_naming(path, match="data_file"):
+        (load_wigner if path.name == "wigner.json" else load_tomogram_set)(path)
+    assert main(["invert", "--set", str(tmp_path / "a" / "set" / "manifest.json"),
+                 "--reference", str(tmp_path / "a" / "ref" / "wigner.json"),
+                 "--out", str(tmp_path / "rec")]) == 2
+    assert not (tmp_path / "rec").exists()
+
+
 @pytest.mark.parametrize("key, hbar, loads", [
     ("hbar", 2.0, False), ("x_grid", 2.0, False), ("p_grid", 2.0, False),
     ("p_grid", HBAR * (1 + 1e-13), True)])

@@ -24,8 +24,10 @@ from symtomo import (
     make_grid,
     radon_chirp_fft,
     radon_metaplectic,
+    wigner_transform,
 )
 from symtomo.cli import main
+from symtomo.grids import EDGE_DECAY_FLAG
 from symtomo.serialization import load_tomogram_set, save_tomogram_set
 
 SWEEPS = {(256, 64): (-12.0, 12.0), (1024, 360): (-16.0, 16.0)}
@@ -63,6 +65,17 @@ def test_edge_decay_flags_match_single_angles(half_width, flagged):
             single = radon_metaplectic if t.route == "metaplectic" else radon_chirp_fft
             assert ts.warnings[k] == single(psi, t.mu, t.nu).accuracy_warning
             assert ts.warnings[k] == (flagged and t.route == "metaplectic")
+
+
+def test_one_edge_decay_rule_flags_rotation_sweep_and_wigner():
+    """The rotation route, a sweep and the Wigner transform judge edge decay
+    by one rule: a state just past EDGE_DECAY_FLAG is flagged by all three."""
+    psi = gaussian_wavefunction(GaussianState.from_position_data(1.0, 0.0, HBAR),
+                                make_grid(-10.0, 10.0, 256, HBAR))
+    assert EDGE_DECAY_FLAG < psi.edge_decay() < 1e-10  # about 2e-11
+    assert radon_metaplectic(psi, 0.6, 0.8).accuracy_warning
+    assert compute_tomogram_set(psi, 8, route="metaplectic").warnings.all()
+    assert wigner_transform(psi).accuracy_warning
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +220,7 @@ def test_shared_plan_keeps_the_sweep_bits(n_angles, route, monkeypatch):
     build that the sweep rows kept for themselves, which keeps nothing."""
     psi = gaussian_wavefunction(GaussianState.from_position_data(0.8, 0.3, HBAR),
                                 make_grid(-16.0, 16.0, 1024, HBAR))
-    symtomo.grids._SPECTRA.clear()
+    symtomo.grids._clear_spectra()
     cold = compute_tomogram_set(psi, n_angles, route=route)
     warm = compute_tomogram_set(psi, n_angles, route=route)
     monkeypatch.setattr(symtomo.grids, "_bluestein_plan", _kept_sweep_plan)

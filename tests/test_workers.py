@@ -63,25 +63,27 @@ def _under_counts(compute, usable_cpus):
 def no_kept_spectra():
     """Each test starts with no kept kernel spectra, so that the order of
     the tests cannot hide a fault of the cold path."""
-    symtomo.grids._SPECTRA.clear()
+    symtomo.grids._clear_spectra()
     yield
-    symtomo.grids._SPECTRA.clear()
+    symtomo.grids._clear_spectra()
 
 
 def _evict_kept_spectra():
-    """Fills the kept spectra with rows that no test uses, which evicts
-    every other row."""
-    nfft = 8192  # rows of 4096 points onto 4096
-    filler = 10.0 + np.arange(SPECTRUM_CACHE_BYTES // (16 * nfft) + 1)
-    _bluestein_plan(4096, 4096, filler)
-    assert symtomo.grids._SPECTRA.nbytes == SPECTRUM_CACHE_BYTES
+    """Fills the kept spectra with calls that no test uses, which evicts
+    every other call's."""
+    rows = 8  # of 8192 points: 1 MiB per call
+    calls = SPECTRUM_CACHE_BYTES // (16 * 8192 * rows)
+    for k in range(calls):
+        _bluestein_plan(4096, 4096, 10.0 + rows * k + np.arange(rows))
+    assert len(symtomo.grids._SPECTRA) == calls
+    assert symtomo.grids._spectra_nbytes == SPECTRUM_CACHE_BYTES
 
 
 def _cold_warm_evicted(compute):
     """compute, made to return its result with no kept spectra, with its
     own kept, and with them evicted."""
     def states():
-        symtomo.grids._SPECTRA.clear()
+        symtomo.grids._clear_spectra()
         cold, warm = compute(), compute()
         _evict_kept_spectra()
         return cold, warm, compute()
